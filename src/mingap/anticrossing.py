@@ -29,6 +29,7 @@ from .spectral import (
     eigendecompose,
     min_gap,
     sweep as spectral_sweep,
+    _gap_at,
     _hdot_apply,
 )
 
@@ -113,12 +114,8 @@ class OverlapSeries:
 
     def at(self, s: float) -> PointOverlaps:
         """Exact overlap values at an arbitrary s (fresh decomposition)."""
-        _, v = eigendecompose(interpolate(self.sweep.pair, s))
-        a = np.array([float(np.sum(v[m, 0] ** 2)) for m in self.partition.members])
-        b = np.array([float(np.sum(v[m, 1] ** 2)) for m in self.partition.members])
-        gs = self.partition.unique_ground_index
-        g = v[gs, :] ** 2 if (self.solution is not None and gs is not None) else None
-        return PointOverlaps(in_ground=a, in_excited=b, solution=g)
+        overlaps = _star_context(self.sweep.pair, self.partition, s).overlaps
+        return overlaps if self.solution is not None else replace(overlaps, solution=None)
 
 
 def compute_overlaps(
@@ -177,11 +174,6 @@ class WilkinsonFit:
     valid: bool
 
 
-def _gap_value(pair: HamiltonianPair, s: float) -> float:
-    w = scipy.linalg.eigvalsh(interpolate(pair, s))
-    return float(w[1] - w[0])
-
-
 def _auto_fit_window(pair: HamiltonianPair, s_star: float, delta_min: float) -> tuple[float, float]:
     """Largest symmetric window on which the gap stays below 3x its minimum."""
     cap = min(s_star, 1.0 - s_star)
@@ -190,7 +182,7 @@ def _auto_fit_window(pair: HamiltonianPair, s_star: float, delta_min: float) -> 
     half = cap * 0.999
     target = 3.0 * delta_min
     for _ in range(200):
-        if max(_gap_value(pair, s_star - half), _gap_value(pair, s_star + half)) <= target:
+        if max(_gap_at(pair, s_star - half), _gap_at(pair, s_star + half)) <= target:
             break
         half /= 1.3
     return (s_star - half, s_star + half)
@@ -209,7 +201,7 @@ def wilkinson_fit(
     if samples < 7:
         raise ValueError(f"need at least 7 sample points, got {samples}")
     pair = sweep.pair
-    delta_min = _gap_value(pair, s_star)
+    delta_min = _gap_at(pair, s_star)
     if window is None:
         window = _auto_fit_window(pair, s_star, delta_min)
     lo, hi = window
@@ -292,13 +284,12 @@ def _window_indices(grid: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return idx
 
 
-def _measure_choi_window(series: OverlapSeries, s_star: float, lo: float, hi: float) -> SwapMeasurement:
+def _measure_choi_window(series: OverlapSeries, star: PointOverlaps, lo: float, hi: float) -> SwapMeasurement:
     idx = _window_indices(series.grid, lo, hi)
     a0 = series.in_ground[idx, 0]
     a1 = series.in_ground[idx, 1]
     b0 = series.in_excited[idx, 0]
     b1 = series.in_excited[idx, 1]
-    star = series.at(s_star)
     a0s, a1s = float(star.in_ground[0]), float(star.in_ground[1])
     b0s, b1s = float(star.in_excited[0]), float(star.in_excited[1])
 
@@ -322,13 +313,12 @@ def _measure_choi_window(series: OverlapSeries, s_star: float, lo: float, hi: fl
     )
 
 
-def _measure_solution_window(series: OverlapSeries, s_star: float, lo: float, hi: float) -> SwapMeasurement:
+def _measure_solution_window(series: OverlapSeries, star: PointOverlaps, lo: float, hi: float) -> SwapMeasurement:
     if series.solution is None:
         raise DegeneracyError("solution series unavailable (degenerate final ground state)")
     idx = _window_indices(series.grid, lo, hi)
     g0 = series.solution[idx, 0]
     g1 = series.solution[idx, 1]
-    star = series.at(s_star)
     g0s, g1s = float(star.solution[0]), float(star.solution[1])
 
     clause1 = max(0.0, 1.0 - min(float(np.min(g0 + g1)), g0s + g1s))
@@ -345,9 +335,13 @@ def _measure_solution_window(series: OverlapSeries, s_star: float, lo: float, hi
     )
 
 
-def _optimize_window(series: OverlapSeries, s_star: float, measure) -> SwapMeasurement:
-    """Scan symmetric windows around s* and keep the smallest-gamma
-    measurement (the definition only asks that some window works)."""
+def _measure_swap(series: OverlapSeries, s_star: float, star: PointOverlaps, measure, window=None) -> SwapMeasurement:
+    """``measure`` on ``window``, or with ``window=None`` on every symmetric
+    window around s*, keeping the smallest-gamma measurement (the
+    definition only asks that some window works).  ``star`` holds the
+    overlaps at s*."""
+    if window is not None:
+        return measure(series, star, window[0], window[1])
     grid = series.grid
     spacing = float(np.median(np.diff(grid)))
     max_half = min(s_star - grid[0], grid[-1] - s_star)
@@ -356,7 +350,7 @@ def _optimize_window(series: OverlapSeries, s_star: float, measure) -> SwapMeasu
     while m * spacing <= max_half + 1e-15:
         half = m * spacing
         try:
-            cand = measure(series, s_star, s_star - half, s_star + half)
+            cand = measure(series, star, s_star - half, s_star + half)
         except ValueError:
             m += 1
             continue
@@ -364,7 +358,6 @@ def _optimize_window(series: OverlapSeries, s_star: float, measure) -> SwapMeasu
             best = cand
         m += 1
     if best is None:
-        star = series.at(s_star)
         return SwapMeasurement(
             satisfied=False, gamma=1.0,
             epsilon=float(abs(star.in_ground[0] - 0.5)),
@@ -381,9 +374,7 @@ def measure_choi(
     ``window=None`` optimizes over symmetric windows around s*."""
     if series.partition.level_count < 2:
         raise ValueError("needs at least two final energy levels")
-    if window is None:
-        return _optimize_window(series, s_star, _measure_choi_window)
-    return _measure_choi_window(series, s_star, window[0], window[1])
+    return _measure_swap(series, s_star, series.at(s_star), _measure_choi_window, window)
 
 
 def measure_solution_swap(
@@ -392,9 +383,97 @@ def measure_solution_swap(
     """Swap measurement on the solution state's weights in the two lowest
     instantaneous levels (the relaxed parametrization; subsumes the
     four-quantity one whenever that is satisfied)."""
-    if window is None:
-        return _optimize_window(series, s_star, _measure_solution_window)
-    return _measure_solution_window(series, s_star, window[0], window[1])
+    return _measure_swap(series, s_star, series.at(s_star), _measure_solution_window, window)
+
+
+# ---------------------------------------------------------------------------
+# the point s*: one decomposition shared by everything measured there
+
+
+@dataclass(frozen=True)
+class _StarContext:
+    """H(s) decomposed once at one point (s* in a report): the gap, the
+    gauged eigenvectors and the overlap families there."""
+
+    pair: HamiltonianPair
+    partition: FinalLevelPartition
+    s: float
+    delta: float
+    v: np.ndarray
+    overlaps: PointOverlaps
+
+
+def _star_context(pair: HamiltonianPair, partition: FinalLevelPartition, s_star: float) -> _StarContext:
+    """Decompose at s* and fix the local gauge: the ground vector has
+    positive entry sum (it is sign-definite for these mixers) and the
+    excited vector points away from the solution state.  With this
+    convention beta comes out nonnegative at a genuine anti-crossing."""
+    gs = partition.unique_ground_index
+    w, v = eigendecompose(interpolate(pair, s_star))
+    v = v.copy()
+    if float(np.sum(v[:, 0])) < 0:
+        v[:, 0] = -v[:, 0]
+    if gs is not None:
+        if float(v[gs, 1]) > 0:
+            v[:, 1] = -v[:, 1]
+    else:
+        if float(v[:, 0] @ _hdot_apply(pair, v[:, 1])) < 0:
+            v[:, 1] = -v[:, 1]
+    overlaps = PointOverlaps(
+        in_ground=np.array([float(np.sum(v[m, 0] ** 2)) for m in partition.members]),
+        in_excited=np.array([float(np.sum(v[m, 1] ** 2)) for m in partition.members]),
+        solution=v[gs, :] ** 2 if gs is not None else None,
+    )
+    delta = float(w[1] - w[0])
+    return _StarContext(pair=pair, partition=partition, s=s_star, delta=delta, v=v, overlaps=overlaps)
+
+
+def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: float | None) -> float:
+    cap = 0.9 * min(s_star, 1.0 - s_star)
+    if cap <= 0:
+        raise StepSizeError("gap minimum sits at the boundary")
+    if h is not None:
+        if not 0 < h <= 1e-4:
+            raise ValueError(f"step must lie in (0, 1e-4], got {h}")
+        if h >= cap:
+            raise StepSizeError(f"step {h} leaves [0, 1] around s*={s_star}")
+        widest = max(_gap_at(pair, s_star - h), _gap_at(pair, s_star + h))
+        if widest > 2.0 * delta_min:
+            raise StepSizeError(
+                f"gap grows to {widest:.3e} at s*+-{h:.1e} (over twice the minimum); shrink h"
+            )
+        return h
+    probe = min(1e-3, cap)
+    edge = max(_gap_at(pair, s_star - probe), _gap_at(pair, s_star + probe))
+    slope_diff = np.sqrt(max(edge**2 - delta_min**2, 0.0)) / probe
+    if slope_diff > 0:
+        h = min(1e-4, cap / 2.0, 0.02 * delta_min / slope_diff)
+    else:
+        h = min(1e-4, cap / 2.0)
+    while h > 1e-12:
+        widest = max(_gap_at(pair, s_star - h), _gap_at(pair, s_star + h))
+        if widest <= 2.0 * delta_min:
+            return h
+        h /= 2.0
+    raise StepSizeError("could not find a step inside the anti-crossing width")
+
+
+def _central_differences(star: _StarContext, h: float | None):
+    """Rotation rate beta = <v_0|H1-H0|v_1>/Delta at s*, the step (selected
+    from the anti-crossing width when ``h`` is None) and the eigenvectors at
+    s* + step and s* - step, their two lowest columns sign-aligned with s*."""
+    pair = star.pair
+    coupling = float(star.v[:, 0] @ _hdot_apply(pair, star.v[:, 1]))
+    if abs(coupling) < 1e-300 or star.delta <= 0:
+        raise ValueError("no anti-crossing coupling between the two lowest levels")
+    h = _select_step(pair, star.s, star.delta, h)
+    _, vp = eigendecompose(interpolate(pair, star.s + h))
+    _, vm = eigendecompose(interpolate(pair, star.s - h))
+    for u in (vp, vm):
+        for k in (0, 1):
+            if float(star.v[:, k] @ u[:, k]) < 0:
+                u[:, k] = -u[:, k]
+    return coupling / star.delta, h, vp, vm
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +491,23 @@ def gap_decomposition_residual(
     instantaneous vectors.  Rejects s* where the gap derivative (computed
     via Hellmann-Feynman) is too large for the identity's error to stay
     within its contract."""
-    pair = sweep.pair
-    w, v = eigendecompose(interpolate(pair, s_star))
-    delta = float(w[1] - w[0])
-    d1 = float(v[:, 1] @ _hdot_apply(pair, v[:, 1]))
-    d0 = float(v[:, 0] @ _hdot_apply(pair, v[:, 0]))
+    return _gap_decomposition(_star_context(sweep.pair, partition, s_star))
+
+
+def _gap_decomposition(star: _StarContext) -> float:
+    v, delta = star.v, star.delta
+    d1 = float(v[:, 1] @ _hdot_apply(star.pair, v[:, 1]))
+    d0 = float(v[:, 0] @ _hdot_apply(star.pair, v[:, 0]))
     slope = d1 - d0
-    threshold = 1e-6 * (1.0 + delta) / max(1.0 - s_star, 1e-12)
+    threshold = 1e-6 * (1.0 + delta) / max(1.0 - star.s, 1e-12)
     if abs(slope) > threshold:
         raise StationarityError(
-            f"|dDelta/ds| = {abs(slope):.3e} at s*={s_star} exceeds {threshold:.3e}; "
+            f"|dDelta/ds| = {abs(slope):.3e} at s*={star.s} exceeds {threshold:.3e}; "
             "refine the gap minimum first"
         )
     total = 0.0
-    for energy, members in zip(partition.energies, partition.members):
-        sel = list(members)
-        a_k = float(np.sum(v[sel, 0] ** 2))
-        b_k = float(np.sum(v[sel, 1] ** 2))
-        total += energy * (b_k - a_k)
+    for energy, a_k, b_k in zip(star.partition.energies, star.overlaps.in_ground, star.overlaps.in_excited):
+        total += energy * (float(b_k) - float(a_k))
     return abs(delta - total)
 
 
@@ -483,84 +561,22 @@ class SolutionDerivativeResult:
     step: float
 
 
-def _gauged_pair_at(pair: HamiltonianPair, s_star: float, gs_index: int | None):
-    """Decompose at s* and fix the local gauge: the ground vector has
-    positive entry sum (it is sign-definite for these mixers) and the
-    excited vector points away from the solution state.  With this
-    convention beta comes out nonnegative at a genuine anti-crossing."""
-    w, v = eigendecompose(interpolate(pair, s_star))
-    v = v.copy()
-    if float(np.sum(v[:, 0])) < 0:
-        v[:, 0] = -v[:, 0]
-    if gs_index is not None:
-        if float(v[gs_index, 1]) > 0:
-            v[:, 1] = -v[:, 1]
-    else:
-        if float(v[:, 0] @ _hdot_apply(pair, v[:, 1])) < 0:
-            v[:, 1] = -v[:, 1]
-    return w, v
-
-
-def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: float | None) -> float:
-    cap = 0.9 * min(s_star, 1.0 - s_star)
-    if cap <= 0:
-        raise StepSizeError("gap minimum sits at the boundary")
-    if h is not None:
-        if not 0 < h <= 1e-4:
-            raise ValueError(f"step must lie in (0, 1e-4], got {h}")
-        if h >= cap:
-            raise StepSizeError(f"step {h} leaves [0, 1] around s*={s_star}")
-        widest = max(_gap_value(pair, s_star - h), _gap_value(pair, s_star + h))
-        if widest > 2.0 * delta_min:
-            raise StepSizeError(
-                f"gap grows to {widest:.3e} at s*+-{h:.1e} (over twice the minimum); shrink h"
-            )
-        return h
-    probe = min(1e-3, cap)
-    edge = max(_gap_value(pair, s_star - probe), _gap_value(pair, s_star + probe))
-    slope_diff = np.sqrt(max(edge**2 - delta_min**2, 0.0)) / probe
-    if slope_diff > 0:
-        h = min(1e-4, cap / 2.0, 0.02 * delta_min / slope_diff)
-    else:
-        h = min(1e-4, cap / 2.0)
-    while h > 1e-12:
-        widest = max(_gap_value(pair, s_star - h), _gap_value(pair, s_star + h))
-        if widest <= 2.0 * delta_min:
-            return h
-        h /= 2.0
-    raise StepSizeError("could not find a step inside the anti-crossing width")
-
-
 def rotation_residuals(sweep: SpectralSweep, s_star: float, h: float | None = None) -> RotationResult:
     """Check d|v_0>/ds = -beta |v_1> and d|v_1>/ds = +beta |v_0> at the gap
     minimum with gauge-aligned central differences (step auto-selected from
     the anti-crossing width when ``h`` is None)."""
-    pair = sweep.pair
-    gs_index = None
-    try:
-        part = partition_final_levels(pair)
-        gs_index = part.unique_ground_index
-    except ValueError:
-        pass
-    w, v = _gauged_pair_at(pair, s_star, gs_index)
-    delta_min = float(w[1] - w[0])
-    coupling = float(v[:, 0] @ _hdot_apply(pair, v[:, 1]))
-    if abs(coupling) < 1e-300 or delta_min <= 0:
-        raise ValueError("no anti-crossing coupling between the two lowest levels")
-    beta = coupling / delta_min
-    h = _select_step(pair, s_star, delta_min, h)
-    _, vp = eigendecompose(interpolate(pair, s_star + h))
-    _, vm = eigendecompose(interpolate(pair, s_star - h))
-    for k in (0, 1):
-        if float(v[:, k] @ vp[:, k]) < 0:
-            vp[:, k] = -vp[:, k]
-        if float(v[:, k] @ vm[:, k]) < 0:
-            vm[:, k] = -vm[:, k]
+    star = _star_context(sweep.pair, partition_final_levels(sweep.pair), s_star)
+    return _rotation(star, _central_differences(star, h))
+
+
+def _rotation(star: _StarContext, differences) -> RotationResult:
+    beta, h, vp, vm = differences
+    v = star.v
     d0 = (vp[:, 0] - vm[:, 0]) / (2.0 * h)
     d1 = (vp[:, 1] - vm[:, 1]) / (2.0 * h)
     res0 = float(np.linalg.norm(d0 + beta * v[:, 1])) / abs(beta)
     res1 = float(np.linalg.norm(d1 - beta * v[:, 0])) / abs(beta)
-    upper = np.abs(v[:, :2].T @ _hdot_apply(pair, v[:, 2:]))
+    upper = np.abs(v[:, :2].T @ _hdot_apply(star.pair, v[:, 2:]))
     coupling_above = float(np.max(upper)) if upper.size else 0.0
     return RotationResult(
         residual_ground=res0,
@@ -576,22 +592,18 @@ def solution_derivative_residuals(
 ) -> SolutionDerivativeResult:
     """Central-difference derivatives of the solution weights g_0, g_1 at
     the gap minimum, checked against the rotation rate beta."""
-    pair = series.sweep.pair
-    gs_index = series.partition.unique_ground_index
-    if gs_index is None:
+    if series.partition.unique_ground_index is None:
         raise DegeneracyError("needs a unique final ground state")
-    w, v = _gauged_pair_at(pair, s_star, gs_index)
-    delta_min = float(w[1] - w[0])
-    coupling = float(v[:, 0] @ _hdot_apply(pair, v[:, 1]))
-    if abs(coupling) < 1e-300 or delta_min <= 0:
-        raise ValueError("no anti-crossing coupling between the two lowest levels")
-    beta = coupling / delta_min
-    h = _select_step(pair, s_star, delta_min, h)
-    _, vp = eigendecompose(interpolate(pair, s_star + h))
-    _, vm = eigendecompose(interpolate(pair, s_star - h))
+    star = _star_context(series.sweep.pair, series.partition, s_star)
+    return _solution_derivative(star, _central_differences(star, h))
+
+
+def _solution_derivative(star: _StarContext, differences) -> SolutionDerivativeResult:
+    beta, h, vp, vm = differences
+    gs_index = star.partition.unique_ground_index
     g0_prime = float(vp[gs_index, 0] ** 2 - vm[gs_index, 0] ** 2) / (2.0 * h)
     g1_prime = float(vp[gs_index, 1] ** 2 - vm[gs_index, 1] ** 2) / (2.0 * h)
-    g01 = float(v[gs_index, 0] ** 2 + v[gs_index, 1] ** 2) / 2.0
+    g01 = float(star.v[gs_index, 0] ** 2 + star.v[gs_index, 1] ** 2) / 2.0
     return SolutionDerivativeResult(
         sum_residual=abs(g0_prime + g1_prime) / abs(beta),
         diff_residual=abs(g0_prime - g1_prime - 4.0 * g01 * beta) / abs(beta),
@@ -655,24 +667,22 @@ class AntiCrossingReport:
 
 def build_report(
     pair: HamiltonianPair,
-    grid=None,
     grid_points: int = 1001,
-    coarse_points: int = 501,
     refine_tol: float = 1e-10,
-    partition_tol: float | None = None,
-    fd_step: float | None = None,
     precomputed_sweep: SpectralSweep | None = None,
 ) -> tuple[AntiCrossingReport, SpectralSweep, OverlapSeries | None]:
-    """Run the full analysis pipeline for one interpolation.
+    """Run the full analysis pipeline for one interpolation: a sweep on
+    ``grid_points`` evenly spaced s (unless ``precomputed_sweep`` is
+    given), the gap minimum refined to ``refine_tol``, and every
+    measurement at s* read from one decomposition there.
 
     Returns the report plus the sweep and overlap series it was computed
     from (the series is None when no anti-crossing analysis applies).
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, grid_points)
     swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid)
-    partition = partition_final_levels(pair, partition_tol)
-    mg: MinGapResult = min_gap(pair, coarse_points=coarse_points, tol=refine_tol)
+    partition = partition_final_levels(pair)
+    mg: MinGapResult = min_gap(pair, tol=refine_tol)
 
     warnings: list[str] = []
     ground_degenerate = partition.unique_ground_index is None
@@ -690,18 +700,19 @@ def build_report(
     if not interior and not mg.all_degenerate and not mg.degenerate_at_end:
         warnings.append(f"gap minimum at the boundary s={mg.s_star}; no anti-crossing analysis")
 
+    report = AntiCrossingReport(
+        s_star=mg.s_star, delta_min=mg.delta_min, beta=None,
+        ground_degenerate=ground_degenerate,
+        degenerate_at_end=mg.degenerate_at_end, all_degenerate=mg.all_degenerate,
+        wilkinson=None, choi=None, solution_swap=None,
+        gap_decomposition_residual=None, epsilon_bound_margin=None,
+        rotation=None, solution_derivative=None, warnings=tuple(warnings),
+    )
     if not interior:
-        report = AntiCrossingReport(
-            s_star=mg.s_star, delta_min=mg.delta_min, beta=None,
-            ground_degenerate=ground_degenerate,
-            degenerate_at_end=mg.degenerate_at_end, all_degenerate=mg.all_degenerate,
-            wilkinson=None, choi=None, solution_swap=None,
-            gap_decomposition_residual=None, epsilon_bound_margin=None,
-            rotation=None, solution_derivative=None, warnings=tuple(warnings),
-        )
         return report, swp, None
 
     series = compute_overlaps(swp, partition)
+    star = _star_context(pair, partition, mg.s_star)
 
     try:
         wilk = wilkinson_fit(swp, mg.s_star)
@@ -709,42 +720,38 @@ def build_report(
         wilk = None
         warnings.append(f"hyperbola fit skipped: {err}")
 
-    choi = measure_choi(series, mg.s_star)
+    if partition.level_count < 2:
+        raise ValueError("needs at least two final energy levels")
+    choi = _measure_swap(series, mg.s_star, star.overlaps, _measure_choi_window)
     solution_swap = None
     if not ground_degenerate:
-        solution_swap = measure_solution_swap(series, mg.s_star)
+        solution_swap = _measure_swap(series, mg.s_star, star.overlaps, _measure_solution_window)
 
     try:
-        decomp_residual = gap_decomposition_residual(swp, partition, mg.s_star)
+        decomp_residual = _gap_decomposition(star)
     except StationarityError as err:
         decomp_residual = None
         warnings.append(f"gap decomposition skipped: {err}")
 
+    rotation = solution_derivative = None
     try:
-        rotation = rotation_residuals(swp, mg.s_star, fd_step)
-    except (StepSizeError, ValueError) as err:
-        rotation = None
+        differences = _central_differences(star, None)
+    except ValueError as err:
         warnings.append(f"rotation check skipped: {err}")
-
-    solution_derivative = None
-    if not ground_degenerate:
-        try:
-            solution_derivative = solution_derivative_residuals(series, mg.s_star, fd_step)
-        except (StepSizeError, ValueError) as err:
+        if not ground_degenerate:
             warnings.append(f"solution derivative check skipped: {err}")
+    else:
+        rotation = _rotation(star, differences)
+        if not ground_degenerate:
+            solution_derivative = _solution_derivative(star, differences)
 
-    report = AntiCrossingReport(
-        s_star=mg.s_star,
-        delta_min=mg.delta_min,
+    report = replace(
+        report,
         beta=rotation.beta if rotation is not None else None,
-        ground_degenerate=ground_degenerate,
-        degenerate_at_end=mg.degenerate_at_end,
-        all_degenerate=mg.all_degenerate,
         wilkinson=wilk,
         choi=choi,
         solution_swap=solution_swap,
         gap_decomposition_residual=decomp_residual,
-        epsilon_bound_margin=None,
         rotation=rotation,
         solution_derivative=solution_derivative,
         warnings=tuple(warnings),

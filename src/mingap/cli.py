@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .anticrossing import build_report, partition_final_levels
+from .anticrossing import build_report
 from .clique import CliqueInstance, brute_force, toy_example_1, toy_example_2
 from .hamiltonian import ProblemGraph, clique_pair
 from .spectral import (
@@ -38,7 +38,6 @@ from .spectral import (
     energy_identity_residual,
     failure_condition_residual,
     gap_identity_residual,
-    min_gap,
     min_gap_bounds,
 )
 
@@ -209,9 +208,6 @@ def _check(name, status, value=None, tolerance=None, detail=""):
 def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
     results = []
     pair = clique_pair(graph, mixer)
-    partition = partition_final_levels(pair)
-    mg = min_gap(pair, tol=cfg.refine_tol)
-    unique_gs = partition.unique_ground_index is not None
     checks = set(cfg.checks)
 
     if "encoding" in checks:
@@ -232,6 +228,7 @@ def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
         pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol
     )
     analysable = series is not None
+    unique_gs = not report.ground_degenerate
 
     if "normalization" in checks:
         if analysable:
@@ -291,23 +288,20 @@ def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
 
     if "derivatives" in checks:
         worst1 = worst2 = worstv = 0.0
-        samples = [s for s in np.linspace(0.05, 0.95, 12) if abs(s - mg.s_star) > 0.02][:10]
+        samples = [s for s in np.linspace(0.05, 0.95, 12) if abs(s - report.s_star) > 0.02][:10]
+        h, h2 = 1e-5, 1e-4
         for s in samples:
-            d1 = eigenvalue_derivative(pair, s, 0)
-            h = 1e-5
-            wp = decompose_interpolated(pair, s + h)[0]
-            wm = decompose_interpolated(pair, s - h)[0]
-            worst1 = max(worst1, abs(d1 - (wp[0] - wm[0]) / (2 * h)))
-            d2 = eigenvalue_second_derivative(pair, s, 0)
-            h2 = 1e-4
+            w0, v0 = decompose_interpolated(pair, s)
+            wp, vp = decompose_interpolated(pair, s + h)
+            wm, vm = decompose_interpolated(pair, s - h)
             wp2 = decompose_interpolated(pair, s + h2)[0]
             wm2 = decompose_interpolated(pair, s - h2)[0]
-            w0 = decompose_interpolated(pair, s)[0]
+            d1 = eigenvalue_derivative(pair, s, 0)
+            worst1 = max(worst1, abs(d1 - (wp[0] - wm[0]) / (2 * h)))
+            d2 = eigenvalue_second_derivative(pair, s, 0)
             worst2 = max(worst2, abs(d2 - (wp2[0] + wm2[0] - 2 * w0[0]) / h2**2))
             dv = eigenvector_derivative(pair, s, 0)
-            v = decompose_interpolated(pair, s)[1][:, 0]
-            vp = decompose_interpolated(pair, s + h)[1][:, 0]
-            vm = decompose_interpolated(pair, s - h)[1][:, 0]
+            v, vp, vm = v0[:, 0], vp[:, 0], vm[:, 0]
             vp = vp if float(vp @ v) >= 0 else -vp
             vm = vm if float(vm @ v) >= 0 else -vm
             worstv = max(worstv, float(np.linalg.norm(dv - (vp - vm) / (2 * h))))
@@ -344,7 +338,7 @@ def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
     if "ratios" in checks:
         gb = None
         if analysable and unique_gs:
-            gb = min_gap_bounds(pair, mg.s_star, partition.unique_ground_index)
+            gb = min_gap_bounds(pair, report.s_star, series.partition.unique_ground_index)
         if gb is None:
             results.append(_check("squared_gap_bounds", "skip", None, None,
                                   "needs an interior minimum, a unique ground state and a "

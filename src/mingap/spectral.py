@@ -235,9 +235,6 @@ def decompose_interpolated(pair: HamiltonianPair, s: float) -> tuple[np.ndarray,
     return eigendecompose(interpolate(pair, s))
 
 
-_decompose_at = decompose_interpolated
-
-
 def _hdot_apply(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
     """(H1 - H0) applied to a vector or to matrix columns (the schedule
     derivative of H(s))."""
@@ -254,7 +251,7 @@ def _require_isolated(w: np.ndarray, k: int, s: float):
 
 def eigenvalue_derivative(pair: HamiltonianPair, s: float, k: int) -> float:
     """dE_k/ds via the Hellmann-Feynman identity <v_k|H1 - H0|v_k>."""
-    w, v = _decompose_at(pair, s)
+    w, v = decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
     vk = v[:, k]
     return float(vk @ _hdot_apply(pair, vk))
@@ -263,7 +260,7 @@ def eigenvalue_derivative(pair: HamiltonianPair, s: float, k: int) -> float:
 def eigenvector_derivative(pair: HamiltonianPair, s: float, k: int) -> np.ndarray:
     """d|v_k>/ds from first-order perturbation theory; orthogonal to v_k
     by construction."""
-    w, v = _decompose_at(pair, s)
+    w, v = decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
     coeffs = v.T @ _hdot_apply(pair, v[:, k])
     denom = w[k] - w
@@ -275,7 +272,7 @@ def eigenvector_derivative(pair: HamiltonianPair, s: float, k: int) -> np.ndarra
 
 def eigenvalue_second_derivative(pair: HamiltonianPair, s: float, k: int) -> float:
     """d^2 E_k/ds^2 = 2 sum_{j != k} <v_j|H1-H0|v_k>^2 / (E_k - E_j)."""
-    w, v = _decompose_at(pair, s)
+    w, v = decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
     coeffs = v.T @ _hdot_apply(pair, v[:, k])
     denom = w[k] - w
@@ -296,7 +293,7 @@ def energy_identity_residual(
     ``decomposition`` accepts a precomputed (eigenvalues, eigenvectors)
     pair for H(s).
     """
-    w, v = decomposition if decomposition is not None else _decompose_at(pair, s)
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     component = float(v[i, k])
     if abs(component) <= COMPONENT_GUARD:
         return None
@@ -311,7 +308,7 @@ def gap_identity_residual(
 
         Delta(s) = (1-s) [ <neigh(x_i)|v_0>/<x_i|v_0> - <neigh(x_i)|v_1>/<x_i|v_1> ].
     """
-    w, v = decomposition if decomposition is not None else _decompose_at(pair, s)
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     c0, c1 = float(v[i, 0]), float(v[i, 1])
     if abs(c0) <= COMPONENT_GUARD or abs(c1) <= COMPONENT_GUARD:
         return None
@@ -337,7 +334,7 @@ def failure_condition_residual(
     The difference approaching zero signals an exponentially long runtime.
     """
     gs = _unique_ground_index(pair)
-    w, v = decomposition if decomposition is not None else _decompose_at(pair, s)
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     c0, c1 = float(v[gs, 0]), float(v[gs, 1])
     if abs(c0) <= COMPONENT_GUARD or abs(c1) <= COMPONENT_GUARD:
         return None
@@ -367,7 +364,7 @@ class GapBounds:
 def min_gap_bounds(pair: HamiltonianPair, s_star: float, i: int) -> GapBounds | None:
     """Triangle-inequality bounds on Delta(s*)^2 built from the squared
     neighbor-to-component ratios of basis state i."""
-    w, v = _decompose_at(pair, s_star)
+    w, v = decompose_interpolated(pair, s_star)
     c0, c1 = float(v[i, 0]), float(v[i, 1])
     if abs(c0) <= COMPONENT_GUARD or abs(c1) <= COMPONENT_GUARD:
         return None

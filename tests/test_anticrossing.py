@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mingap.basis import enumerate_basis
 from mingap.clique import toy_example_1
@@ -10,6 +11,7 @@ from mingap.hamiltonian import (
     HamiltonianPair,
     build_diagonal_target,
     clique_pair,
+    interpolate,
 )
 from mingap.spectral import DegeneracyError, min_gap, sweep as spectral_sweep
 from mingap.anticrossing import (
@@ -446,6 +448,39 @@ def test_report_json_round_trip(bundles):
     assert parsed["choi"]["satisfied"] is False
     assert parsed["solution_swap"]["satisfied"] is True
     assert parsed["rotation"]["beta"] == report.rotation.beta
+
+
+def _recording(inputs, solver):
+    def wrapper(a, *args, **kwargs):
+        inputs.append(np.array(a, copy=True))
+        return solver(a, *args, **kwargs)
+
+    return wrapper
+
+
+def test_report_decomposes_s_star_once(bundles, monkeypatch):
+    b = bundles("toy1", 0.0)  # the sweep is built before the solvers are recorded
+    eigh_inputs, eigvalsh_inputs = [], []
+    monkeypatch.setattr(scipy.linalg, "eigh", _recording(eigh_inputs, scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", _recording(eigvalsh_inputs, scipy.linalg.eigvalsh))
+    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    h_star = interpolate(b.pair, report.s_star)
+    assert sum(np.array_equal(h, h_star) for h in eigh_inputs) == 1
+    # min_gap's 501-point scan and its refinement, the hyperbola fit's
+    # samples, the step search and s*, s* +- h
+    assert len(eigh_inputs) + len(eigvalsh_inputs) <= 600
+
+
+@pytest.mark.parametrize("name, alpha", [("toy1", 0.0), ("toy1", 0.5), ("toy2", 0.2)])
+def test_report_matches_standalone_measurements(bundles, name, alpha):
+    b = bundles(name, alpha)
+    report, swp, series = build_report(b.pair, precomputed_sweep=b.sweep)
+    s_star = report.s_star
+    assert report.choi == measure_choi(series, s_star)
+    assert report.solution_swap == measure_solution_swap(series, s_star)
+    assert report.rotation == rotation_residuals(swp, s_star)
+    assert report.solution_derivative == solution_derivative_residuals(series, s_star)
+    assert report.gap_decomposition_residual == gap_decomposition_residual(swp, b.partition, s_star)
 
 
 def test_report_degenerate_ground_path():

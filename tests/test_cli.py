@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mingap import anticrossing, cli, spectral
 from mingap.cli import instance_document, load_instance, main
 from mingap.clique import toy_example_1, toy_example_2
 
@@ -117,6 +118,22 @@ def test_verify_passes_on_fixture(runner):
     assert checks["epsilon_bound"]["status"] == "skip"
     assert checks["rotation"]["status"] == "report"
     assert checks["squared_gap_bounds"]["status"] == "report"
+
+
+def test_verify_locates_the_gap_minimum_once(runner, monkeypatch):
+    calls = []
+    original = spectral.min_gap
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (spectral, anticrossing, cli):
+        if getattr(module, "min_gap", None) is original:
+            monkeypatch.setattr(module, "min_gap", counting)
+    result = runner.invoke(main, ["verify", "--fixture", "toy1", "--grid", "201"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def test_verify_degenerate_skips_solution_checks(runner):
