@@ -32,8 +32,10 @@ from .spectral import (
     eigenvalue_second_derivative,
     eigenvector_derivative,
     energy_identity_residual,
+    energy_identity_residuals,
     failure_condition_residual,
     gap_identity_residual,
+    gap_identity_residuals,
     min_gap,
     min_gap_bounds,
     sweep,
@@ -76,7 +78,8 @@ __all__ = [
     "DegeneracyError", "EigendecompositionError", "GapBounds", "MinGapResult",
     "SpectralSweep", "decompose_interpolated", "eigendecompose",
     "eigenvalue_derivative", "eigenvalue_second_derivative", "eigenvector_derivative",
-    "energy_identity_residual", "failure_condition_residual", "gap_identity_residual",
+    "energy_identity_residual", "energy_identity_residuals", "failure_condition_residual",
+    "gap_identity_residual", "gap_identity_residuals",
     "min_gap", "min_gap_bounds", "sweep",
     "AntiCrossingReport", "FinalLevelPartition", "OverlapSeries", "RotationResult",
     "SolutionDerivativeResult", "StationarityError", "StepSizeError", "SwapMeasurement",

@@ -314,8 +314,6 @@ def _measure_choi_window(series: OverlapSeries, star: PointOverlaps, lo: float, 
 
 
 def _measure_solution_window(series: OverlapSeries, star: PointOverlaps, lo: float, hi: float) -> SwapMeasurement:
-    if series.solution is None:
-        raise DegeneracyError("solution series unavailable (degenerate final ground state)")
     idx = _window_indices(series.grid, lo, hi)
     g0 = series.solution[idx, 0]
     g1 = series.solution[idx, 1]
@@ -383,6 +381,8 @@ def measure_solution_swap(
     """Swap measurement on the solution state's weights in the two lowest
     instantaneous levels (the relaxed parametrization; subsumes the
     four-quantity one whenever that is satisfied)."""
+    if series.solution is None:
+        raise DegeneracyError("solution series unavailable (degenerate final ground state)")
     return _measure_swap(series, s_star, series.at(s_star), _measure_solution_window, window)
 
 

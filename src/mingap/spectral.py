@@ -8,7 +8,8 @@ mixer neighborhood of a basis state.
 
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
-return ``None`` (a skip, not a failure).
+return ``None`` (a skip, not a failure), and make the array forms hold NaN
+in that entry.
 """
 
 from __future__ import annotations
@@ -249,18 +250,22 @@ def _require_isolated(w: np.ndarray, k: int, s: float):
         raise DegeneracyError(f"level {k} is degenerate at s={s}")
 
 
-def eigenvalue_derivative(pair: HamiltonianPair, s: float, k: int) -> float:
+def eigenvalue_derivative(
+    pair: HamiltonianPair, s: float, k: int, decomposition=None
+) -> float:
     """dE_k/ds via the Hellmann-Feynman identity <v_k|H1 - H0|v_k>."""
-    w, v = decompose_interpolated(pair, s)
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
     vk = v[:, k]
     return float(vk @ _hdot_apply(pair, vk))
 
 
-def eigenvector_derivative(pair: HamiltonianPair, s: float, k: int) -> np.ndarray:
+def eigenvector_derivative(
+    pair: HamiltonianPair, s: float, k: int, decomposition=None
+) -> np.ndarray:
     """d|v_k>/ds from first-order perturbation theory; orthogonal to v_k
     by construction."""
-    w, v = decompose_interpolated(pair, s)
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
     coeffs = v.T @ _hdot_apply(pair, v[:, k])
     denom = w[k] - w
@@ -270,9 +275,11 @@ def eigenvector_derivative(pair: HamiltonianPair, s: float, k: int) -> np.ndarra
     return v @ coeffs
 
 
-def eigenvalue_second_derivative(pair: HamiltonianPair, s: float, k: int) -> float:
+def eigenvalue_second_derivative(
+    pair: HamiltonianPair, s: float, k: int, decomposition=None
+) -> float:
     """d^2 E_k/ds^2 = 2 sum_{j != k} <v_j|H1-H0|v_k>^2 / (E_k - E_j)."""
-    w, v = decompose_interpolated(pair, s)
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
     coeffs = v.T @ _hdot_apply(pair, v[:, k])
     denom = w[k] - w
@@ -316,6 +323,31 @@ def gap_identity_residual(
     n1 = float(-(pair.h0[i, :] @ v[:, 1]))
     delta = float(w[1] - w[0])
     return delta - (1.0 - s) * (n0 / c0 - n1 / c1)
+
+
+def _neighbour_ratios(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
+    """<x_i|(-H0)|v_k> / <x_i|v_k> for every basis state i and column k of
+    ``v``; NaN where the component is at or below the guard."""
+    ratios = np.full(v.shape, np.nan)
+    np.divide(-(pair.h0 @ v), v, out=ratios, where=np.abs(v) > COMPONENT_GUARD)
+    return ratios
+
+
+def energy_identity_residuals(pair: HamiltonianPair, s: float, decomposition=None) -> np.ndarray:
+    """``energy_identity_residual`` for every basis state i (row) and level
+    k (column) at once; NaN where that function returns None."""
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
+    ratios = _neighbour_ratios(pair, v)
+    return w[None, :] - (s * pair.h1_diag[:, None] - (1.0 - s) * ratios)
+
+
+def gap_identity_residuals(pair: HamiltonianPair, s: float, decomposition=None) -> np.ndarray:
+    """``gap_identity_residual`` for every basis state i at once; NaN where
+    that function returns None."""
+    w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
+    ratios = _neighbour_ratios(pair, v[:, :2])
+    delta = float(w[1] - w[0])
+    return delta - (1.0 - s) * (ratios[:, 0] - ratios[:, 1])
 
 
 def _unique_ground_index(pair: HamiltonianPair) -> int:

@@ -426,6 +426,16 @@ def test_solution_weights_balanced_at_strong_crossing(bundles):
     assert abs(star.solution[1] - 0.5) <= m.epsilon + 1e-12
 
 
+def test_solution_swap_needs_unique_ground():
+    pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
+    part = partition_final_levels(pair)
+    swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 51))
+    series = compute_overlaps(swp, part)
+    for window in (None, (0.4, 0.6)):
+        with pytest.raises(DegeneracyError):
+            measure_solution_swap(series, 0.5, window=window)
+
+
 def test_solution_derivative_needs_unique_ground():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
     part = partition_final_levels(pair)

@@ -136,6 +136,42 @@ def test_verify_locates_the_gap_minimum_once(runner, monkeypatch):
     assert len(calls) == 1
 
 
+def count_calls(monkeypatch, names):
+    """Wrap each named spectral function, in both modules that may hold
+    it, with one counter; returns the list of recorded argument tuples."""
+    calls = []
+    for name in names:
+        original = getattr(spectral, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        for module in (cli, spectral):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
+
+
+def test_verify_identities_evaluate_one_matrix_per_point(runner, monkeypatch):
+    calls = count_calls(monkeypatch, ["energy_identity_residual", "gap_identity_residual"])
+    result = runner.invoke(
+        main, ["verify", "--fixture", "toy1", "--grid", "201", "--checks", "identities"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 0
+
+
+def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
+    calls = count_calls(monkeypatch, ["decompose_interpolated"])
+    result = runner.invoke(
+        main, ["verify", "--fixture", "toy1", "--grid", "201", "--checks", "derivatives"]
+    )
+    assert result.exit_code == 0, result.output
+    # 10 samples, each decomposed at s, s +- 1e-5 and s +- 1e-4
+    assert len(calls) == 5 * 10
+    assert len({args[1] for args in calls}) == len(calls)
+
+
 def test_verify_degenerate_skips_solution_checks(runner):
     result = runner.invoke(
         main,

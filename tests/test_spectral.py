@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mingap.basis import enumerate_basis
-from mingap.clique import toy_example_1
+from mingap.clique import random_instance, toy_example_1, toy_example_2
 from mingap.hamiltonian import (
     HamiltonianPair,
     build_diagonal_target,
@@ -20,8 +22,10 @@ from mingap.spectral import (
     eigenvalue_second_derivative,
     eigenvector_derivative,
     energy_identity_residual,
+    energy_identity_residuals,
     failure_condition_residual,
     gap_identity_residual,
+    gap_identity_residuals,
     min_gap,
     min_gap_bounds,
     sweep,
@@ -347,6 +351,60 @@ def test_gap_identity_two_level_closed_form():
         lam0, lam1 = oracle.values(s)
         w, _ = decompose_interpolated(pair, s)
         assert np.allclose(w, [lam0, lam1], atol=1e-12)
+
+
+def assert_identity_arrays_match_scalars(pair, s):
+    """The array identities against the per-entry scalar reference: the
+    same guarded (NaN / None) entries, and every other entry within four
+    roundings of the magnitudes that enter it."""
+    dec = decompose_interpolated(pair, s)
+    w, v = dec
+    d = pair.dim
+    energy = energy_identity_residuals(pair, s, decomposition=dec)
+    gap = gap_identity_residuals(pair, s, decomposition=dec)
+    assert energy.shape == (d, d) and gap.shape == (d,)
+
+    def reference(r):
+        return np.nan if r is None else r
+
+    energy_ref = np.array([[reference(energy_identity_residual(pair, s, i, k, decomposition=dec))
+                            for k in range(d)] for i in range(d)])
+    gap_ref = np.array([reference(gap_identity_residual(pair, s, i, decomposition=dec))
+                        for i in range(d)])
+    assert np.array_equal(np.isnan(energy), np.isnan(energy_ref))
+    assert np.array_equal(np.isnan(gap), np.isnan(gap_ref))
+
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = (1.0 - s) * (np.abs(pair.h0) @ np.abs(v)) / np.abs(v)
+    energy_scale = 4 * eps * (np.abs(w)[None, :] + s * np.abs(pair.h1_diag)[:, None] + spread)
+    gap_scale = 4 * eps * (abs(w[1] - w[0]) + spread[:, 0] + spread[:, 1])
+    live, live_gap = ~np.isnan(energy_ref), ~np.isnan(gap_ref)
+    assert np.all(np.abs(energy - energy_ref)[live] <= energy_scale[live])
+    assert np.all(np.abs(gap - gap_ref)[live_gap] <= gap_scale[live_gap])
+
+
+@pytest.mark.parametrize("builder", [toy_example_1, toy_example_2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.66, 0.6666])
+def test_identity_arrays_match_scalars_on_fixtures(builder, alpha):
+    pair = clique_pair(builder(alpha).graph)
+    for s in np.linspace(0.0, 1.0, 41):
+        assert_identity_arrays_match_scalars(pair, float(s))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n=st.integers(3, 7),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    s=st.floats(0.0, 1.0),
+)
+def test_identity_arrays_match_scalars_on_random_instances(n, data, seed, alpha, mixer, s):
+    k = data.draw(st.integers(1, n - 1))
+    instance = random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha)
+    assert_identity_arrays_match_scalars(clique_pair(instance.graph, mixer), s)
 
 
 def test_failure_condition_at_start_equals_mixer_gap():
