@@ -673,8 +673,9 @@ def build_report(
 ) -> tuple[AntiCrossingReport, SpectralSweep, OverlapSeries | None]:
     """Run the full analysis pipeline for one interpolation: a sweep on
     ``grid_points`` evenly spaced s (unless ``precomputed_sweep`` is
-    given), the gap minimum refined to ``refine_tol``, and every
-    measurement at s* read from one decomposition there.
+    given), the gap minimum bracketed on that sweep's grid and refined to
+    ``refine_tol``, and every measurement at s* read from one
+    decomposition there.
 
     Returns the report plus the sweep and overlap series it was computed
     from (the series is None when no anti-crossing analysis applies).
@@ -682,7 +683,7 @@ def build_report(
     grid = np.linspace(0.0, 1.0, grid_points)
     swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid)
     partition = partition_final_levels(pair)
-    mg: MinGapResult = min_gap(pair, tol=refine_tol)
+    mg: MinGapResult = min_gap(pair, tol=refine_tol, sweep=swp)
 
     warnings: list[str] = []
     ground_degenerate = partition.unique_ground_index is None

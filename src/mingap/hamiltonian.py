@@ -181,7 +181,7 @@ def interpolate(pair: HamiltonianPair, s: float) -> np.ndarray:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
     h = (1.0 - s) * pair.h0
-    h[np.diag_indices_from(h)] += s * pair.h1_diag
+    h.reshape(-1)[:: pair.dim + 1] += s * pair.h1_diag
     return h
 
 

@@ -1,7 +1,10 @@
 """Instantaneous spectra along the interpolation.
 
 Provides the dense symmetric eigensolver, gauge-continuous sweeps over an
-s-grid, min-gap location (coarse scan plus golden-section refinement),
+s-grid, min-gap location (golden-section refinement of the brackets a
+coarse grid gives: the cells around its smallest gap and every cell where
+the Hellmann-Feynman gap slope turns from negative to positive; the grid
+is a sweep's own when one is at hand),
 perturbation-theory derivatives of eigenvalues and eigenvectors, and the
 residuals of the projection identities that relate any eigenpair to the
 mixer neighborhood of a basis state.
@@ -186,48 +189,121 @@ def _gap_at(pair: HamiltonianPair, s: float) -> float:
     return float(w[1] - w[0])
 
 
-def min_gap(pair: HamiltonianPair, coarse_points: int = 501, tol: float = 1e-10) -> MinGapResult:
-    """Locate the global gap minimum: coarse scan, then golden-section
-    refinement inside the bracketing cell down to an s-uncertainty of
-    ``tol``."""
-    if coarse_points < 50:
-        raise ValueError(f"need at least 50 coarse points, got {coarse_points}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if pair.dim < 2:
-        raise ValueError("gap undefined for a one-dimensional space")
-    ss = np.linspace(0.0, 1.0, coarse_points)
-    gaps = np.array([_gap_at(pair, s) for s in ss])
-    deg_tol = degeneracy_tolerance(
-        np.concatenate([[np.max(np.abs(pair.h1_diag))], np.abs(gaps)])
-    )
-    if np.max(gaps) <= deg_tol:
-        i = int(np.argmin(gaps))
-        return MinGapResult(float(ss[i]), float(gaps[i]), all_degenerate=True)
-    i = int(np.argmin(gaps))
-    if i == coarse_points - 1:
-        return MinGapResult(1.0, float(gaps[-1]), degenerate_at_end=bool(gaps[-1] <= deg_tol))
-    if i == 0:
-        return MinGapResult(0.0, float(gaps[0]))
-    a, b = float(ss[i - 1]), float(ss[i + 1])
-    best_s, best_g = float(ss[i]), float(gaps[i])
+def _golden_section(
+    pair: HamiltonianPair,
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    tol: float,
+    best_s: float,
+    best_g: float,
+) -> tuple[float, float]:
+    """Golden-section search for the gap minimum on [a, b] (gaps ``fa``,
+    ``fb`` at the ends) down to an s-uncertainty of ``tol``, then one probe
+    at the vertex of the parabola through Delta^2 at the final bracket.
+
+    Near an anti-crossing the gap is the hyperbola
+    Delta^2 = Delta_min^2 + c^2 (s - s*)^2, so that vertex is s* up to
+    round-off, also when the anti-crossing is narrower than ``tol`` and
+    the golden-section probes alone would leave up to c*tol in Delta.
+    Returns the smallest probed gap, or (``best_s``, ``best_g``) when no
+    probe is strictly below it."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = _gap_at(pair, c), _gap_at(pair, d)
     while b - a > tol:
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - _GOLDEN * (b - a)
             fc = _gap_at(pair, c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + _GOLDEN * (b - a)
             fd = _gap_at(pair, d)
         if fc < best_g:
             best_s, best_g = c, fc
         if fd < best_g:
             best_s, best_g = d, fd
-    return MinGapResult(best_s, best_g)
+    lo, mid, hi = (a, c, d) if fc < fd else (c, d, b)
+    glo, gmid, ghi = (fa**2, fc**2, fd**2) if fc < fd else (fc**2, fd**2, fb**2)
+    p = (mid - lo) ** 2 * (gmid - ghi) - (mid - hi) ** 2 * (gmid - glo)
+    q = 2.0 * ((mid - lo) * (gmid - ghi) - (mid - hi) * (gmid - glo))
+    if q != 0 and lo < mid - p / q < hi:
+        vertex = mid - p / q
+        fv = _gap_at(pair, vertex)
+        if fv < best_g:
+            best_s, best_g = vertex, fv
+    return best_s, best_g
+
+
+def _gap_slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
+    """dDelta/ds = <v1|H1-H0|v1> - <v0|H1-H0|v0> (Hellmann-Feynman) at
+    every grid point, from ``vectors[t, :, :2]``, in one batched product."""
+    hv = pair.h1_diag[:, None] * vectors - pair.h0 @ vectors
+    dots = np.einsum("tik,tik->tk", vectors, hv)
+    return dots[:, 1] - dots[:, 0]
+
+
+def min_gap(
+    pair: HamiltonianPair,
+    coarse_points: int = 501,
+    tol: float = 1e-10,
+    sweep: SpectralSweep | None = None,
+) -> MinGapResult:
+    """Locate the global gap minimum and refine it to an s-uncertainty of
+    ``tol``.
+
+    The coarse data are the two lowest eigenpairs on a grid: those of
+    ``sweep`` when given (its grid must run from 0 to 1), otherwise
+    ``coarse_points`` evenly spaced partial decompositions.  Golden-section
+    refinement, closed by one parabolic probe on Delta^2, runs on every
+    candidate bracket and the smallest gap wins:
+
+    * the cells on either side of the smallest grid gap, when that lies
+      inside the interval;
+    * every other cell where the Hellmann-Feynman gap slope changes from
+      negative to positive, which catches minima narrower than the grid
+      spacing (including ones in the first or last cell).
+
+    An s=1 result no candidate beats is flagged ``degenerate_at_end`` when
+    its gap is below the degeneracy tolerance."""
+    if coarse_points < 50:
+        raise ValueError(f"need at least 50 coarse points, got {coarse_points}")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if pair.dim < 2:
+        raise ValueError("gap undefined for a one-dimensional space")
+    if sweep is not None:
+        ss = sweep.grid
+        if ss[0] != 0.0 or ss[-1] != 1.0:
+            raise ValueError(f"sweep grid must run from 0 to 1, got [{ss[0]}, {ss[-1]}]")
+        energies, vectors = sweep.energies[:, :2], sweep.vectors[:, :, :2]
+    else:
+        ss = np.linspace(0.0, 1.0, coarse_points)
+        energies = np.empty((len(ss), 2))
+        vectors = np.empty((len(ss), pair.dim, 2))
+        for t, s in enumerate(ss):
+            energies[t], vectors[t] = scipy.linalg.eigh(interpolate(pair, s), subset_by_index=[0, 1])
+    # A sweep may order a degenerate pair by gauge, not by value.
+    gaps = np.abs(energies[:, 1] - energies[:, 0])
+    deg_tol = degeneracy_tolerance(
+        np.concatenate([[np.max(np.abs(pair.h1_diag))], gaps])
+    )
+    i = int(np.argmin(gaps))
+    if np.max(gaps) <= deg_tol:
+        return MinGapResult(float(ss[i]), float(gaps[i]), all_degenerate=True)
+    slopes = _gap_slopes(pair, vectors)
+    brackets = [(j, j + 1) for j in np.flatnonzero((slopes[:-1] < 0) & (slopes[1:] > 0))]
+    if 0 < i < len(ss) - 1:
+        brackets = [(i - 1, i + 1)] + [(j, k) for j, k in brackets if not i - 1 <= j <= i]
+    best = (float(ss[i]), float(gaps[i]))
+    for a, b in brackets:
+        best = _golden_section(pair, float(ss[a]), float(ss[b]), gaps[a], gaps[b], tol, *best)
+    s_star, delta = best
+    return MinGapResult(
+        s_star, delta, degenerate_at_end=bool(s_star == 1.0 and delta <= deg_tol)
+    )
 
 
 def decompose_interpolated(pair: HamiltonianPair, s: float) -> tuple[np.ndarray, np.ndarray]:

@@ -222,3 +222,28 @@ def first_order_rotation(h0, h1_diag, s: float, solution_index: int):
         terms = m[2:, n] / (w[n] - w[2:])
         higher.append(float(np.sqrt(np.sum(terms**2))) / abs(beta))
     return float(beta), higher[0], higher[1]
+
+
+def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
+    """Gap minimum from ``numpy.linalg.eigvalsh`` gaps on ``points`` evenly
+    spaced s, refined by bounded scalar minimization on the cells either
+    side of the smallest of them; an endpoint wins when nothing inside
+    is lower."""
+    from scipy.optimize import minimize_scalar
+
+    def gap(s):
+        w = np.linalg.eigvalsh(_interpolated(h0, h1_diag, s))
+        return float(w[1] - w[0])
+
+    ss = np.linspace(0.0, 1.0, points)
+    gaps = np.array([gap(s) for s in ss])
+    i = int(np.argmin(gaps))
+    # Search the offset from ss[i]: the bounded method's tolerance grows
+    # with |x|, so an offset near zero resolves s to about xatol.
+    lo, hi = ss[max(i - 1, 0)] - ss[i], ss[min(i + 1, points - 1)] - ss[i]
+    res = minimize_scalar(
+        lambda u: gap(ss[i] + u), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+    )
+    if res.fun < gaps[i]:
+        return float(ss[i] + res.x), float(res.fun)
+    return float(ss[i]), float(gaps[i])

@@ -6,13 +6,14 @@ import pytest
 import scipy.linalg
 
 from mingap.basis import enumerate_basis
-from mingap.clique import toy_example_1
+from mingap.clique import random_instance, toy_example_1, toy_example_2
 from mingap.hamiltonian import (
     HamiltonianPair,
     build_diagonal_target,
     clique_pair,
     interpolate,
 )
+from mingap import spectral
 from mingap.spectral import DegeneracyError, min_gap, sweep as spectral_sweep
 from mingap.anticrossing import (
     StationarityError,
@@ -476,9 +477,46 @@ def test_report_decomposes_s_star_once(bundles, monkeypatch):
     report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
     h_star = interpolate(b.pair, report.s_star)
     assert sum(np.array_equal(h, h_star) for h in eigh_inputs) == 1
-    # min_gap's 501-point scan and its refinement, the hyperbola fit's
-    # samples, the step search and s*, s* +- h
+    # min_gap's refinement, the hyperbola fit's samples, the step search
+    # and s*, s* +- h
     assert len(eigh_inputs) + len(eigvalsh_inputs) <= 600
+
+
+def test_report_brackets_the_gap_minimum_on_its_sweep(bundles, monkeypatch):
+    b = bundles("toy1", 0.0)
+    calls = []
+
+    def counting(pair, s):
+        calls.append(s)
+        return original(pair, s)
+
+    original = spectral._gap_at
+    monkeypatch.setattr(spectral, "_gap_at", counting)
+    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    # golden section on the two cells around the smallest sweep gap; no scan
+    assert len(calls) <= 45
+    assert report.s_star == pytest.approx(b.mg.s_star, abs=1e-7)
+
+
+@pytest.mark.parametrize("grid_points", [51, 201])
+def test_report_finds_a_minimum_narrower_than_its_grid(grid_points):
+    # the smallest grid gap sits at s=1; the anti-crossing is far narrower
+    # than the grid spacing, and only the gap slope changes sign around it
+    pair = clique_pair(toy_example_2(0.66666).graph)
+    report, swp, _ = build_report(pair, grid_points=grid_points)
+    assert np.argmin(swp.gaps()) == grid_points - 1
+    assert report.s_star == pytest.approx(min_gap(pair).s_star, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed, alpha", [(1, 0.3), (2, 0.3), (2, 0.6)])
+def test_report_refines_a_minimum_inside_the_last_cell(seed, alpha):
+    pair = clique_pair(random_instance(8, 4, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
+    report, _, _ = build_report(pair, grid_points=201)
+    assert 0.999 < report.s_star < 1.0
+    assert not any("boundary" in w for w in report.warnings)
+    mg = min_gap(pair)  # checked against the fine-scan oracle in test_spectral
+    assert report.s_star == pytest.approx(mg.s_star, abs=1e-6)
+    assert report.delta_min == pytest.approx(mg.delta_min, rel=1e-9)
 
 
 @pytest.mark.parametrize("name, alpha", [("toy1", 0.0), ("toy1", 0.5), ("toy2", 0.2)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mingap.basis import enumerate_basis
-from mingap.clique import toy_example_1
+from mingap.clique import random_instance, toy_example_1
 from mingap.hamiltonian import (
     HamiltonianPair,
     ProblemGraph,
@@ -191,6 +191,21 @@ def test_interpolate_is_affine():
     h0, h1 = interpolate(pair, 0.0), interpolate(pair, 1.0)
     for s in (0.125, 0.3, 0.775):
         assert np.allclose(interpolate(pair, s), h0 + s * (h1 - h0), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        clique_pair(toy_example_1(0.5).graph),
+        clique_pair(toy_example_1(0.5).graph, "transverse_field"),
+        clique_pair(random_instance(7, 3, 0.5, 0.5, 1.5, seed=4, alpha=0.37).graph, "swap_cycle"),
+    ],
+)
+def test_interpolate_matches_diagonal_index_formula(pair):
+    for s in (0.0, 0.1, 1.0 / 3.0, 0.69211855, 1.0):
+        h = (1.0 - s) * pair.h0
+        h[np.diag_indices_from(h)] += s * pair.h1_diag
+        assert np.array_equal(interpolate(pair, s), h)
 
 
 def test_interpolate_rejects_out_of_range():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from mingap.spectral import (
     sweep,
 )
 
-from oracles import TwoLevelOracle, jacobi_eigh
+from oracles import TwoLevelOracle, fine_scan_min_gap, jacobi_eigh
 
 # frozen by an independent fine-grid scan (2001 coarse points, tol 1e-12)
 TOY1_ALPHA0_S_STAR = 0.692118551461
@@ -180,6 +182,23 @@ def test_min_gap_two_level_closed_form():
     assert res.delta_min == pytest.approx(hyp["delta_min"], rel=1e-12)
 
 
+@pytest.mark.parametrize("coupling", [1e-12, 1e-13])
+@pytest.mark.parametrize("start", [0.7, 1.3])
+def test_min_gap_resolves_a_minimum_narrower_than_tol(coupling, start):
+    # H(s) = (1-s) [[start, -c], [-c, 0]] + s diag(0, 1): the gap is
+    # sqrt((start - (1 + start) s)^2 + 4 c^2 (1-s)^2), a V of slope
+    # 1 + start far wider than its apex, Delta_min / slope << tol
+    basis = enumerate_basis(1)
+    h0 = np.array([[start, -coupling], [-coupling, 0.0]])
+    pair = HamiltonianPair(basis=basis, h0=h0, h1_diag=build_diagonal_target([0.0, 1.0], basis))
+    slope = 1.0 + start
+    s_star = (slope * start + 4 * coupling**2) / (slope**2 + 4 * coupling**2)
+    delta = np.hypot(start - slope * s_star, 2 * coupling * (1.0 - s_star))
+    res = min_gap(pair, tol=1e-10)
+    assert res.s_star == pytest.approx(s_star, abs=1e-14)
+    assert abs(res.delta_min - delta) <= 4 * np.finfo(float).eps * slope
+
+
 def test_min_gap_alpha_trend():
     deltas = []
     for alpha in (0.0, 0.2, 0.4, 0.5, 0.6, 0.66):
@@ -194,6 +213,59 @@ def test_min_gap_validation():
         min_gap(pair, coarse_points=10)
     with pytest.raises(ValueError):
         min_gap(pair, tol=0.0)
+
+
+def test_min_gap_needs_a_sweep_over_the_whole_interval():
+    pair = clique_pair(toy_example_1(0.5).graph)
+    with pytest.raises(ValueError):
+        min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 0.9, 91)))
+    with pytest.raises(ValueError):
+        min_gap(pair, sweep=sweep(pair, np.linspace(0.1, 1.0, 91)))
+
+
+def assert_matches_fine_scan(pair, res):
+    """s* within 1e-6 and Delta_min within 1e-7 relative plus the
+    round-off floor d^2 eps ||H|| of the independent fine-scan oracle."""
+    s_ref, delta_ref = fine_scan_min_gap(pair.h0, pair.h1_diag)
+    norm = np.max(np.abs(pair.h0).sum(axis=1)) + np.max(np.abs(pair.h1_diag))
+    floor = pair.dim**2 * np.finfo(float).eps * norm
+    assert res.s_star == pytest.approx(s_ref, abs=1e-6)
+    assert abs(res.delta_min - delta_ref) <= 1e-7 * abs(delta_ref) + floor
+
+
+@pytest.mark.parametrize("seed, alpha", [(1, 0.3), (2, 0.3), (2, 0.6)])
+def test_min_gap_refines_a_minimum_inside_the_last_cell(seed, alpha):
+    # the smallest grid gap is at s=1, the true minimum just before it
+    pair = clique_pair(random_instance(8, 4, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
+    res = min_gap(pair)
+    assert 0.999 < res.s_star < 1.0
+    assert not res.degenerate_at_end
+    assert_matches_fine_scan(pair, res)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    n=st.integers(5, 8),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    grid_points=st.sampled_from([51, 101]),
+)
+def test_min_gap_on_a_sweep_matches_fine_scan(n, seed, alpha, grid_points):
+    pair = clique_pair(random_instance(n, n // 2, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
+    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, grid_points)))
+    assert_matches_fine_scan(pair, res)
+
+
+def test_min_gap_reads_the_sweep_in_place():
+    pair = clique_pair(random_instance(8, 4, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    swp = sweep(pair, np.linspace(0.0, 1.0, 201))
+    tracemalloc.start()
+    try:
+        min_gap(pair, sweep=swp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < swp.vectors.nbytes / 4
 
 
 # ---------------------------------------------------------------------------
