@@ -9,7 +9,7 @@ hyperbola fits and the identities tying the gap to those quantities.
 
 __version__ = "0.1.0"
 
-from .basis import BasisSet, CapacityError, enumerate_basis, mixer_graph, neighbor_state
+from .basis import BasisSet, CapacityError, enumerate_basis
 from .hamiltonian import (
     HamiltonianPair,
     ProblemGraph,
@@ -72,7 +72,7 @@ from .clique import (
 
 __all__ = [
     "__version__",
-    "BasisSet", "CapacityError", "enumerate_basis", "mixer_graph", "neighbor_state",
+    "BasisSet", "CapacityError", "enumerate_basis",
     "HamiltonianPair", "ProblemGraph", "build_clique_target", "build_diagonal_target",
     "build_swap_mixer", "build_transverse_field", "clique_pair", "interpolate",
     "DegeneracyError", "EigendecompositionError", "GapBounds", "MinGapResult",

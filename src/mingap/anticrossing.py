@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .hamiltonian import HamiltonianPair, interpolate
@@ -25,10 +24,11 @@ from .spectral import (
     DegeneracyError,
     MinGapResult,
     SpectralSweep,
+    decompose_interpolated,
     degeneracy_tolerance,
-    eigendecompose,
     min_gap,
     sweep as spectral_sweep,
+    _eigensolve,
     _gap_at,
     _hdot_apply,
 )
@@ -208,11 +208,7 @@ def wilkinson_fit(
     if not (0.0 <= lo < s_star < hi <= 1.0):
         raise ValueError(f"window {window} must bracket s*={s_star} inside [0, 1]")
     ss = np.linspace(lo, hi, samples)
-    e0 = np.empty(samples)
-    e1 = np.empty(samples)
-    for t, s in enumerate(ss):
-        w = scipy.linalg.eigvalsh(interpolate(pair, s))
-        e0[t], e1[t] = w[0], w[1]
+    e0, e1 = np.array([_eigensolve(interpolate(pair, s), levels=2, vectors=False) for s in ss]).T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0
@@ -409,7 +405,7 @@ def _star_context(pair: HamiltonianPair, partition: FinalLevelPartition, s_star:
     excited vector points away from the solution state.  With this
     convention beta comes out nonnegative at a genuine anti-crossing."""
     gs = partition.unique_ground_index
-    w, v = eigendecompose(interpolate(pair, s_star))
+    w, v = decompose_interpolated(pair, s_star)
     v = v.copy()
     if float(np.sum(v[:, 0])) < 0:
         v[:, 0] = -v[:, 0]
@@ -467,8 +463,8 @@ def _central_differences(star: _StarContext, h: float | None):
     if abs(coupling) < 1e-300 or star.delta <= 0:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
     h = _select_step(pair, star.s, star.delta, h)
-    _, vp = eigendecompose(interpolate(pair, star.s + h))
-    _, vm = eigendecompose(interpolate(pair, star.s - h))
+    _, vp = decompose_interpolated(pair, star.s + h)
+    _, vm = decompose_interpolated(pair, star.s - h)
     for u in (vp, vm):
         for k in (0, 1):
             if float(star.v[:, k] @ u[:, k]) < 0:
@@ -639,30 +635,15 @@ class AntiCrossingReport:
 
     def to_dict(self) -> dict:
         def plain(obj):
-            if obj is None or isinstance(obj, (bool, int, float, str)):
-                return obj
+            if isinstance(obj, dict):
+                return {k: plain(v) for k, v in obj.items()}
             if isinstance(obj, (list, tuple)):
                 return [plain(x) for x in obj]
             if isinstance(obj, np.generic):
                 return obj.item()
-            return {k: plain(v) for k, v in asdict(obj).items()}
+            return obj
 
-        return {
-            "s_star": plain(self.s_star),
-            "delta_min": plain(self.delta_min),
-            "beta": plain(self.beta),
-            "ground_degenerate": bool(self.ground_degenerate),
-            "degenerate_at_end": bool(self.degenerate_at_end),
-            "all_degenerate": bool(self.all_degenerate),
-            "wilkinson": plain(self.wilkinson),
-            "choi": plain(self.choi),
-            "solution_swap": plain(self.solution_swap),
-            "gap_decomposition_residual": plain(self.gap_decomposition_residual),
-            "epsilon_bound_margin": plain(self.epsilon_bound_margin),
-            "rotation": plain(self.rotation),
-            "solution_derivative": plain(self.solution_derivative),
-            "warnings": list(self.warnings),
-        }
+        return plain(asdict(self))
 
 
 def build_report(

@@ -1,4 +1,4 @@
-"""Computational basis enumeration and the mixer state-space graph.
+"""Computational basis enumeration.
 
 States are bitstrings whose leftmost character is qubit/node 1.  Two
 orderings are used:
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-
-import numpy as np
 
 FULL_MODE_MAX_QUBITS = 14
 WEIGHT_MODE_MAX_QUBITS = 20
@@ -118,32 +116,3 @@ def enumerate_basis(n: int, k: int | None = None) -> BasisSet:
         )
     states = tuple(_unrank_weight_k(m, n, k) for m in range(comb(n, k)))
     return BasisSet(n=n, k=k, states=states)
-
-
-def mixer_graph(h0: np.ndarray, basis: BasisSet) -> list[list[int]]:
-    """Adjacency list of the graph whose adjacency matrix is ``-h0``.
-
-    Edge (i, j) is present iff the off-diagonal entry of ``-h0`` is
-    positive.  Rejects operators with positive off-diagonal entries in
-    ``h0`` (mixed signs cannot define an adjacency structure).
-    """
-    d = basis.dim
-    if h0.shape != (d, d):
-        raise ValueError(f"operator shape {h0.shape} does not match basis dim {d}")
-    off = h0.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off > 0):
-        raise ValueError("mixer has positive off-diagonal entries; not a valid adjacency source")
-    adj: list[list[int]] = [[] for _ in range(d)]
-    rows, cols = np.nonzero(off < 0)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        adj[i].append(j)
-    return adj
-
-
-def neighbor_state(i: int, h0: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Coordinates of ``(-h0)|x_i>``: the superposition of states reachable
-    from basis state ``i`` by one mixer move."""
-    if not 0 <= i < basis.dim:
-        raise IndexError(f"basis index {i} out of range [0, {basis.dim})")
-    return -h0[:, i].copy()

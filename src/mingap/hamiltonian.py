@@ -96,14 +96,6 @@ class HamiltonianPair:
     def dim(self) -> int:
         return self.basis.dim
 
-    @property
-    def final_energies(self) -> np.ndarray:
-        """Target eigenvalue of each basis state (energy at s=1)."""
-        return self.h1_diag
-
-    def hamiltonian(self, s: float) -> np.ndarray:
-        return interpolate(self, s)
-
 
 def build_transverse_field(n: int) -> np.ndarray:
     """Mixer ``-sum_i sigma_x^(i)`` on the full basis: -1 between

@@ -1,13 +1,16 @@
 """Instantaneous spectra along the interpolation.
 
-Provides the dense symmetric eigensolver, gauge-continuous sweeps over an
-s-grid, min-gap location (golden-section refinement of the brackets a
-coarse grid gives: the cells around its smallest gap and every cell where
-the Hellmann-Feynman gap slope turns from negative to positive; the grid
-is a sweep's own when one is at hand),
-perturbation-theory derivatives of eigenvalues and eigenvectors, and the
-residuals of the projection identities that relate any eigenpair to the
-mixer neighborhood of a basis state.
+Every spectrum in the package comes from one function, ``_eigensolve``:
+the dense MRRR driver (LAPACK ``syevr``) for all levels or the lowest few,
+with or without eigenvectors.  On it rest the checked full
+eigendecomposition, gauge-continuous sweeps over an s-grid, min-gap
+location (golden-section refinement of the brackets a coarse grid gives:
+the cells around its smallest gap and every cell where the
+Hellmann-Feynman gap slope turns from negative to positive; the grid is a
+sweep's own when one is at hand), perturbation-theory derivatives of
+eigenvalues and eigenvectors, and the residuals of the projection
+identities that relate any eigenpair to the mixer neighborhood of a basis
+state.
 
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
@@ -44,6 +47,19 @@ def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
     return DEGENERACY_RTOL * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
+def _eigensolve(h: np.ndarray, levels: int | None = None, vectors: bool = True):
+    """The one eigensolver call: the lowest ``levels`` eigenvalues of a real
+    symmetric matrix (all of them when None), ascending; with ``vectors``,
+    (eigenvalues, eigenvectors as columns).  A LAPACK failure raises
+    EigendecompositionError."""
+    subset = None if levels is None else [0, levels - 1]
+    solve = scipy.linalg.eigh if vectors else scipy.linalg.eigvalsh
+    try:
+        return solve(h, driver="evr", subset_by_index=subset)
+    except scipy.linalg.LinAlgError as err:
+        raise EigendecompositionError(f"eigensolver failed on dim {h.shape[0]}: {err}") from err
+
+
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a
     real symmetric matrix.
@@ -58,13 +74,7 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = float(np.max(np.abs(h - h.T)))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: max|H - H^T| = {asym:.3e}")
-    try:
-        w, v = scipy.linalg.eigh(h, driver="evr")
-    except scipy.linalg.LinAlgError as err:
-        raise EigendecompositionError(
-            f"eigensolver failed on dim {h.shape[0]}: {err}"
-        ) from err
-    return w, v
+    return _eigensolve(h)
 
 
 @dataclass(frozen=True)
@@ -81,10 +91,6 @@ class SpectralSweep:
     energies: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
     pair: HamiltonianPair
-
-    @property
-    def dim(self) -> int:
-        return self.pair.dim
 
     def gaps(self) -> np.ndarray:
         """E_1(s) - E_0(s) on the grid."""
@@ -185,7 +191,7 @@ class MinGapResult:
 
 
 def _gap_at(pair: HamiltonianPair, s: float) -> float:
-    w = scipy.linalg.eigvalsh(interpolate(pair, s))
+    w = _eigensolve(interpolate(pair, s), levels=2, vectors=False)
     return float(w[1] - w[0])
 
 
@@ -284,7 +290,7 @@ def min_gap(
         energies = np.empty((len(ss), 2))
         vectors = np.empty((len(ss), pair.dim, 2))
         for t, s in enumerate(ss):
-            energies[t], vectors[t] = scipy.linalg.eigh(interpolate(pair, s), subset_by_index=[0, 1])
+            energies[t], vectors[t] = _eigensolve(interpolate(pair, s), levels=2)
     # A sweep may order a degenerate pair by gauge, not by value.
     gaps = np.abs(energies[:, 1] - energies[:, 0])
     deg_tol = degeneracy_tolerance(
@@ -443,12 +449,10 @@ def failure_condition_residual(
     """
     gs = _unique_ground_index(pair)
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
-    c0, c1 = float(v[gs, 0]), float(v[gs, 1])
-    if abs(c0) <= COMPONENT_GUARD or abs(c1) <= COMPONENT_GUARD:
+    r0, r1 = _neighbour_ratios(pair, v[:, :2])[gs]
+    if np.isnan(r0) or np.isnan(r1):
         return None
-    n0 = float(-(pair.h0[gs, :] @ v[:, 0]))
-    n1 = float(-(pair.h0[gs, :] @ v[:, 1]))
-    value = n0 / c0 - n1 / c1
+    value = float(r0 - r1)
     if s < 1.0:
         expected = float(w[1] - w[0]) / (1.0 - s)
         if abs(value - expected) > 1e-8 * (1.0 + abs(expected)):
@@ -473,13 +477,11 @@ def min_gap_bounds(pair: HamiltonianPair, s_star: float, i: int) -> GapBounds | 
     """Triangle-inequality bounds on Delta(s*)^2 built from the squared
     neighbor-to-component ratios of basis state i."""
     w, v = decompose_interpolated(pair, s_star)
-    c0, c1 = float(v[i, 0]), float(v[i, 1])
-    if abs(c0) <= COMPONENT_GUARD or abs(c1) <= COMPONENT_GUARD:
+    r0, r1 = _neighbour_ratios(pair, v[:, :2])[i]
+    if np.isnan(r0) or np.isnan(r1):
         return None
-    n0 = float(-(pair.h0[i, :] @ v[:, 0]))
-    n1 = float(-(pair.h0[i, :] @ v[:, 1]))
     f2 = (1.0 - s_star) ** 2
-    q0, q1 = (n0 / c0) ** 2, (n1 / c1) ** 2
+    q0, q1 = float(r0) ** 2, float(r1) ** 2
     upper = f2 * (q0 + q1)
     lower = f2 * (q0 - q1)
     delta_sq = float(w[1] - w[0]) ** 2

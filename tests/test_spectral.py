@@ -1,11 +1,16 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mingap.anticrossing import build_report, wilkinson_fit
 from mingap.basis import enumerate_basis
+from mingap.cli import main
 from mingap.clique import random_instance, toy_example_1, toy_example_2
 from mingap.hamiltonian import (
     HamiltonianPair,
@@ -17,7 +22,9 @@ from mingap.hamiltonian import (
 )
 from mingap.spectral import (
     DegeneracyError,
+    EigendecompositionError,
     GapBounds,
+    _gap_at,
     decompose_interpolated,
     eigendecompose,
     eigenvalue_derivative,
@@ -543,3 +550,51 @@ def test_bounds_guard_skips_vanishing_component():
     pair = clique_pair(toy_example_1(0.5).graph)
     order = np.argsort(pair.h1_diag)
     assert min_gap_bounds(pair, 1.0, int(order[5])) is None
+
+
+# ---------------------------------------------------------------------------
+# one eigensolver route
+
+_SOLVERS = [(module, name) for module in (scipy.linalg, np.linalg) for name in ("eigh", "eigvalsh")]
+
+
+def test_every_spectrum_comes_from_one_function(monkeypatch):
+    callers = []
+    for module, name in _SOLVERS:
+
+        def recording(*args, _solver=getattr(module, name), **kwargs):
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    pair = clique_pair(toy_example_1(0.5).graph)
+    report, swp, _ = build_report(pair)
+    min_gap(pair)
+    wilkinson_fit(swp, report.s_star, window=report.wilkinson.window)
+    result = CliRunner().invoke(main, ["verify", "--fixture", "toy1", "--grid", "101"])
+    assert result.exit_code == 0, result.output
+    assert callers
+    assert set(callers) == {("mingap.spectral", "_eigensolve")}
+
+
+def _failing_solver(*args, **kwargs):
+    raise scipy.linalg.LinAlgError("no convergence")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda swp: _gap_at(swp.pair, 0.5),
+        lambda swp: min_gap(swp.pair),
+        lambda swp: wilkinson_fit(swp, 0.69, window=(0.6, 0.8)),
+    ],
+    ids=["gap_at", "min_gap", "wilkinson_fit"],
+)
+def test_solver_failure_raises_eigendecomposition_error(monkeypatch, call):
+    pair = clique_pair(toy_example_1(0.0).graph)
+    swp = sweep(pair, np.linspace(0.0, 1.0, 51))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, _failing_solver)
+    with pytest.raises(EigendecompositionError, match="no convergence"):
+        call(swp)
