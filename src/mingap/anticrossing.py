@@ -101,8 +101,11 @@ class OverlapSeries:
     ``in_ground[t, k]`` is the weight of final level k inside the
     instantaneous ground vector (``in_excited`` likewise for the first
     excited vector); ``solution[t, k]`` is the weight of the solution state
-    in the k-th instantaneous vector.  All are squared overlaps, so they
-    are insensitive to the sweep's sign gauge.
+    in the k-th instantaneous vector, for the m levels the sweep kept
+    (``solution`` has the shape (T, m); a column inside a degenerate
+    cluster that level m cuts holds an arbitrary mix of that cluster).
+    All are squared overlaps, so they are insensitive to the sweep's sign
+    gauge.
     """
 
     grid: np.ndarray = field(repr=False)
@@ -454,17 +457,23 @@ def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: floa
     raise StepSizeError("could not find a step inside the anti-crossing width")
 
 
+def _unresolved(star: _StarContext) -> str:
+    return f"the gap at s*={star.s} is not resolved in float64 (it reads {star.delta:.3e})"
+
+
 def _central_differences(star: _StarContext, h: float | None):
     """Rotation rate beta = <v_0|H1-H0|v_1>/Delta at s*, the step (selected
-    from the anti-crossing width when ``h`` is None) and the eigenvectors at
-    s* + step and s* - step, their two lowest columns sign-aligned with s*."""
+    from the anti-crossing width when ``h`` is None) and the two lowest
+    eigenvectors at s* + step and s* - step, sign-aligned with s*."""
     pair = star.pair
+    if star.delta <= 0:
+        raise ValueError(_unresolved(star))
     coupling = float(star.v[:, 0] @ _hdot_apply(pair, star.v[:, 1]))
-    if abs(coupling) < 1e-300 or star.delta <= 0:
+    if abs(coupling) < 1e-300:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
     h = _select_step(pair, star.s, star.delta, h)
-    _, vp = decompose_interpolated(pair, star.s + h)
-    _, vm = decompose_interpolated(pair, star.s - h)
+    _, vp = _eigensolve(interpolate(pair, star.s + h), levels=2)
+    _, vm = _eigensolve(interpolate(pair, star.s - h), levels=2)
     for u in (vp, vm):
         for k in (0, 1):
             if float(star.v[:, k] @ u[:, k]) < 0:
@@ -497,9 +506,9 @@ def _gap_decomposition(star: _StarContext) -> float:
     slope = d1 - d0
     threshold = 1e-6 * (1.0 + delta) / max(1.0 - star.s, 1e-12)
     if abs(slope) > threshold:
+        cause = _unresolved(star) if delta <= 0 else "refine the gap minimum first"
         raise StationarityError(
-            f"|dDelta/ds| = {abs(slope):.3e} at s*={star.s} exceeds {threshold:.3e}; "
-            "refine the gap minimum first"
+            f"|dDelta/ds| = {abs(slope):.3e} at s*={star.s} exceeds {threshold:.3e}; {cause}"
         )
     total = 0.0
     for energy, a_k, b_k in zip(star.partition.energies, star.overlaps.in_ground, star.overlaps.in_excited):
@@ -651,18 +660,24 @@ def build_report(
     grid_points: int = 1001,
     refine_tol: float = 1e-10,
     precomputed_sweep: SpectralSweep | None = None,
+    levels: int = 2,
 ) -> tuple[AntiCrossingReport, SpectralSweep, OverlapSeries | None]:
-    """Run the full analysis pipeline for one interpolation: a sweep on
-    ``grid_points`` evenly spaced s (unless ``precomputed_sweep`` is
-    given), the gap minimum bracketed on that sweep's grid and refined to
-    ``refine_tol``, and every measurement at s* read from one
-    decomposition there.
+    """Run the full analysis pipeline for one interpolation: a sweep of the
+    lowest ``levels`` eigenpairs (at least two) on ``grid_points`` evenly
+    spaced s (unless ``precomputed_sweep`` is given), the gap minimum
+    bracketed on that sweep's grid and refined to ``refine_tol``, and every
+    measurement at s* read from one decomposition there.
+
+    The report itself reads only the two lowest levels, so the default
+    sweep keeps two columns; ask for more to export more levels (the
+    returned sweep then has m = min(max(levels, 2), d) columns, with an
+    arbitrary gauge inside a degenerate cluster that level m cuts).
 
     Returns the report plus the sweep and overlap series it was computed
     from (the series is None when no anti-crossing analysis applies).
     """
     grid = np.linspace(0.0, 1.0, grid_points)
-    swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid)
+    swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid, levels=levels)
     partition = partition_final_levels(pair)
     mg: MinGapResult = min_gap(pair, tol=refine_tol, sweep=swp)
 

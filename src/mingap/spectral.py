@@ -3,14 +3,14 @@
 Every spectrum in the package comes from one function, ``_eigensolve``:
 the dense MRRR driver (LAPACK ``syevr``) for all levels or the lowest few,
 with or without eigenvectors.  On it rest the checked full
-eigendecomposition, gauge-continuous sweeps over an s-grid, min-gap
-location (golden-section refinement of the brackets a coarse grid gives:
-the cells around its smallest gap and every cell where the
-Hellmann-Feynman gap slope turns from negative to positive; the grid is a
-sweep's own when one is at hand), perturbation-theory derivatives of
-eigenvalues and eigenvectors, and the residuals of the projection
-identities that relate any eigenpair to the mixer neighborhood of a basis
-state.
+eigendecomposition, gauge-continuous sweeps over an s-grid (of every
+level, or of the lowest few only), min-gap location (golden-section
+refinement of the brackets a coarse grid gives: the cells around its
+smallest gap and every cell where the Hellmann-Feynman gap slope turns
+from negative to positive; the grid is a sweep's own when one is at
+hand), perturbation-theory derivatives of eigenvalues and eigenvectors,
+and the residuals of the projection identities that relate any eigenpair
+to the mixer neighborhood of a basis state.
 
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
@@ -82,9 +82,11 @@ class SpectralSweep:
     """Spectra over an s-grid with a continuous eigenvector gauge.
 
     ``energies[t, k]`` is the k-th eigenvalue (ascending) at ``grid[t]``;
-    ``vectors[t, :, k]`` the matching eigenvector.  Signs (and the ordering
-    inside near-degenerate clusters) are fixed by maximal overlap with the
-    previous grid point, so overlap curves are continuous.
+    ``vectors[t, :, k]`` the matching eigenvector, for the m kept levels
+    (all d of them, or the lowest few; see ``sweep``).  Signs (and the
+    ordering inside near-degenerate clusters) are fixed by maximal overlap
+    with the previous grid point, so overlap curves are continuous; inside
+    a degenerate cluster that level m cuts, the gauge is arbitrary.
     """
 
     grid: np.ndarray = field(repr=False)
@@ -144,8 +146,16 @@ def _match_to_previous(prev: np.ndarray, w: np.ndarray, v: np.ndarray):
     return w, v
 
 
-def sweep(pair: HamiltonianPair, grid) -> SpectralSweep:
-    """Decompose H(s) at every grid point and thread a continuous gauge."""
+def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSweep:
+    """Decompose H(s) at every grid point and thread a continuous gauge.
+
+    With ``levels=None`` every point gets the full decomposition (the
+    dense reference path): ``energies`` has shape (T, d) and ``vectors``
+    (T, d, d).  With an integer only the lowest m = min(max(levels, 2), d)
+    eigenpairs are computed (an MRRR subset solve) and kept: shapes (T, m)
+    and (T, d, m), T*d*m*8 bytes of vectors.  The gauge is threaded
+    through the kept columns alone, so inside a degenerate cluster that
+    level m cuts it is arbitrary."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must hold at least two s values")
@@ -153,13 +163,16 @@ def sweep(pair: HamiltonianPair, grid) -> SpectralSweep:
         raise ValueError("grid must be strictly increasing")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ValueError("grid must lie within [0, 1]")
+    if levels is not None and levels < 1:
+        raise ValueError(f"levels must be positive, got {levels}")
     d = pair.dim
-    energies = np.empty((len(grid), d))
-    vectors = np.empty((len(grid), d, d))
+    keep = None if levels is None else min(max(levels, 2), d)
+    energies = np.empty((len(grid), keep or d))
+    vectors = np.empty((len(grid), d, keep or d))
     prev = None
     for t, s in enumerate(grid):
         try:
-            w, v = eigendecompose(interpolate(pair, s))
+            w, v = _eigensolve(interpolate(pair, s), levels=keep)
         except EigendecompositionError as err:
             raise EigendecompositionError(f"at s={s}: {err}") from err
         if prev is None:

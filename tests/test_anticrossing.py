@@ -28,6 +28,7 @@ from mingap.anticrossing import (
     rotation_residuals,
     solution_derivative_residuals,
     wilkinson_fit,
+    _star_context,
 )
 
 from oracles import TwoLevelOracle
@@ -448,6 +449,19 @@ def test_solution_derivative_needs_unique_ground():
 
 # ---------------------------------------------------------------------------
 # report assembly
+
+
+def test_report_names_an_unresolved_gap_as_the_skip_cause():
+    pair = clique_pair(toy_example_2(0.66666).graph)
+    report, _, _ = build_report(pair)
+    star = _star_context(pair, partition_final_levels(pair), report.s_star)
+    assert star.delta == 0.0, "float64 is expected to read no gap at this s*"
+    coupling = float(star.v[:, 0] @ spectral._hdot_apply(pair, star.v[:, 1]))
+    assert abs(coupling) > 1e-9  # the levels do couple; the gap is what is lost
+    skips = [w for w in report.warnings if "skipped" in w]
+    assert len(skips) == 3  # gap decomposition, rotation, solution derivative
+    assert all("not resolved in float64" in w for w in skips), skips
+    assert not any("coupling" in w or "refine the gap minimum" in w for w in skips)
 
 
 def test_report_json_round_trip(bundles):

@@ -63,7 +63,7 @@ def test_scan_outputs_and_round_trip(runner, tmp_path):
     from mingap.spectral import sweep
 
     pair = clique_pair(toy_example_1(0.5).graph)
-    swp = sweep(pair, np.linspace(0.0, 1.0, 201))
+    swp = sweep(pair, np.linspace(0.0, 1.0, 201), levels=6)  # what scan runs for --levels 6
     assert np.array_equal(energies[:, 0], swp.grid)
     assert np.array_equal(energies[:, 1:], swp.energies[:, :6])
 
@@ -170,6 +170,22 @@ def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
     # 10 samples, each decomposed at s, s +- 1e-5 and s +- 1e-4
     assert len(calls) == 5 * 10
     assert len({args[1] for args in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("checks", ["normalization", "normalization,identities"])
+def test_verify_normalization_sums_full_rows_once_per_point(runner, monkeypatch, checks):
+    # the solution row over all levels comes from 21 dense decompositions,
+    # shared with the identities when both groups run
+    calls = count_calls(monkeypatch, ["decompose_interpolated"])
+    result = runner.invoke(
+        main, ["verify", "--fixture", "toy1", "--grid", "201", "--checks", checks]
+    )
+    assert result.exit_code == 0, result.output
+    results = {c["name"]: c for c in json.loads(result.output)["runs"][0]["checks"]}
+    assert results["normalization"]["status"] == "pass"
+    assert results["normalization"]["value"] <= 1e-10
+    assert len(calls) == 21
+    assert len({args[1] for args in calls}) == 21
 
 
 def test_verify_degenerate_skips_solution_checks(runner):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mingap import anticrossing, spectral
 from mingap.anticrossing import build_report, wilkinson_fit
 from mingap.basis import enumerate_basis
 from mingap.cli import main
@@ -151,6 +152,96 @@ def test_sweep_validation():
         sweep(pair, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         sweep(pair, [-0.1, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# partial sweep against the dense reference
+
+_PARTIAL_CASES = {
+    "toy1": lambda: toy_example_1(0.5),
+    "toy2": lambda: toy_example_2(0.2),
+    "random-d252": lambda: random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3),
+}
+
+
+@pytest.fixture(scope="module")
+def dense_and_partial():
+    """(dense sweep, partial sweep with ``levels``) of a named instance on
+    ``grid``; the dense one is cached per instance and grid."""
+    dense_sweeps = {}
+
+    def get(name, grid, levels):
+        key = (name, len(grid), float(grid[0]))
+        if key not in dense_sweeps:
+            pair = clique_pair(_PARTIAL_CASES[name]().graph)
+            dense_sweeps[key] = sweep(pair, grid)
+        dense = dense_sweeps[key]
+        return dense, sweep(dense.pair, grid, levels=levels)
+
+    return get
+
+
+@pytest.mark.parametrize("levels", [1, 2, 6])
+@pytest.mark.parametrize("name", sorted(_PARTIAL_CASES))
+def test_partial_sweep_energies_match_dense(dense_and_partial, name, levels):
+    grid = np.linspace(0.0, 1.0, 101)
+    dense, partial = dense_and_partial(name, grid, levels)
+    m = max(levels, 2)
+    d = dense.pair.dim
+    assert partial.energies.shape == (len(grid), m)
+    assert partial.vectors.shape == (len(grid), d, m)
+    assert np.max(np.abs(partial.energies - dense.energies[:, :m])) <= 1e-12
+    dots = np.einsum("tik,tik->tk", partial.vectors[:-1], partial.vectors[1:])
+    assert np.min(dots) >= -1e-12
+
+
+@pytest.mark.parametrize("levels", [2, 6])
+@pytest.mark.parametrize("name", sorted(_PARTIAL_CASES))
+def test_partial_sweep_vectors_match_dense(dense_and_partial, name, levels):
+    # H(0) = H0 has degenerate excited levels and H(1) degenerate final
+    # levels; either solve may return any basis of such an eigenspace, and
+    # the gauge continued from it differs by a sign.  Start inside (0, 1).
+    grid = np.linspace(0.01, 0.99, 99)
+    dense, partial = dense_and_partial(name, grid, levels)
+    m = levels
+    tol = np.array([spectral.degeneracy_tolerance(w) for w in dense.energies])
+    separated = dense.energies[:, [m]] - dense.energies[:, :m] > tol[:, None]
+    assert separated[:, 0].all()
+    diff = np.max(np.abs(partial.vectors - dense.vectors[:, :, :m]), axis=1)
+    assert np.max(diff[separated]) <= 1e-10
+
+
+def test_partial_sweep_level_count():
+    pair = clique_pair(toy_example_1(0.5).graph)
+    grid = np.linspace(0.0, 1.0, 11)
+    assert sweep(pair, grid, levels=1).energies.shape == (11, 2)
+    full = sweep(pair, grid, levels=pair.dim + 5)
+    assert full.vectors.shape == (11, pair.dim, pair.dim)
+    assert np.max(np.abs(full.energies - sweep(pair, grid).energies)) <= 1e-12
+    with pytest.raises(ValueError, match="levels"):
+        sweep(pair, grid, levels=0)
+
+
+def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch):
+    calls = []
+    original = spectral._eigensolve
+
+    def counting(h, levels=None, vectors=True):
+        calls.append((levels, vectors))
+        return original(h, levels=levels, vectors=vectors)
+
+    for module in (spectral, anticrossing):
+        monkeypatch.setattr(module, "_eigensolve", counting)
+    pair = clique_pair(toy_example_1(0.5).graph)
+    report, swp, series = build_report(pair, grid_points=201)
+    assert report.rotation is not None and report.solution_derivative is not None
+    assert swp.vectors.shape == (201, pair.dim, 2)
+    assert series.solution.shape == (201, 2)
+    # s* alone is decomposed in full; every other solve asks for two levels:
+    # the 201 sweep points and s* +- h with vectors, the gap probes without
+    assert calls.count((None, True)) == 1
+    assert {levels for levels, _ in calls} == {None, 2}
+    assert calls.count((2, True)) == 201 + 2
 
 
 # ---------------------------------------------------------------------------
