@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 import scipy.optimize
 
-from .hamiltonian import HamiltonianPair, interpolate
+from .hamiltonian import HamiltonianPair
 from .spectral import (
     DegeneracyError,
     MinGapResult,
@@ -211,7 +211,7 @@ def wilkinson_fit(
     if not (0.0 <= lo < s_star < hi <= 1.0):
         raise ValueError(f"window {window} must bracket s*={s_star} inside [0, 1]")
     ss = np.linspace(lo, hi, samples)
-    e0, e1 = np.array([_eigensolve(interpolate(pair, s), levels=2, vectors=False) for s in ss]).T
+    e0, e1 = np.array([_eigensolve(pair, s, levels=2, vectors=False) for s in ss]).T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0
@@ -472,8 +472,8 @@ def _central_differences(star: _StarContext, h: float | None):
     if abs(coupling) < 1e-300:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
     h = _select_step(pair, star.s, star.delta, h)
-    _, vp = _eigensolve(interpolate(pair, star.s + h), levels=2)
-    _, vm = _eigensolve(interpolate(pair, star.s - h), levels=2)
+    _, vp = _eigensolve(pair, star.s + h, levels=2)
+    _, vm = _eigensolve(pair, star.s - h, levels=2)
     for u in (vp, vm):
         for k in (0, 1):
             if float(star.v[:, k] @ u[:, k]) < 0:

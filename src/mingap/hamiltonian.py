@@ -17,9 +17,12 @@ independently computed tables match bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .basis import BasisSet, enumerate_basis
 
@@ -95,6 +98,28 @@ class HamiltonianPair:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @cached_property
+    def csr_terms(self) -> tuple[scipy.sparse.csr_array, np.ndarray]:
+        """``h0`` in CSR form with every diagonal entry stored, zero or not,
+        and ``h1_diag`` spread over the same entries, so that H(s) is one
+        linear combination of two data arrays (``interpolate_csr``).  Built
+        on first use and kept on the pair."""
+        d = self.dim
+        pattern = scipy.sparse.csr_array((self.h0 != 0) | np.eye(d, dtype=bool))
+        rows = np.repeat(np.arange(d), np.diff(pattern.indptr))
+        cols = pattern.indices
+        h0 = scipy.sparse.csr_array((self.h0[rows, cols], cols, pattern.indptr), shape=(d, d))
+        return h0, np.where(rows == cols, self.h1_diag[rows], 0.0)
+
+    @cached_property
+    def mixer_connected(self) -> bool:
+        """Whether the graph of the nonzero off-diagonal entries of ``h0``
+        is connected.  Then -H(s) is irreducible for s < 1 and nonnegative
+        off the diagonal, so by Perron-Frobenius its ground level is
+        simple."""
+        count, _ = scipy.sparse.csgraph.connected_components(self.csr_terms[0], directed=False)
+        return count == 1
 
 
 def build_transverse_field(n: int) -> np.ndarray:
@@ -175,6 +200,15 @@ def interpolate(pair: HamiltonianPair, s: float) -> np.ndarray:
     h = (1.0 - s) * pair.h0
     h.reshape(-1)[:: pair.dim + 1] += s * pair.h1_diag
     return h
+
+
+def interpolate_csr(pair: HamiltonianPair, s: float) -> scipy.sparse.csr_array:
+    """``interpolate`` as a CSR matrix on the nonzeros of h0 plus the
+    diagonal; its entries equal the dense ones bit for bit."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    h0, h1 = pair.csr_terms
+    return scipy.sparse.csr_array(((1.0 - s) * h0.data + s * h1, h0.indices, h0.indptr), shape=h0.shape)
 
 
 def clique_pair(graph: ProblemGraph, mixer: str = "swap_chain") -> HamiltonianPair:

@@ -1,16 +1,42 @@
 """Instantaneous spectra along the interpolation.
 
-Every spectrum in the package comes from one function, ``_eigensolve``:
-the dense MRRR driver (LAPACK ``syevr``) for all levels or the lowest few,
-with or without eigenvectors.  On it rest the checked full
-eigendecomposition, gauge-continuous sweeps over an s-grid (of every
-level, or of the lowest few only), min-gap location (golden-section
-refinement of the brackets a coarse grid gives: the cells around its
-smallest gap and every cell where the Hellmann-Feynman gap slope turns
-from negative to positive; the grid is a sweep's own when one is at
-hand), perturbation-theory derivatives of eigenvalues and eigenvectors,
-and the residuals of the projection identities that relate any eigenpair
-to the mixer neighborhood of a basis state.
+Every spectrum of H(s) comes from one function, ``_eigensolve``, which
+picks the solver from what is asked:
+
+* Lanczos (ARPACK ``eigsh`` from a fixed seeded start vector, to machine
+  precision) on the CSR form of H(s), for the lowest one or two levels at
+  a point of a grid laid out before any gap was read (a sweep, the coarse
+  scan of ``min_gap``), when d >= ``LANCZOS_MIN_DIM``, s < 1, the mixer
+  graph is connected and the final ground level is simple.  H(s) of a
+  swap mixer has 5-7 nonzeros per row; above the cut this beats the dense
+  reduction to tridiagonal form.  A Krylov space grown from one vector
+  holds one combination of each eigenspace.  So the solve can miss copies
+  of a degenerate level, and more than two levels stay dense.  It can also
+  return E2 for E1 where E1 - E0 is at the round-off of H(s), where the
+  dense solve reads about 0.  A connected mixer keeps E0 simple for s < 1
+  (Perron-Frobenius), but E1 - E0 still closes to round-off as s -> 1
+  when the final ground level is degenerate; such pairs, disconnected
+  mixers and s = 1 (H diagonal) stay dense.  What remains is a grid point
+  within about eps ||H|| / |dDelta/ds| of a narrow anti-crossing, or a
+  hand-built mixer of weakly linked parts whose ground states stay
+  degenerate over a range of s.  When ARPACK does not converge within
+  ``_LANCZOS_MAXITER`` restarts the point is solved densely.
+* Dense MRRR (LAPACK ``syevr``), the reference, in every other case: all
+  levels or the lowest few, with or without eigenvectors, and every point
+  placed by reading the gap (golden-section and bisection probes, the fit
+  samples and window, the steps around s*).  Those points close in on the
+  gap minimum, where E1 - E0 can be as small as the round-off of H(s),
+  and the dense solve reads the gap whatever its size.
+
+On it rest the checked full eigendecomposition, gauge-continuous sweeps
+over an s-grid (of every level, or of the lowest few only), min-gap
+location (golden-section refinement of the brackets a coarse grid gives:
+the cells around its smallest gap, every cell where the Hellmann-Feynman
+gap slope turns from negative to positive, and every other cell across
+which the ground vector swaps character; the grid is a sweep's own when
+one is at hand), perturbation-theory derivatives of eigenvalues and
+eigenvectors, and the residuals of the projection identities that relate
+any eigenpair to the mixer neighborhood of a basis state.
 
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
@@ -24,13 +50,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from .hamiltonian import HamiltonianPair, interpolate
+from .hamiltonian import HamiltonianPair, interpolate, interpolate_csr
 
 # Two eigenvalues count as degenerate below this relative spacing.
 DEGENERACY_RTOL = 1e-9
 # Ratio identities skip components with magnitude at or below this.
 COMPONENT_GUARD = 1e-12
+# Dimension from which a one- or two-level solve of H(s) runs Lanczos.  The
+# measured crossover lies between d=252 (dense MRRR 2.8 ms per solve, ARPACK
+# 3.7 ms) and d=330 (5.3 ms against 4.7 ms); at d=462 it is 10 ms against
+# 3-5 ms (2 cores, OpenBLAS).
+LANCZOS_MIN_DIM = 300
+# Seed of the Lanczos start vector.  Fixed, so that a solve is a pure
+# function of H(s) and repeated runs are byte-identical.
+_LANCZOS_SEED = 0
+# ARPACK restarts after which a point falls back to dense MRRR.  Measured
+# needs: 3-7 on the d=462 report sweep, 5-10 at d=792, and up to 30 on a
+# d=462 sweep through a gap of 2e-15; the cap bounds a stalled solve to a
+# few dense ones.
+_LANCZOS_MAXITER = 100
+# Round-off allowance, in eps ||H||, of a gap probed at s < 1.
+_PROBE_ROUNDOFF = 8
+# The ground vector swaps character across a grid cell when its overlap
+# across the cell is below this (it turns by more than 45 degrees).
+_SWAP_OVERLAP = np.sqrt(0.5)
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,17 +92,63 @@ def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
     return DEGENERACY_RTOL * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
-def _eigensolve(h: np.ndarray, levels: int | None = None, vectors: bool = True):
-    """The one eigensolver call: the lowest ``levels`` eigenvalues of a real
-    symmetric matrix (all of them when None), ascending; with ``vectors``,
-    (eigenvalues, eigenvectors as columns).  A LAPACK failure raises
-    EigendecompositionError."""
+def _mrrr(h: np.ndarray, levels: int | None = None, vectors: bool = True):
+    """Dense MRRR (LAPACK ``syevr``), the reference solver: the lowest
+    ``levels`` eigenvalues of a real symmetric matrix (all of them when
+    None), ascending; with ``vectors``, (eigenvalues, eigenvectors as
+    columns).  A LAPACK failure raises EigendecompositionError."""
     subset = None if levels is None else [0, levels - 1]
     solve = scipy.linalg.eigh if vectors else scipy.linalg.eigvalsh
     try:
         return solve(h, driver="evr", subset_by_index=subset)
     except scipy.linalg.LinAlgError as err:
         raise EigendecompositionError(f"eigensolver failed on dim {h.shape[0]}: {err}") from err
+
+
+def _lanczos(pair: HamiltonianPair, s: float, levels: int, vectors: bool = True):
+    """The lowest ``levels`` eigenvalues of H(s) by implicitly restarted
+    Lanczos (ARPACK) on its CSR form, converged to machine precision from
+    a fixed start vector; returned as by ``_mrrr``.  The eigenvectors are
+    always computed, since ARPACK's eigenvalues without them differ in the
+    last bits.  Raises ``scipy.sparse.linalg.ArpackError`` (no convergence
+    within ``_LANCZOS_MAXITER`` restarts among them)."""
+    start = np.random.default_rng(_LANCZOS_SEED).uniform(-1.0, 1.0, pair.dim)
+    w, v = scipy.sparse.linalg.eigsh(
+        interpolate_csr(pair, s), k=levels, which="SA", tol=0, v0=start, maxiter=_LANCZOS_MAXITER
+    )
+    order = np.argsort(w)
+    return (w[order], v[:, order]) if vectors else w[order]
+
+
+def _eigensolve(
+    pair: HamiltonianPair,
+    s: float,
+    levels: int | None = None,
+    vectors: bool = True,
+    grid_point: bool = False,
+):
+    """The one route to a spectrum of H(s): the lowest ``levels``
+    eigenvalues (all of them when None), ascending; with ``vectors``,
+    (eigenvalues, eigenvectors as columns).  ``grid_point`` says that s
+    belongs to a grid laid out before any gap was read.  Lanczos for one
+    or two levels at such a point when d >= LANCZOS_MIN_DIM, s < 1, the
+    mixer is connected and the final ground level is simple; dense MRRR
+    otherwise, and where ARPACK fails (see the module docstring).  A
+    failure of the dense solver raises EigendecompositionError."""
+    if (
+        grid_point
+        and levels is not None
+        and levels <= 2
+        and pair.dim >= LANCZOS_MIN_DIM
+        and s < 1.0
+        and pair.mixer_connected
+        and _final_ground_simple(pair)
+    ):
+        try:
+            return _lanczos(pair, s, levels, vectors)
+        except scipy.sparse.linalg.ArpackError:
+            pass
+    return _mrrr(interpolate(pair, s), levels, vectors)
 
 
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +165,7 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = float(np.max(np.abs(h - h.T)))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: max|H - H^T| = {asym:.3e}")
-    return _eigensolve(h)
+    return _mrrr(h)
 
 
 @dataclass(frozen=True)
@@ -152,10 +243,13 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     With ``levels=None`` every point gets the full decomposition (the
     dense reference path): ``energies`` has shape (T, d) and ``vectors``
     (T, d, d).  With an integer only the lowest m = min(max(levels, 2), d)
-    eigenpairs are computed (an MRRR subset solve) and kept: shapes (T, m)
-    and (T, d, m), T*d*m*8 bytes of vectors.  The gauge is threaded
-    through the kept columns alone, so inside a degenerate cluster that
-    level m cuts it is arbitrary."""
+    eigenpairs are computed and kept: shapes (T, m) and (T, d, m),
+    T*d*m*8 bytes of vectors.  Every point is a grid point of
+    ``_eigensolve``: for m = 2 at d >= LANCZOS_MIN_DIM, a connected mixer
+    and a simple final ground level each point but s = 1 is a Lanczos
+    solve; otherwise each is an MRRR subset solve.  The gauge is
+    threaded through the kept columns alone, so inside a degenerate
+    cluster that level m cuts it is arbitrary."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must hold at least two s values")
@@ -172,7 +266,7 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     prev = None
     for t, s in enumerate(grid):
         try:
-            w, v = _eigensolve(interpolate(pair, s), levels=keep)
+            w, v = _eigensolve(pair, s, levels=keep, grid_point=True)
         except EigendecompositionError as err:
             raise EigendecompositionError(f"at s={s}: {err}") from err
         if prev is None:
@@ -204,7 +298,7 @@ class MinGapResult:
 
 
 def _gap_at(pair: HamiltonianPair, s: float) -> float:
-    w = _eigensolve(interpolate(pair, s), levels=2, vectors=False)
+    w = _eigensolve(pair, s, levels=2, vectors=False)
     return float(w[1] - w[0])
 
 
@@ -256,6 +350,38 @@ def _golden_section(
     return best_s, best_g
 
 
+def _bisect_swap(
+    pair: HamiltonianPair,
+    a: float,
+    b: float,
+    ua: np.ndarray,
+    ub: np.ndarray,
+    fa: float,
+    fb: float,
+    tol: float,
+) -> tuple[float, float, float, float]:
+    """Narrow a cell [a, b] across which the ground vector swaps character
+    (ground vectors ``ua``, ``ub``, gaps ``fa``, ``fb``) to the swap point.
+
+    Bisection keeps the half across which the ground vector turns more,
+    until neither half turns it by 45 degrees or the cell is narrower than
+    ``tol``.  That cell spans the anti-crossing at the scale of its own
+    width, where the gap is the unimodal hyperbola; the wider one may hold
+    a local maximum of the gap besides.  Returns (a, b, fa, fb) of it."""
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        w, v = _eigensolve(pair, m, levels=2)
+        um, fm = v[:, 0], float(w[1] - w[0])
+        left, right = abs(float(ua @ um)), abs(float(um @ ub))
+        if min(left, right) >= _SWAP_OVERLAP:
+            break
+        if left < right:
+            b, ub, fb = m, um, fm
+        else:
+            a, ua, fa = m, um, fm
+    return a, b, fa, fb
+
+
 def _gap_slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
     """dDelta/ds = <v1|H1-H0|v1> - <v0|H1-H0|v0> (Hellmann-Feynman) at
     every grid point, from ``vectors[t, :, :2]``, in one batched product."""
@@ -283,10 +409,18 @@ def min_gap(
       inside the interval;
     * every other cell where the Hellmann-Feynman gap slope changes from
       negative to positive, which catches minima narrower than the grid
-      spacing (including ones in the first or last cell).
+      spacing (including ones in the first or last cell);
+    * every cell across which the ground vector swaps character,
+      |<v0(t)|v0(t+1)>| < 1/sqrt(2), while the gap slope does not turn
+      from negative to positive.  The gap is not unimodal there (both end
+      slopes may be positive, with a maximum and a narrow minimum
+      inside), so the cell is first narrowed to the swap point by
+      bisection on that overlap.
 
-    An s=1 result no candidate beats is flagged ``degenerate_at_end`` when
-    its gap is below the degeneracy tolerance."""
+    The gap at s=1 is exact (H(1) is diagonal), so a candidate inside the
+    interval must beat it by more than a probe's round-off.  An s=1 result
+    is flagged ``degenerate_at_end`` when its gap is below the degeneracy
+    tolerance."""
     if coarse_points < 50:
         raise ValueError(f"need at least 50 coarse points, got {coarse_points}")
     if tol <= 0:
@@ -297,15 +431,18 @@ def min_gap(
         ss = sweep.grid
         if ss[0] != 0.0 or ss[-1] != 1.0:
             raise ValueError(f"sweep grid must run from 0 to 1, got [{ss[0]}, {ss[-1]}]")
-        energies, vectors = sweep.energies[:, :2], sweep.vectors[:, :, :2]
+        # A sweep orders a degenerate cluster by gauge, not by value: take
+        # the two lowest levels by value at every point.
+        lowest = np.argsort(sweep.energies, axis=1, kind="stable")[:, :2]
+        energies = np.take_along_axis(sweep.energies, lowest, axis=1)
+        vectors = np.take_along_axis(sweep.vectors, lowest[:, None, :], axis=2)
     else:
         ss = np.linspace(0.0, 1.0, coarse_points)
         energies = np.empty((len(ss), 2))
         vectors = np.empty((len(ss), pair.dim, 2))
         for t, s in enumerate(ss):
-            energies[t], vectors[t] = _eigensolve(interpolate(pair, s), levels=2)
-    # A sweep may order a degenerate pair by gauge, not by value.
-    gaps = np.abs(energies[:, 1] - energies[:, 0])
+            energies[t], vectors[t] = _eigensolve(pair, s, levels=2, grid_point=True)
+    gaps = energies[:, 1] - energies[:, 0]
     deg_tol = degeneracy_tolerance(
         np.concatenate([[np.max(np.abs(pair.h1_diag))], gaps])
     )
@@ -313,13 +450,29 @@ def min_gap(
     if np.max(gaps) <= deg_tol:
         return MinGapResult(float(ss[i]), float(gaps[i]), all_degenerate=True)
     slopes = _gap_slopes(pair, vectors)
-    brackets = [(j, j + 1) for j in np.flatnonzero((slopes[:-1] < 0) & (slopes[1:] > 0))]
+    turns = (slopes[:-1] < 0) & (slopes[1:] > 0)
+    brackets = [(j, j + 1) for j in np.flatnonzero(turns)]
     if 0 < i < len(ss) - 1:
         brackets = [(i - 1, i + 1)] + [(j, k) for j, k in brackets if not i - 1 <= j <= i]
     best = (float(ss[i]), float(gaps[i]))
     for a, b in brackets:
         best = _golden_section(pair, float(ss[a]), float(ss[b]), gaps[a], gaps[b], tol, *best)
+    # A swap cell inside the argmin bracket is refined once more: the golden
+    # section over that bracket assumes a unimodal gap, which a swap cell
+    # need not have.
+    overlaps = np.abs(np.einsum("ti,ti->t", vectors[:-1, :, 0], vectors[1:, :, 0]))
+    for j in np.flatnonzero((overlaps < _SWAP_OVERLAP) & ~turns):
+        cell = _bisect_swap(
+            pair, float(ss[j]), float(ss[j + 1]), vectors[j, :, 0], vectors[j + 1, :, 0],
+            gaps[j], gaps[j + 1], tol,
+        )
+        best = _golden_section(pair, *cell, tol, *best)
     s_star, delta = best
+    # H(1) is diagonal, so the gap read there is exact; a probe inside the
+    # interval beats it only by more than the probe's own round-off
+    norm = float(np.max(np.abs(pair.h0).sum(axis=1)) + np.max(np.abs(pair.h1_diag)))
+    if gaps[-1] <= delta + _PROBE_ROUNDOFF * np.finfo(float).eps * norm:
+        s_star, delta = 1.0, float(gaps[-1])
     return MinGapResult(
         s_star, delta, degenerate_at_end=bool(s_star == 1.0 and delta <= deg_tol)
     )
@@ -328,7 +481,7 @@ def min_gap(
 def decompose_interpolated(pair: HamiltonianPair, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of H(s); handy for amortizing the residual
     operations below over many (i, k) pairs at one s."""
-    return eigendecompose(interpolate(pair, s))
+    return _eigensolve(pair, s)
 
 
 def _hdot_apply(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
@@ -443,6 +596,14 @@ def gap_identity_residuals(pair: HamiltonianPair, s: float, decomposition=None) 
     ratios = _neighbour_ratios(pair, v[:, :2])
     delta = float(w[1] - w[0])
     return delta - (1.0 - s) * (ratios[:, 0] - ratios[:, 1])
+
+
+def _final_ground_simple(pair: HamiltonianPair) -> bool:
+    try:
+        _unique_ground_index(pair)
+    except DegeneracyError:
+        return False
+    return True
 
 
 def _unique_ground_index(pair: HamiltonianPair) -> int:

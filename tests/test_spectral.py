@@ -1,11 +1,15 @@
+import gc
 import sys
+from dataclasses import replace
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mingap import anticrossing, spectral
@@ -22,6 +26,7 @@ from mingap.hamiltonian import (
     interpolate,
 )
 from mingap.spectral import (
+    LANCZOS_MIN_DIM,
     DegeneracyError,
     EigendecompositionError,
     GapBounds,
@@ -161,20 +166,27 @@ _PARTIAL_CASES = {
     "toy1": lambda: toy_example_1(0.5),
     "toy2": lambda: toy_example_2(0.2),
     "random-d252": lambda: random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3),
+    "random-d462": lambda: random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3),
 }
 
 
 @pytest.fixture(scope="module")
 def dense_and_partial():
     """(dense sweep, partial sweep with ``levels``) of a named instance on
-    ``grid``; the dense one is cached per instance and grid."""
+    ``grid``; the dense one is cached per instance and grid, cut to its
+    lowest seven levels."""
     dense_sweeps = {}
 
     def get(name, grid, levels):
         key = (name, len(grid), float(grid[0]))
         if key not in dense_sweeps:
             pair = clique_pair(_PARTIAL_CASES[name]().graph)
-            dense_sweeps[key] = sweep(pair, grid)
+            full = sweep(pair, grid)
+            # keep levels 0-6, all that the tests read: the full vectors
+            # are 172 MB per grid at d=462
+            dense_sweeps[key] = replace(
+                full, energies=full.energies[:, :7].copy(), vectors=full.vectors[:, :, :7].copy()
+            )
         dense = dense_sweeps[key]
         return dense, sweep(dense.pair, grid, levels=levels)
 
@@ -223,12 +235,14 @@ def test_partial_sweep_level_count():
 
 
 def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch):
-    calls = []
+    calls, grid_calls = [], []
     original = spectral._eigensolve
 
-    def counting(h, levels=None, vectors=True):
+    def counting(pair, s, levels=None, vectors=True, grid_point=False):
         calls.append((levels, vectors))
-        return original(h, levels=levels, vectors=vectors)
+        if grid_point:
+            grid_calls.append(s)
+        return original(pair, s, levels=levels, vectors=vectors, grid_point=grid_point)
 
     for module in (spectral, anticrossing):
         monkeypatch.setattr(module, "_eigensolve", counting)
@@ -242,6 +256,8 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     assert calls.count((None, True)) == 1
     assert {levels for levels, _ in calls} == {None, 2}
     assert calls.count((2, True)) == 201 + 2
+    # the sweep points alone may take the Lanczos route
+    assert np.array_equal(grid_calls, swp.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +367,28 @@ def test_min_gap_refines_a_minimum_inside_the_last_cell(seed, alpha):
 def test_min_gap_on_a_sweep_matches_fine_scan(n, seed, alpha, grid_points):
     pair = clique_pair(random_instance(n, n // 2, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
     res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, grid_points)))
+    assert_matches_fine_scan(pair, res)
+
+
+def test_min_gap_finds_a_dip_inside_a_cell_the_ground_vector_swaps_across():
+    # both end slopes of the last cell are positive: the gap rises from
+    # s=0.99, peaks, dips to 6.1e-7 at s~0.99941 and rises again; the
+    # ground vector swaps character across the cell (overlap 0.0077)
+    instance = random_instance(8, 4, 0.5, 0.5, 1.5, seed=238811247, alpha=0.0015187877390547833)
+    pair = clique_pair(instance.graph)
+    swp = sweep(pair, np.linspace(0.0, 1.0, 101))
+    assert abs(swp.vectors[-2, :, 0] @ swp.vectors[-1, :, 0]) < 0.01
+    assert_matches_fine_scan(pair, min_gap(pair, sweep=swp))
+
+
+def test_min_gap_keeps_the_exact_gap_at_s1_over_round_off():
+    # three final levels within 2e-183: the gap falls to s=1, where H is
+    # diagonal and reads 1.7e-184 exactly; the golden section on the
+    # last cell read 0.0 at s=0.99996, which is round-off
+    instance = random_instance(7, 3, 0.5, 0.5, 1.5, seed=1930, alpha=2.5938840776952347e-183)
+    pair = clique_pair(instance.graph)
+    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51)))
+    assert res.s_star == 1.0 and res.degenerate_at_end
     assert_matches_fine_scan(pair, res)
 
 
@@ -644,48 +682,262 @@ def test_bounds_guard_skips_vanishing_component():
 
 
 # ---------------------------------------------------------------------------
-# one eigensolver route
+# one eigensolver route: Lanczos or dense MRRR behind ``_eigensolve``
 
-_SOLVERS = [(module, name) for module in (scipy.linalg, np.linalg) for name in ("eigh", "eigvalsh")]
+_SOLVERS = [
+    *((module, name) for module in (scipy.linalg, np.linalg) for name in ("eigh", "eigvalsh")),
+    (scipy.sparse.linalg, "eigsh"),
+]
+
+
+def _above_the_cut():
+    pair = clique_pair(random_instance(11, 4, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    assert pair.dim >= LANCZOS_MIN_DIM
+    return pair
 
 
 def test_every_spectrum_comes_from_one_function(monkeypatch):
+    # (caller, its caller) of every eigensolver call
     callers = []
     for module, name in _SOLVERS:
 
         def recording(*args, _solver=getattr(module, name), **kwargs):
             frame = sys._getframe(1)
-            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+            assert frame.f_globals["__name__"] == "mingap.spectral"
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recording)
-    pair = clique_pair(toy_example_1(0.5).graph)
-    report, swp, _ = build_report(pair)
-    min_gap(pair)
-    wilkinson_fit(swp, report.s_star, window=report.wilkinson.window)
+    for pair, grid in ((clique_pair(toy_example_1(0.5).graph), 1001), (_above_the_cut(), 101)):
+        report, swp, _ = build_report(pair, grid_points=grid)
+        min_gap(pair, sweep=swp)
+        wilkinson_fit(swp, report.s_star, window=report.wilkinson.window)
+    min_gap(clique_pair(toy_example_1(0.5).graph))
     result = CliRunner().invoke(main, ["verify", "--fixture", "toy1", "--grid", "101"])
     assert result.exit_code == 0, result.output
-    assert callers
-    assert set(callers) == {("mingap.spectral", "_eigensolve")}
+    # LAPACK is called from _mrrr only, ARPACK from _lanczos only, and
+    # both only on behalf of _eigensolve
+    assert {caller for caller, _ in callers} == {"_mrrr", "_lanczos"}
+    assert {route for _, route in callers} == {"_eigensolve"}
+
+
+def _recording_routes(monkeypatch):
+    routes = []
+    for name in ("_mrrr", "_lanczos"):
+        original = getattr(spectral, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            routes.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, recording)
+    return routes
+
+
+def test_lanczos_runs_where_it_is_exact_and_mrrr_elsewhere(monkeypatch):
+    routes = _recording_routes(monkeypatch)
+    big, small = _above_the_cut(), clique_pair(toy_example_1(0.5).graph)
+    cases = [
+        ((big, 0.5, 2, True), "_lanczos"),
+        ((big, 0.0, 1, True), "_lanczos"),
+        ((big, 0.5, 2, False), "_mrrr"),
+        ((big, 0.5, 3, True), "_mrrr"),
+        ((big, 0.5, None, True), "_mrrr"),
+        ((big, 1.0, 2, True), "_mrrr"),
+        ((small, 0.5, 2, True), "_mrrr"),
+        ((_two_copies_pair(), 0.5, 2, True), "_mrrr"),
+        ((_two_copies_pair(1e-8), 0.5, 2, True), "_mrrr"),
+    ]
+    for (pair, s, levels, grid_point), route in cases:
+        routes.clear()
+        spectral._eigensolve(pair, s, levels=levels, vectors=False, grid_point=grid_point)
+        assert routes == [route], (pair.dim, s, levels, grid_point)
+
+
+def test_sparse_form_lives_and_dies_with_its_pair():
+    # H0's CSR form is kept on the pair, in no cache and no reference
+    # cycle: dropping the pair frees it without a garbage collection
+    pair = _above_the_cut()
+    spectral._eigensolve(pair, 0.5, levels=2, grid_point=True)
+    assert "csr_terms" in vars(pair) and "mixer_connected" in vars(pair)
+    ref = weakref.ref(pair)
+    gc.disable()
+    try:
+        del pair
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_more_than_two_levels_stay_dense_at_a_degenerate_level():
+    # the transverse field at s=0 has E1 = -7 nine times over; a Krylov
+    # solve from one start vector holds one copy of each level in exact
+    # arithmetic, so it reads the two lowest (distinct) levels right and
+    # may drop copies of the sixth
+    pair = clique_pair(random_instance(9, 4, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph, "transverse_field")
+    assert pair.dim >= LANCZOS_MIN_DIM
+    two = spectral._eigensolve(pair, 0.0, levels=2, vectors=False, grid_point=True)
+    six = spectral._eigensolve(pair, 0.0, levels=6, vectors=False, grid_point=True)
+    assert np.max(np.abs(two - [-9.0, -7.0])) <= 1e-12
+    assert np.max(np.abs(six - [-9.0, -7.0, -7.0, -7.0, -7.0, -7.0])) <= 1e-12
+
+
+def _two_copies_pair(link=0.0):
+    """Two identical 165-state chains joined by one bond of strength
+    ``link`` (none by default): every level of H(s) is doubly degenerate,
+    the ground level too, exactly without the bond and to round-off with
+    a weak one."""
+    basis = enumerate_basis(11, 4)
+    half = basis.dim // 2
+    chain = -(np.eye(half, k=1) + np.eye(half, k=-1))
+    target = np.random.default_rng(5).uniform(-1.0, 1.0, half)
+    h0 = np.zeros((basis.dim, basis.dim))
+    h0[:half, :half] = h0[half:, half:] = chain
+    h0[half - 1, half] = h0[half, half - 1] = -link
+    return HamiltonianPair(
+        basis=basis, h0=h0, h1_diag=build_diagonal_target(np.concatenate([target, target]), basis)
+    )
+
+
+@pytest.mark.parametrize("link", [0.0, 1e-8])
+def test_copies_with_a_degenerate_ground_level_read_as_degenerate(link):
+    # routes: test_lanczos_runs_where_it_is_exact_and_mrrr_elsewhere.  The
+    # weak bond connects the mixer; a Lanczos sweep of that pair read
+    # E2 - E0 at some points, and all_degenerate was lost
+    pair = _two_copies_pair(link)
+    assert pair.dim >= LANCZOS_MIN_DIM
+    assert pair.mixer_connected == (link > 0)
+    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51), levels=2))
+    assert res.all_degenerate and not res.degenerate_at_end
+    assert res.delta_min <= 1e-12
+
+
+def _narrow_crossing_above_the_cut(coupling, start):
+    """d=330: the V of test_min_gap_resolves_a_minimum_narrower_than_tol
+    on states 0 and 1 (gap minimum ~2 ``coupling`` (1-s*) at
+    s* ~ start / (1 + start)), under a chain of the other 328 states at
+    energy >= 3, linked to state 1 by 1e-3 so that the mixer graph is
+    connected."""
+    basis = enumerate_basis(11, 4)
+    d = basis.dim
+    h0 = np.diag(np.concatenate([[start, 0.0], np.full(d - 2, 5.0)]))
+    h0[0, 1] = h0[1, 0] = -coupling
+    h0[1, 2] = h0[2, 1] = -1e-3
+    chain = np.arange(2, d - 1)
+    h0[chain, chain + 1] = h0[chain + 1, chain] = -1.0
+    target = np.concatenate([[0.0, 1.0], np.full(d - 2, 5.0)])
+    return HamiltonianPair(basis=basis, h0=h0, h1_diag=build_diagonal_target(target, basis))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _narrow_crossing_above_the_cut(1e-12, 0.7),
+        lambda: _narrow_crossing_above_the_cut(1e-16, 1.3),
+        # Delta_min 1.8e-15 at s* = 0.99916
+        lambda: clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=2, alpha=1e-3).graph),
+    ],
+    ids=["vee-1e-12", "vee-1e-16", "random-d462"],
+)
+def test_narrow_minimum_above_the_cut_matches_a_dense_run(monkeypatch, build):
+    pair = build()
+    assert pair.dim >= LANCZOS_MIN_DIM and pair.mixer_connected
+    grid = np.linspace(0.0, 1.0, 101)
+    res = min_gap(pair, sweep=sweep(pair, grid, levels=2))
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", pair.dim + 1)
+    ref = min_gap(pair, sweep=sweep(pair, grid, levels=2))
+    assert ref.delta_min < 1e-10
+    norm = np.max(np.abs(pair.h0).sum(axis=1)) + np.max(np.abs(pair.h1_diag))
+    floor = 4 * np.finfo(float).eps * norm
+    assert res.s_star == pytest.approx(ref.s_star, abs=1e-9)
+    assert abs(res.delta_min - ref.delta_min) <= floor
+    # a grid point on the minimum itself: Lanczos reads the two lowest
+    # levels there, not E0 and E2
+    w = spectral._lanczos(pair, ref.s_star, 2, vectors=False)
+    w_ref = scipy.linalg.eigvalsh(interpolate(pair, ref.s_star), subset_by_index=[0, 1])
+    assert np.max(np.abs(w - w_ref)) <= 1e-12
+    assert abs((w[1] - w[0]) - (w_ref[1] - w_ref[0])) <= floor
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(4, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    s=st.floats(0.0, 1.0, exclude_max=True),
+    levels=st.sampled_from([1, 2]),
+)
+def test_lanczos_matches_mrrr_on_random_small_instances(n, data, seed, alpha, mixer, s, levels):
+    k = data.draw(st.integers(1, n - 1))
+    instance = random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha)
+    pair = clique_pair(instance.graph, mixer)
+    assume(4 <= pair.dim <= 70 and pair.mixer_connected)
+    w, v = spectral._lanczos(pair, s, levels)
+    w_ref, v_ref = scipy.linalg.eigh(interpolate(pair, s), driver="evr")
+    assert np.max(np.abs(w - w_ref[:levels])) <= 1e-12
+    assert np.array_equal(spectral._lanczos(pair, s, levels, vectors=False), w)
+    for c in range(levels):
+        # a vector is determined up to sign where its level is isolated
+        separation = np.min(np.abs(np.delete(w_ref, c) - w_ref[c]))
+        if separation > 1e-3:
+            u = v[:, c] * np.sign(v[:, c] @ v_ref[:, c])
+            assert np.max(np.abs(u - v_ref[:, c])) <= 1e-10
 
 
 def _failing_solver(*args, **kwargs):
     raise scipy.linalg.LinAlgError("no convergence")
 
 
+def _arpack_not_converging(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: no convergence", [], [])
+
+
+_FAILING_BACKENDS = {
+    # (pair, the solvers whose failure it meets, the failure of each)
+    "lapack": (lambda: clique_pair(toy_example_1(0.0).graph),
+               [(scipy.linalg, "eigh", _failing_solver), (scipy.linalg, "eigvalsh", _failing_solver)]),
+    # ARPACK falls back to MRRR, so the dense solve must fail as well
+    "arpack": (_above_the_cut,
+               [(scipy.sparse.linalg, "eigsh", _arpack_not_converging),
+                (scipy.linalg, "eigh", _failing_solver), (scipy.linalg, "eigvalsh", _failing_solver)]),
+}
+_FAILING_CALLS = {
+    "gap_at": lambda swp: _gap_at(swp.pair, 0.5),
+    "min_gap": lambda swp: min_gap(swp.pair),
+    "wilkinson_fit": lambda swp: wilkinson_fit(swp, 0.69, window=(0.6, 0.8)),
+    "sweep": lambda swp: sweep(swp.pair, swp.grid, levels=2),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda swp: _gap_at(swp.pair, 0.5),
-        lambda swp: min_gap(swp.pair),
-        lambda swp: wilkinson_fit(swp, 0.69, window=(0.6, 0.8)),
-    ],
-    ids=["gap_at", "min_gap", "wilkinson_fit"],
+    "backend, call",
+    [("lapack", c) for c in ("gap_at", "min_gap", "wilkinson_fit")]
+    + [("arpack", c) for c in ("sweep", "min_gap")],
+    ids=["gap_at", "min_gap", "wilkinson_fit", "arpack-sweep", "arpack-min_gap"],
 )
-def test_solver_failure_raises_eigendecomposition_error(monkeypatch, call):
-    pair = clique_pair(toy_example_1(0.0).graph)
-    swp = sweep(pair, np.linspace(0.0, 1.0, 51))
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(scipy.linalg, name, _failing_solver)
+def test_solver_failure_raises_eigendecomposition_error(monkeypatch, backend, call):
+    build, solvers = _FAILING_BACKENDS[backend]
+    swp = sweep(build(), np.linspace(0.0, 1.0, 51), levels=2)
+    for module, name, failure in solvers:
+        monkeypatch.setattr(module, name, failure)
     with pytest.raises(EigendecompositionError, match="no convergence"):
-        call(swp)
+        _FAILING_CALLS[call](swp)
+
+
+def test_arpack_failure_falls_back_to_mrrr(monkeypatch):
+    # a point ARPACK does not converge on is solved densely, as if it lay
+    # below the cut, and nothing is raised
+    pair = _above_the_cut()
+    grid = np.linspace(0.0, 1.0, 51)
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", pair.dim + 1)
+    dense, dense_gap = sweep(pair, grid, levels=2), min_gap(pair, coarse_points=51)
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", LANCZOS_MIN_DIM)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _arpack_not_converging)
+    routes = _recording_routes(monkeypatch)
+    swp = sweep(pair, grid, levels=2)
+    assert routes == ["_lanczos", "_mrrr"] * 50 + ["_mrrr"]
+    assert np.array_equal(swp.energies, dense.energies)
+    assert np.array_equal(swp.vectors, dense.vectors)
+    assert min_gap(pair, coarse_points=51) == dense_gap
