@@ -28,8 +28,10 @@ from .spectral import (
     degeneracy_tolerance,
     min_gap,
     sweep as spectral_sweep,
+    _central_solves,
     _eigensolve,
     _gap_at,
+    _gap_slopes,
     _hdot_apply,
 )
 
@@ -472,12 +474,7 @@ def _central_differences(star: _StarContext, h: float | None):
     if abs(coupling) < 1e-300:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
     h = _select_step(pair, star.s, star.delta, h)
-    _, vp = _eigensolve(pair, star.s + h, levels=2)
-    _, vm = _eigensolve(pair, star.s - h, levels=2)
-    for u in (vp, vm):
-        for k in (0, 1):
-            if float(star.v[:, k] @ u[:, k]) < 0:
-                u[:, k] = -u[:, k]
+    (_, vp), (_, vm) = _central_solves(pair, star.s, h, star.v[:, :2])
     return coupling / star.delta, h, vp, vm
 
 
@@ -500,10 +497,8 @@ def gap_decomposition_residual(
 
 
 def _gap_decomposition(star: _StarContext) -> float:
-    v, delta = star.v, star.delta
-    d1 = float(v[:, 1] @ _hdot_apply(star.pair, v[:, 1]))
-    d0 = float(v[:, 0] @ _hdot_apply(star.pair, v[:, 0]))
-    slope = d1 - d0
+    delta = star.delta
+    slope = float(_gap_slopes(star.pair, star.v[None, :, :2])[0])
     threshold = 1e-6 * (1.0 + delta) / max(1.0 - star.s, 1e-12)
     if abs(slope) > threshold:
         cause = _unresolved(star) if delta <= 0 else "refine the gap minimum first"

@@ -20,17 +20,21 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .anticrossing import build_report
+from .anticrossing import AntiCrossingReport, OverlapSeries, build_report
 from .clique import CliqueInstance, brute_force, toy_example_1, toy_example_2
-from .hamiltonian import ProblemGraph, clique_pair
+from .hamiltonian import HamiltonianPair, ProblemGraph, clique_pair
 from .spectral import (
+    _central_solves,
+    _eigensolve,
+    _final_ground_simple,
     decompose_interpolated,
     eigenvalue_derivative,
     eigenvalue_second_derivative,
@@ -42,16 +46,6 @@ from .spectral import (
 )
 
 MIXERS = ("swap_chain", "swap_cycle", "transverse_field")
-CHECK_NAMES = (
-    "encoding",
-    "normalization",
-    "identities",
-    "derivatives",
-    "decomposition",
-    "bound",
-    "ratios",
-    "rotation",
-)
 _FIXTURES = {"toy1": (toy_example_1, 0.5), "toy2": (toy_example_2, 0.2)}
 
 
@@ -85,16 +79,7 @@ class RunConfig:
             raise AppError(f"levels must be positive, got {self.levels}")
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "mixer": self.mixer,
-            "alphas": [t for t, _ in self.alphas],
-            "grid_points": self.grid_points,
-            "refine_tol": self.refine_tol,
-            "levels": self.levels,
-            "out_dir": self.out_dir,
-            "checks": list(self.checks),
-        }
+        return {**asdict(self), "alphas": [t for t, _ in self.alphas], "checks": list(self.checks)}
 
 
 def _fail(err: AppError) -> "SystemExit":
@@ -191,197 +176,223 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+def _write_levels(path: Path, prefix: str, grid: np.ndarray, values: np.ndarray, count: int):
+    """s and the first ``count`` columns of ``values``, headed prefix_k."""
+    _write_csv(path, ["s"] + [f"{prefix}_{k}" for k in range(count)], [grid, *values[:, :count].T])
+
+
 # ---------------------------------------------------------------------------
 # verify checks
 
 
 def _check(name, status, value=None, tolerance=None, detail=""):
-    return {
-        "name": name,
-        "status": status,
-        "value": value,
-        "tolerance": tolerance,
-        "detail": detail,
-    }
+    return dict(name=name, status=status, value=value, tolerance=tolerance, detail=detail)
+
+
+def _bounded(name, value, tolerance, detail=""):
+    """A check that passes when ``value`` is at most ``tolerance``."""
+    return _check(name, "pass" if value <= tolerance else "fail", value, tolerance, detail)
+
+
+def _report(name, result, fields, detail=""):
+    """A reported (not asserted) check whose value holds ``fields`` of ``result``."""
+    return _check(name, "report", {f: getattr(result, f) for f in fields}, None, detail)
+
+
+def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
+    """The energy and gap projection identities, relative to 1 + |E_k| and
+    1 + Delta, and the smallest failure-condition ratio difference, over
+    ``decompositions``: (s, (eigenvalues, eigenvectors)) pairs of full
+    decompositions of H(s)."""
+    worst5 = worst6 = 0.0
+    best7 = None
+    unique_gs = _final_ground_simple(pair)
+    for s, dec in decompositions:
+        w = dec[0]
+        # fmax skips the NaN entries, whose components are guarded
+        r5 = energy_identity_residuals(pair, s, decomposition=dec)
+        worst5 = float(np.fmax.reduce(np.abs(r5) / (1.0 + np.abs(w)), None, initial=worst5))
+        r6 = gap_identity_residuals(pair, s, decomposition=dec)
+        delta = float(w[1] - w[0])
+        worst6 = float(np.fmax.reduce(np.abs(r6) / (1.0 + delta), None, initial=worst6))
+        if unique_gs and s < 1.0:
+            r = failure_condition_residual(pair, s, decomposition=dec)
+            if r is not None and (best7 is None or abs(r) < abs(best7)):
+                best7 = r
+    detail = f"max relative residual over {len(decompositions)} grid points"
+    results = [_bounded("energy_identity", worst5, 1e-8, detail),
+               _bounded("gap_identity", worst6, 1e-8, detail)]
+    if best7 is not None:
+        results.append(_check("failure_condition", "report", best7, None,
+                              "smallest ratio difference over the grid"))
+    else:
+        results.append(_check("failure_condition", "skip", None, None,
+                              "no unguarded grid point (or degenerate ground state)"))
+    return results
+
+
+def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
+    """Perturbation-theory derivatives of the ground level at every s of
+    ``points`` against finite differences of one-level solves.  Each point
+    is decomposed in full once, since the perturbation sums read every
+    level.  First derivatives take central differences with h=1e-5 (the
+    vectors sign-aligned with the one at s).  The second derivative takes
+    the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of second central
+    differences D with h=1e-3, whose truncation error is O(h^4): near a
+    higher anti-crossing E0'' reaches tens (-34 at one d=252 sample),
+    where D(1e-4) alone is off by 1.5e-5."""
+    h = 1e-5
+    worst1 = worst2 = worstv = 0.0
+
+    def ground(x):
+        return float(_eigensolve(pair, x, levels=1, vectors=False)[0])
+
+    for s in points:
+        dec = decompose_interpolated(pair, s)
+        (wp, vp), (wm, vm) = _central_solves(pair, s, h, dec[1][:, :1])
+        d1 = eigenvalue_derivative(pair, s, 0, decomposition=dec)
+        worst1 = max(worst1, abs(d1 - (wp[0] - wm[0]) / (2 * h)))
+        dv = eigenvector_derivative(pair, s, 0, decomposition=dec)
+        worstv = max(worstv, float(np.linalg.norm(dv - (vp[:, 0] - vm[:, 0]) / (2 * h))))
+        e0 = ground(s)
+        wide, narrow = ((ground(s + k) + ground(s - k) - 2 * e0) / k**2 for k in (1e-3, 5e-4))
+        d2 = eigenvalue_second_derivative(pair, s, 0, decomposition=dec)
+        worst2 = max(worst2, abs(d2 - (4 * narrow - wide) / 3))
+    return [
+        _bounded("eigenvalue_derivative", worst1, 1e-6, "vs central difference, h=1e-5"),
+        _bounded("eigenvalue_second_derivative", worst2, 1e-5,
+                 "vs Richardson extrapolation of second central differences, h=1e-3 and 5e-4"),
+        _bounded("eigenvector_derivative", worstv, 1e-6,
+                 "norm difference vs central difference, h=1e-5"),
+    ]
+
+
+@dataclass
+class _Run:
+    """What the check groups of one verify run read."""
+
+    graph: ProblemGraph
+    pair: HamiltonianPair
+    report: AntiCrossingReport
+    series: OverlapSeries | None
+
+    @cached_property
+    def dense(self):
+        """Full decompositions at 21 evenly spaced s, for the groups that read
+        every level.  All are solved before any check reads them: at d=252
+        that took 0.26 s, against 0.6 s alternated with the identity
+        products (2-core Xeon, OpenBLAS 0.3.31)."""
+        return [(s, decompose_interpolated(self.pair, s)) for s in np.linspace(0.0, 1.0, 21)]
+
+
+def _encoding_checks(run: _Run) -> list[dict]:
+    table = brute_force(CliqueInstance(graph=run.graph, description="verify")).table
+    bits = ("".join("1" if i + 1 in subset else "0" for i in range(run.graph.n))
+            for subset, _ in table)
+    got = run.pair.h1_diag[[run.pair.basis.index_of(b) for b in bits]]
+    want = np.array([value for _, value in table])
+    return [_check("encoding", "pass" if np.array_equal(got, want) else "fail",
+                   float(np.max(np.abs(got - want), initial=0.0)), 0.0,
+                   "solver table vs diagonal target, bit-exact per state")]
+
+
+def _normalization_checks(run: _Run) -> list[dict]:
+    series = run.series
+    if series is None:
+        return [_check("normalization", "skip", detail="; ".join(run.report.warnings))]
+    dev = max(
+        float(np.max(np.abs(series.in_ground.sum(axis=1) - 1.0))),
+        float(np.max(np.abs(series.in_excited.sum(axis=1) - 1.0))),
+    )
+    if series.solution is None:
+        return [_bounded("normalization", dev, 1e-10),
+                _check("consistency", "skip",
+                       detail="degenerate final ground state; no solution series")]
+    gs = series.partition.unique_ground_index
+    for _, (_, v) in run.dense:
+        dev = max(dev, abs(float(v[gs] @ v[gs]) - 1.0))
+    cons = max(
+        float(np.max(np.abs(series.solution[:, 0] - series.in_ground[:, 0]))),
+        float(np.max(np.abs(series.solution[:, 1] - series.in_excited[:, 0]))),
+    )
+    return [_bounded("normalization", dev, 1e-10),
+            _bounded("consistency", cons, 1e-12,
+                     "solution weights equal the level-0 weights of the two lowest vectors")]
+
+
+def _derivative_samples(s_star: float) -> list[float]:
+    return [s for s in np.linspace(0.05, 0.95, 12) if abs(s - s_star) > 0.02][:10]
+
+
+def _decomposition_checks(run: _Run) -> list[dict]:
+    if run.series is None:
+        return [_check("gap_decomposition", "skip", detail="no interior gap minimum")]
+    residual, tol = run.report.gap_decomposition_residual, 1e-6 * (1.0 + run.report.delta_min)
+    if residual is None:
+        return [_check("gap_decomposition", "fail", None, tol,
+                       "stationarity rejected at the refined minimum")]
+    return [_bounded("gap_decomposition", residual, tol)]
+
+
+def _bound_checks(run: _Run) -> list[dict]:
+    margin = run.report.epsilon_bound_margin
+    if margin is None:
+        return [_check("epsilon_bound", "skip", detail="four-quantity measurement not satisfied")]
+    return [_check("epsilon_bound", "pass" if margin >= 0 else "fail", margin, 0.0,
+                   "margin must be nonnegative")]
+
+
+def _ratio_checks(run: _Run) -> list[dict]:
+    gb = None
+    if run.series is not None and not run.report.ground_degenerate:
+        gb = min_gap_bounds(run.pair, run.report.s_star, run.series.partition.unique_ground_index)
+    if gb is None:
+        return [_check("squared_gap_bounds", "skip", detail="needs an interior minimum, a unique "
+                       "ground state and a nonvanishing component")]
+    return [_report("squared_gap_bounds", gb, ("lower", "upper", "lower_holds", "upper_holds"),
+                    "sign assumptions unstated; reported, not asserted")]
+
+
+def _rotation_checks(run: _Run) -> list[dict]:
+    report = run.report
+    if report.rotation is None:
+        rotation = _check("rotation", "skip", detail="; ".join(report.warnings))
+    else:
+        rotation = _report("rotation", report.rotation, ("residual_ground", "residual_excited",
+                                                          "coupling_above_max", "beta"))
+    if report.solution_derivative is None:
+        derivative = _check("solution_derivative", "skip", detail="degenerate final ground state"
+                            if report.ground_degenerate else "; ".join(report.warnings))
+    else:
+        derivative = _report("solution_derivative", report.solution_derivative,
+                             ("sum_residual", "diff_residual", "g0_prime", "g1_prime"))
+    return [rotation, derivative]
+
+
+# Check groups in the order ``mingap verify`` runs and reports them.
+CHECKS = {
+    "encoding": _encoding_checks,
+    "normalization": _normalization_checks,
+    "identities": lambda run: identity_checks(run.pair, run.dense),
+    "derivatives": lambda run: derivative_checks(run.pair, _derivative_samples(run.report.s_star)),
+    "decomposition": _decomposition_checks,
+    "bound": _bound_checks,
+    "ratios": _ratio_checks,
+    "rotation": _rotation_checks,
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
-    results = []
     pair = clique_pair(graph, mixer)
-    checks = set(cfg.checks)
-
-    if "encoding" in checks:
-        oracle = brute_force(CliqueInstance(graph=graph, description="verify"))
-        worst = 0.0
-        exact = True
-        for subset, value in oracle.table:
-            bits = "".join("1" if i + 1 in subset else "0" for i in range(graph.n))
-            idx = pair.basis.index_of(bits)
-            worst = max(worst, abs(pair.h1_diag[idx] - value))
-            exact = exact and (pair.h1_diag[idx] == value)
-        results.append(
-            _check("encoding", "pass" if exact else "fail", worst, 0.0,
-                   "solver table vs diagonal target, bit-exact per state")
-        )
-
-    report, swp, series = build_report(
-        pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol
-    )
-    analysable = series is not None
-    unique_gs = not report.ground_degenerate
-    # The sweep keeps two levels; the checks that read every level share
-    # these.  All solves run before any check reads them: at d=252 the 21
-    # solves took 0.26 s back to back and 0.6 s when alternated with the
-    # identity products (2-core Xeon, OpenBLAS 0.3.31).
-    dense = []
-    if checks & {"normalization", "identities"}:
-        dense = [(s, decompose_interpolated(pair, s)) for s in np.linspace(0.0, 1.0, 21)]
-
-    if "normalization" in checks:
-        if analysable:
-            dev = max(
-                float(np.max(np.abs(series.in_ground.sum(axis=1) - 1.0))),
-                float(np.max(np.abs(series.in_excited.sum(axis=1) - 1.0))),
-            )
-            if series.solution is not None:
-                gs = series.partition.unique_ground_index
-                for _, (_, v) in dense:
-                    dev = max(dev, abs(float(v[gs] @ v[gs]) - 1.0))
-            results.append(_check("normalization", "pass" if dev <= 1e-10 else "fail", dev, 1e-10))
-            if series.solution is not None:
-                cons = max(
-                    float(np.max(np.abs(series.solution[:, 0] - series.in_ground[:, 0]))),
-                    float(np.max(np.abs(series.solution[:, 1] - series.in_excited[:, 0]))),
-                )
-                results.append(
-                    _check("consistency", "pass" if cons <= 1e-12 else "fail", cons, 1e-12,
-                           "solution weights equal the level-0 weights of the two lowest vectors")
-                )
-            else:
-                results.append(_check("consistency", "skip", None, None,
-                                      "degenerate final ground state; no solution series"))
-        else:
-            results.append(_check("normalization", "skip", None, None,
-                                  "; ".join(report.warnings)))
-
-    if "identities" in checks:
-        worst5 = worst6 = 0.0
-        best7 = None
-        for s, dec in dense:
-            w = dec[0]
-            # fmax skips the NaN entries, whose components are guarded
-            r5 = energy_identity_residuals(pair, s, decomposition=dec)
-            worst5 = float(np.fmax.reduce(np.abs(r5) / (1.0 + np.abs(w)), None, initial=worst5))
-            r6 = gap_identity_residuals(pair, s, decomposition=dec)
-            delta = float(w[1] - w[0])
-            worst6 = float(np.fmax.reduce(np.abs(r6) / (1.0 + delta), None, initial=worst6))
-            if unique_gs and s < 1.0:
-                r = failure_condition_residual(pair, s, decomposition=dec)
-                if r is not None and (best7 is None or abs(r) < abs(best7)):
-                    best7 = r
-        results.append(_check("energy_identity", "pass" if worst5 <= 1e-8 else "fail",
-                              worst5, 1e-8, "max relative residual over 21 grid points"))
-        results.append(_check("gap_identity", "pass" if worst6 <= 1e-8 else "fail",
-                              worst6, 1e-8, "max relative residual over 21 grid points"))
-        if best7 is not None:
-            results.append(_check("failure_condition", "report", best7, None,
-                                  "smallest ratio difference over the grid"))
-        else:
-            results.append(_check("failure_condition", "skip", None, None,
-                                  "no unguarded grid point (or degenerate ground state)"))
-
-    if "derivatives" in checks:
-        worst1 = worst2 = worstv = 0.0
-        samples = [s for s in np.linspace(0.05, 0.95, 12) if abs(s - report.s_star) > 0.02][:10]
-        h, h2 = 1e-5, 1e-4
-        for s in samples:
-            w0, v0 = decompose_interpolated(pair, s)
-            wp, vp = decompose_interpolated(pair, s + h)
-            wm, vm = decompose_interpolated(pair, s - h)
-            wp2 = decompose_interpolated(pair, s + h2)[0]
-            wm2 = decompose_interpolated(pair, s - h2)[0]
-            d1 = eigenvalue_derivative(pair, s, 0, decomposition=(w0, v0))
-            worst1 = max(worst1, abs(d1 - (wp[0] - wm[0]) / (2 * h)))
-            d2 = eigenvalue_second_derivative(pair, s, 0, decomposition=(w0, v0))
-            worst2 = max(worst2, abs(d2 - (wp2[0] + wm2[0] - 2 * w0[0]) / h2**2))
-            dv = eigenvector_derivative(pair, s, 0, decomposition=(w0, v0))
-            v, vp, vm = v0[:, 0], vp[:, 0], vm[:, 0]
-            vp = vp if float(vp @ v) >= 0 else -vp
-            vm = vm if float(vm @ v) >= 0 else -vm
-            worstv = max(worstv, float(np.linalg.norm(dv - (vp - vm) / (2 * h))))
-        results.append(_check("eigenvalue_derivative", "pass" if worst1 <= 1e-6 else "fail",
-                              worst1, 1e-6, "vs central difference, h=1e-5"))
-        results.append(_check("eigenvalue_second_derivative", "pass" if worst2 <= 1e-5 else "fail",
-                              worst2, 1e-5, "vs second central difference, h=1e-4"))
-        results.append(_check("eigenvector_derivative", "pass" if worstv <= 1e-6 else "fail",
-                              worstv, 1e-6, "norm difference vs central difference, h=1e-5"))
-
-    if "decomposition" in checks:
-        if analysable:
-            tol = 1e-6 * (1.0 + report.delta_min)
-            if report.gap_decomposition_residual is not None:
-                ok = report.gap_decomposition_residual <= tol
-                results.append(_check("gap_decomposition", "pass" if ok else "fail",
-                                      report.gap_decomposition_residual, tol))
-            else:
-                results.append(_check("gap_decomposition", "fail", None, tol,
-                                      "stationarity rejected at the refined minimum"))
-        else:
-            results.append(_check("gap_decomposition", "skip", None, None,
-                                  "no interior gap minimum"))
-
-    if "bound" in checks:
-        if report.epsilon_bound_margin is not None:
-            ok = report.epsilon_bound_margin >= 0
-            results.append(_check("epsilon_bound", "pass" if ok else "fail",
-                                  report.epsilon_bound_margin, 0.0, "margin must be nonnegative"))
-        else:
-            results.append(_check("epsilon_bound", "skip", None, None,
-                                  "four-quantity measurement not satisfied"))
-
-    if "ratios" in checks:
-        gb = None
-        if analysable and unique_gs:
-            gb = min_gap_bounds(pair, report.s_star, series.partition.unique_ground_index)
-        if gb is None:
-            results.append(_check("squared_gap_bounds", "skip", None, None,
-                                  "needs an interior minimum, a unique ground state and a "
-                                  "nonvanishing component"))
-        else:
-            results.append(_check("squared_gap_bounds", "report",
-                                  {"lower": gb.lower, "upper": gb.upper,
-                                   "lower_holds": gb.lower_holds, "upper_holds": gb.upper_holds},
-                                  None, "sign assumptions unstated; reported, not asserted"))
-
-    if "rotation" in checks:
-        if report.rotation is not None:
-            results.append(_check("rotation", "report",
-                                  {"residual_ground": report.rotation.residual_ground,
-                                   "residual_excited": report.rotation.residual_excited,
-                                   "coupling_above_max": report.rotation.coupling_above_max,
-                                   "beta": report.rotation.beta}, None))
-        else:
-            results.append(_check("rotation", "skip", None, None, "; ".join(report.warnings)))
-        if report.solution_derivative is not None:
-            sd = report.solution_derivative
-            results.append(_check("solution_derivative", "report",
-                                  {"sum_residual": sd.sum_residual,
-                                   "diff_residual": sd.diff_residual,
-                                   "g0_prime": sd.g0_prime, "g1_prime": sd.g1_prime}, None))
-        else:
-            results.append(_check("solution_derivative", "skip", None, None,
-                                  "degenerate final ground state" if not unique_gs
-                                  else "; ".join(report.warnings)))
-
-    if report.choi is not None:
-        results.append(_check("choi_measurement", "report",
-                              {"satisfied": report.choi.satisfied,
-                               "gamma": report.choi.gamma, "epsilon": report.choi.epsilon}, None))
-    if report.solution_swap is not None:
-        results.append(_check("solution_swap_measurement", "report",
-                              {"satisfied": report.solution_swap.satisfied,
-                               "gamma": report.solution_swap.gamma,
-                               "epsilon": report.solution_swap.epsilon}, None))
+    report, _, series = build_report(pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
+    run = _Run(graph, pair, report, series)
+    results = [c for name, group in CHECKS.items() if name in cfg.checks for c in group(run)]
+    # the two swap measurements follow whatever groups ran
+    for name, swap in (("choi_measurement", report.choi),
+                       ("solution_swap_measurement", report.solution_swap)):
+        if swap is not None:
+            results.append(_report(name, swap, ("satisfied", "gamma", "epsilon")))
     return results
 
 
@@ -454,31 +465,14 @@ def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir
             adir = base / f"alpha_{token}"
             adir.mkdir(parents=True, exist_ok=True)
             m = min(cfg.levels, pair.dim)
-            _write_csv(
-                adir / "energies.csv",
-                ["s"] + [f"E_{k}" for k in range(m)],
-                [swp.grid] + [swp.energies[:, k] for k in range(m)],
-            )
+            _write_levels(adir / "energies.csv", "E", swp.grid, swp.energies, m)
             _write_csv(adir / "gap.csv", ["s", "delta"], [swp.grid, swp.gaps()])
             if series is not None:
                 la = min(cfg.levels, series.partition.level_count)
-                _write_csv(
-                    adir / "overlaps_a.csv",
-                    ["s"] + [f"a_{k}" for k in range(la)],
-                    [series.grid] + [series.in_ground[:, k] for k in range(la)],
-                )
-                _write_csv(
-                    adir / "overlaps_b.csv",
-                    ["s"] + [f"b_{k}" for k in range(la)],
-                    [series.grid] + [series.in_excited[:, k] for k in range(la)],
-                )
+                _write_levels(adir / "overlaps_a.csv", "a", series.grid, series.in_ground, la)
+                _write_levels(adir / "overlaps_b.csv", "b", series.grid, series.in_excited, la)
                 if series.solution is not None:
-                    lg = min(cfg.levels, pair.dim)
-                    _write_csv(
-                        adir / "overlaps_g.csv",
-                        ["s"] + [f"g_{k}" for k in range(lg)],
-                        [series.grid] + [series.solution[:, k] for k in range(lg)],
-                    )
+                    _write_levels(adir / "overlaps_g.csv", "g", series.grid, series.solution, m)
             payload = {
                 "version": __version__,
                 "config": {**cfg.to_dict(), "alpha": token},

@@ -32,9 +32,9 @@ On it rest the checked full eigendecomposition, gauge-continuous sweeps
 over an s-grid (of every level, or of the lowest few only), min-gap
 location (golden-section refinement of the brackets a coarse grid gives:
 the cells around its smallest gap, every cell where the Hellmann-Feynman
-gap slope turns from negative to positive, and every other cell across
-which the ground vector swaps character; the grid is a sweep's own when
-one is at hand), perturbation-theory derivatives of eigenvalues and
+gap slope turns from negative to positive, and every cell across which
+the ground vector swaps character; the grid is a sweep's own when one is
+at hand), perturbation-theory derivatives of eigenvalues and
 eigenvectors, and the residuals of the projection identities that relate
 any eigenpair to the mixer neighborhood of a basis state.
 
@@ -232,9 +232,21 @@ def _match_to_previous(prev: np.ndarray, w: np.ndarray, v: np.ndarray):
         take = [idx[c] for c in perm]
         v[:, idx] = v[:, take]
         w[idx] = w[take]
-    dots = np.einsum("ik,ik->k", prev, v)
-    v[:, dots < 0] *= -1.0
-    return w, v
+    return w, _align_signs(prev, v)
+
+
+def _align_signs(reference: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Flips, in place, the columns of ``v`` that overlap negatively with
+    the matching columns of ``reference``; returns ``v``."""
+    v[:, np.einsum("ik,ik->k", reference, v) < 0] *= -1.0
+    return v
+
+
+def _central_solves(pair: HamiltonianPair, s: float, h: float, reference: np.ndarray):
+    """(w, v) of the lowest ``reference.shape[1]`` levels at s + h and at
+    s - h, the vectors sign-aligned with ``reference``."""
+    solves = (_eigensolve(pair, x, levels=reference.shape[1]) for x in (s + h, s - h))
+    return [(w, _align_signs(reference, v)) for w, v in solves]
 
 
 def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSweep:
@@ -385,9 +397,13 @@ def _bisect_swap(
 def _gap_slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
     """dDelta/ds = <v1|H1-H0|v1> - <v0|H1-H0|v0> (Hellmann-Feynman) at
     every grid point, from ``vectors[t, :, :2]``, in one batched product."""
-    hv = pair.h1_diag[:, None] * vectors - pair.h0 @ vectors
-    dots = np.einsum("tik,tik->tk", vectors, hv)
+    dots = np.einsum("tik,tik->tk", vectors, _hdot_apply(pair, vectors))
     return dots[:, 1] - dots[:, 0]
+
+
+def _coarse_sweep(pair: HamiltonianPair, points: int) -> SpectralSweep:
+    # min_gap's ``sweep`` argument hides the function
+    return sweep(pair, np.linspace(0.0, 1.0, points), levels=2)
 
 
 def min_gap(
@@ -400,8 +416,8 @@ def min_gap(
     ``tol``.
 
     The coarse data are the two lowest eigenpairs on a grid: those of
-    ``sweep`` when given (its grid must run from 0 to 1), otherwise
-    ``coarse_points`` evenly spaced partial decompositions.  Golden-section
+    ``sweep`` when given (its grid must run from 0 to 1), otherwise those
+    of a two-level sweep on ``coarse_points`` evenly spaced s.  Golden-section
     refinement, closed by one parabolic probe on Delta^2, runs on every
     candidate bracket and the smallest gap wins:
 
@@ -411,11 +427,11 @@ def min_gap(
       negative to positive, which catches minima narrower than the grid
       spacing (including ones in the first or last cell);
     * every cell across which the ground vector swaps character,
-      |<v0(t)|v0(t+1)>| < 1/sqrt(2), while the gap slope does not turn
-      from negative to positive.  The gap is not unimodal there (both end
-      slopes may be positive, with a maximum and a narrow minimum
-      inside), so the cell is first narrowed to the swap point by
-      bisection on that overlap.
+      |<v0(t)|v0(t+1)>| < 1/sqrt(2), whether or not the gap slope turns
+      there.  The gap need not be unimodal on such a cell (a wider local
+      minimum, or a maximum, may sit beside a narrow minimum), so the
+      cell is first narrowed to the swap point by bisection on that
+      overlap.
 
     The gap at s=1 is exact (H(1) is diagonal), so a candidate inside the
     interval must beat it by more than a probe's round-off.  An s=1 result
@@ -427,21 +443,16 @@ def min_gap(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if pair.dim < 2:
         raise ValueError("gap undefined for a one-dimensional space")
-    if sweep is not None:
-        ss = sweep.grid
-        if ss[0] != 0.0 or ss[-1] != 1.0:
-            raise ValueError(f"sweep grid must run from 0 to 1, got [{ss[0]}, {ss[-1]}]")
-        # A sweep orders a degenerate cluster by gauge, not by value: take
-        # the two lowest levels by value at every point.
-        lowest = np.argsort(sweep.energies, axis=1, kind="stable")[:, :2]
-        energies = np.take_along_axis(sweep.energies, lowest, axis=1)
-        vectors = np.take_along_axis(sweep.vectors, lowest[:, None, :], axis=2)
-    else:
-        ss = np.linspace(0.0, 1.0, coarse_points)
-        energies = np.empty((len(ss), 2))
-        vectors = np.empty((len(ss), pair.dim, 2))
-        for t, s in enumerate(ss):
-            energies[t], vectors[t] = _eigensolve(pair, s, levels=2, grid_point=True)
+    if sweep is None:
+        sweep = _coarse_sweep(pair, coarse_points)
+    ss = sweep.grid
+    if ss[0] != 0.0 or ss[-1] != 1.0:
+        raise ValueError(f"sweep grid must run from 0 to 1, got [{ss[0]}, {ss[-1]}]")
+    # A sweep orders a degenerate cluster by gauge, not by value: take the
+    # two lowest levels by value at every point.
+    lowest = np.argsort(sweep.energies, axis=1, kind="stable")[:, :2]
+    energies = np.take_along_axis(sweep.energies, lowest, axis=1)
+    vectors = np.take_along_axis(sweep.vectors, lowest[:, None, :], axis=2)
     gaps = energies[:, 1] - energies[:, 0]
     deg_tol = degeneracy_tolerance(
         np.concatenate([[np.max(np.abs(pair.h1_diag))], gaps])
@@ -457,11 +468,11 @@ def min_gap(
     best = (float(ss[i]), float(gaps[i]))
     for a, b in brackets:
         best = _golden_section(pair, float(ss[a]), float(ss[b]), gaps[a], gaps[b], tol, *best)
-    # A swap cell inside the argmin bracket is refined once more: the golden
-    # section over that bracket assumes a unimodal gap, which a swap cell
-    # need not have.
+    # Every swap cell is refined once more, also one inside a bracket above:
+    # the golden section over a bracket assumes a unimodal gap, which a
+    # swap cell need not have.
     overlaps = np.abs(np.einsum("ti,ti->t", vectors[:-1, :, 0], vectors[1:, :, 0]))
-    for j in np.flatnonzero((overlaps < _SWAP_OVERLAP) & ~turns):
+    for j in np.flatnonzero(overlaps < _SWAP_OVERLAP):
         cell = _bisect_swap(
             pair, float(ss[j]), float(ss[j + 1]), vectors[j, :, 0], vectors[j + 1, :, 0],
             gaps[j], gaps[j + 1], tol,
@@ -485,8 +496,8 @@ def decompose_interpolated(pair: HamiltonianPair, s: float) -> tuple[np.ndarray,
 
 
 def _hdot_apply(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
-    """(H1 - H0) applied to a vector or to matrix columns (the schedule
-    derivative of H(s))."""
+    """(H1 - H0) applied to a vector, to matrix columns or to a stack of
+    them (the schedule derivative of H(s))."""
     if v.ndim == 1:
         return pair.h1_diag * v - pair.h0 @ v
     return pair.h1_diag[:, None] * v - pair.h0 @ v

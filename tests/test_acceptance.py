@@ -15,19 +15,12 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from mingap.cli import main as cli_main
+from mingap.cli import derivative_checks, identity_checks, main as cli_main
 
 from mingap.basis import enumerate_basis
 from mingap.clique import brute_force, random_instance, toy_example_1
 from mingap.hamiltonian import build_clique_target, clique_pair
-from mingap.spectral import (
-    decompose_interpolated,
-    eigenvalue_derivative,
-    eigenvalue_second_derivative,
-    eigenvector_derivative,
-    energy_identity_residual,
-    gap_identity_residual,
-)
+from mingap.spectral import decompose_interpolated
 from mingap.anticrossing import (
     build_report,
     gap_decomposition_residual,
@@ -100,76 +93,48 @@ def test_criterion_1_encoding_correctness():
     assert elapsed < 5.0
 
 
+def _asserted(checks):
+    """The checks of a verify group that carry a tolerance."""
+    return [c for c in checks if c["status"] in ("pass", "fail")]
+
+
 def test_criterion_2_projection_identities(bundles):
     start = time.perf_counter()
-    worst = 0.0
+    checks = []
     for name, alpha in (("toy1", 0.0), ("toy1", 0.5), ("toy2", 0.0), ("toy2", 0.5)):
         pair = bundles(name, alpha).pair
-        for s in np.linspace(0.0, 1.0, 21):
-            dec = decompose_interpolated(pair, s)
-            w = dec[0]
-            delta = float(w[1] - w[0])
-            for k in range(pair.dim):
-                for i in range(pair.dim):
-                    r = energy_identity_residual(pair, s, i, k, decomposition=dec)
-                    if r is not None:
-                        worst = max(worst, abs(r) / (1.0 + abs(w[k])))
-            for i in range(pair.dim):
-                r = gap_identity_residual(pair, s, i, decomposition=dec)
-                if r is not None:
-                    worst = max(worst, abs(r) / (1.0 + delta))
+        dense = [(s, decompose_interpolated(pair, s)) for s in np.linspace(0.0, 1.0, 21)]
+        checks += _asserted(identity_checks(pair, dense))
+    worst = max(checks, key=lambda c: c["value"])
+    failed = [c for c in checks if c["status"] != "pass"]
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and elapsed < 10.0
+    ok = not failed and elapsed < 10.0
     record_criterion(
         2, ok,
-        f"eigenvalue/gap projection identities, max relative residual {worst:.2e} "
-        f"<= 1e-08 ({elapsed:.1f}s)",
+        f"eigenvalue/gap projection identities, max relative residual {worst['value']:.2e} "
+        f"<= {worst['tolerance']:.0e} ({elapsed:.1f}s)",
     )
-    assert worst <= 1e-8
+    assert not failed, failed
     assert elapsed < 10.0
 
 
 def test_criterion_3_derivatives_vs_finite_differences(bundles):
     start = time.perf_counter()
     b = bundles("toy1", 0.5)
-    pair = b.pair
     points = [s for s in np.linspace(0.04, 0.96, 24) if abs(s - b.mg.s_star) > 0.03][:20]
     assert len(points) == 20
-    worst1 = worst2 = worstv = 0.0
-    for s in points:
-        h = 1e-5
-        wp = decompose_interpolated(pair, s + h)[0]
-        wm = decompose_interpolated(pair, s - h)[0]
-        worst1 = max(worst1, abs(eigenvalue_derivative(pair, s, 0) - (wp[0] - wm[0]) / (2 * h)))
-
-        h2 = 1e-4
-        wp2 = decompose_interpolated(pair, s + h2)[0]
-        wm2 = decompose_interpolated(pair, s - h2)[0]
-        w0 = decompose_interpolated(pair, s)[0]
-        worst2 = max(
-            worst2,
-            abs(eigenvalue_second_derivative(pair, s, 0) - (wp2[0] + wm2[0] - 2 * w0[0]) / h2**2),
-        )
-
-        v0 = decompose_interpolated(pair, s)[1][:, 0]
-        vp = decompose_interpolated(pair, s + h)[1][:, 0]
-        vm = decompose_interpolated(pair, s - h)[1][:, 0]
-        vp = vp if vp @ v0 >= 0 else -vp
-        vm = vm if vm @ v0 >= 0 else -vm
-        worstv = max(
-            worstv,
-            float(np.linalg.norm(eigenvector_derivative(pair, s, 0) - (vp - vm) / (2 * h))),
-        )
+    checks = _asserted(derivative_checks(b.pair, points))
+    assert len(checks) == 3
+    failed = [c for c in checks if c["status"] != "pass"]
     elapsed = time.perf_counter() - start
-    ok = worst1 <= 1e-6 and worst2 <= 1e-5 and worstv <= 1e-6 and elapsed < 10.0
+    ok = not failed and elapsed < 10.0
     record_criterion(
         3, ok,
-        f"derivatives vs central differences: {worst1:.1e}/{worst2:.1e}/{worstv:.1e} "
-        f"<= 1e-06/1e-05/1e-06 ({elapsed:.1f}s)",
+        "derivatives vs finite differences: "
+        + "/".join(f"{c['value']:.1e}" for c in checks) + " <= "
+        + "/".join(f"{c['tolerance']:.0e}" for c in checks) + f" ({elapsed:.1f}s)",
     )
-    assert worst1 <= 1e-6
-    assert worst2 <= 1e-5
-    assert worstv <= 1e-6
+    assert not failed, failed
     assert elapsed < 10.0
 
 

@@ -163,13 +163,26 @@ def test_verify_identities_evaluate_one_matrix_per_point(runner, monkeypatch):
 
 def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
     calls = count_calls(monkeypatch, ["decompose_interpolated"])
+    one_level = []
+    original = spectral._eigensolve
+
+    def recording(pair, s, levels=None, vectors=True, grid_point=False):
+        if levels == 1:
+            one_level.append(s)
+        return original(pair, s, levels=levels, vectors=vectors, grid_point=grid_point)
+
+    for module in (cli, spectral):
+        monkeypatch.setattr(module, "_eigensolve", recording)
     result = runner.invoke(
         main, ["verify", "--fixture", "toy1", "--grid", "201", "--checks", "derivatives"]
     )
     assert result.exit_code == 0, result.output
-    # 10 samples, each decomposed at s, s +- 1e-5 and s +- 1e-4
-    assert len(calls) == 5 * 10
-    assert len({args[1] for args in calls}) == len(calls)
+    # 10 samples, each decomposed in full at s, and the ground level alone
+    # solved at s +- 1e-5 (with vectors), s, s +- 5e-4 and s +- 1e-3
+    assert len(calls) == 10
+    assert len({args[1] for args in calls}) == 10
+    assert len(one_level) == 7 * 10
+    assert len(set(one_level)) == len(one_level)
 
 
 @pytest.mark.parametrize("checks", ["normalization", "normalization,identities"])
@@ -203,17 +216,37 @@ def test_verify_degenerate_skips_solution_checks(runner):
         "degenerate" in checks["normalization"]["detail"]
 
 
-def test_verify_checks_subset(runner):
+# the checks each group of ``mingap verify`` emits, in its order
+GROUP_CHECKS = {
+    "encoding": ["encoding"],
+    "normalization": ["normalization", "consistency"],
+    "identities": ["energy_identity", "gap_identity", "failure_condition"],
+    "derivatives": ["eigenvalue_derivative", "eigenvalue_second_derivative",
+                    "eigenvector_derivative"],
+    "decomposition": ["gap_decomposition"],
+    "bound": ["epsilon_bound"],
+    "ratios": ["squared_gap_bounds"],
+    "rotation": ["rotation", "solution_derivative"],
+}
+MEASUREMENTS = ["choi_measurement", "solution_swap_measurement"]
+
+
+def _verify_names(runner, *extra):
     result = runner.invoke(
-        main,
-        ["verify", "--fixture", "toy1", "--alpha", "0.5", "--grid", "101",
-         "--checks", "encoding"],
+        main, ["verify", "--fixture", "toy1", "--alpha", "0.5", "--grid", "101", *extra]
     )
-    assert result.exit_code == 0
-    summary = json.loads(result.output)
-    names = [c["name"] for c in summary["runs"][0]["checks"]]
-    assert "encoding" in names
-    assert "energy_identity" not in names
+    assert result.exit_code == 0, result.output
+    return [c["name"] for c in json.loads(result.output)["runs"][0]["checks"]]
+
+
+def test_verify_runs_every_group_in_table_order(runner):
+    assert list(GROUP_CHECKS) == list(cli.CHECK_NAMES)
+    assert _verify_names(runner) == sum(GROUP_CHECKS.values(), []) + MEASUREMENTS
+
+
+@pytest.mark.parametrize("group", cli.CHECK_NAMES)
+def test_verify_checks_subset(runner, group):
+    assert _verify_names(runner, "--checks", group) == GROUP_CHECKS[group] + MEASUREMENTS
 
 
 def test_verify_unknown_check(runner):

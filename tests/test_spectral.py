@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mingap import anticrossing, spectral
 from mingap.anticrossing import build_report, wilkinson_fit
 from mingap.basis import enumerate_basis
-from mingap.cli import main
+from mingap.cli import derivative_checks, identity_checks, main
 from mingap.clique import random_instance, toy_example_1, toy_example_2
 from mingap.hamiltonian import (
     HamiltonianPair,
@@ -381,6 +381,18 @@ def test_min_gap_finds_a_dip_inside_a_cell_the_ground_vector_swaps_across():
     assert_matches_fine_scan(pair, min_gap(pair, sweep=swp))
 
 
+def test_min_gap_narrows_a_swap_cell_where_the_gap_slope_turns():
+    # the gap slope turns from negative to positive across the last cell,
+    # which holds a wide local minimum (6.1e-4 at s~0.99992) and, where
+    # the ground vector swaps character, a narrow one (3.5e-13 at
+    # s~0.98239); a golden section over the whole cell stops in the wide one
+    instance = random_instance(8, 4, 0.5, 0.5, 1.5, seed=223765, alpha=0.03125)
+    pair = clique_pair(instance.graph)
+    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51)))
+    assert res.delta_min < 1e-12
+    assert_matches_fine_scan(pair, res)
+
+
 def test_min_gap_keeps_the_exact_gap_at_s1_over_round_off():
     # three final levels within 2e-183: the gap falls to s=1, where H is
     # diagonal and reads 1.7e-184 exactly; the golden section on the
@@ -423,43 +435,25 @@ def test_derivative_trace_identity():
         assert total == pytest.approx(expected, abs=1e-9)
 
 
+def assert_checks_pass(checks):
+    assert all(c["status"] == "pass" for c in checks if c["status"] != "report"), checks
+
+
 def test_derivatives_match_finite_differences():
     pair = clique_pair(toy_example_1(0.5).graph)
-    rng = np.random.default_rng(5)
     s_star = min_gap(pair).s_star
-    count = 0
-    while count < 20:
-        s = float(rng.uniform(0.05, 0.95))
-        if abs(s - s_star) < 0.03:
-            continue
-        count += 1
-        h = 1e-5
-        wp = decompose_interpolated(pair, s + h)[0]
-        wm = decompose_interpolated(pair, s - h)[0]
-        assert eigenvalue_derivative(pair, s, 0) == pytest.approx(
-            (wp[0] - wm[0]) / (2 * h), abs=1e-6
-        )
-        h2 = 1e-4
-        wp2 = decompose_interpolated(pair, s + h2)[0]
-        wm2 = decompose_interpolated(pair, s - h2)[0]
-        w0 = decompose_interpolated(pair, s)[0]
-        assert eigenvalue_second_derivative(pair, s, 0) == pytest.approx(
-            (wp2[0] + wm2[0] - 2 * w0[0]) / h2**2, abs=1e-5
-        )
+    samples = np.random.default_rng(5).uniform(0.05, 0.95, 40)
+    points = [float(s) for s in samples if abs(s - s_star) >= 0.03][:20]
+    assert len(points) == 20
+    assert_checks_pass(derivative_checks(pair, points))
 
 
 def test_vector_derivative_orthogonal_and_fd():
     pair = clique_pair(toy_example_1(0.5).graph)
     for s in (0.2, 0.45, 0.6):
-        w, v = decompose_interpolated(pair, s)
-        dv = eigenvector_derivative(pair, s, 0)
-        assert abs(dv @ v[:, 0]) <= 1e-12
-        h = 1e-5
-        vp = decompose_interpolated(pair, s + h)[1][:, 0]
-        vm = decompose_interpolated(pair, s - h)[1][:, 0]
-        vp = vp if vp @ v[:, 0] >= 0 else -vp
-        vm = vm if vm @ v[:, 0] >= 0 else -vm
-        assert np.linalg.norm(dv - (vp - vm) / (2 * h)) <= 1e-6
+        v = decompose_interpolated(pair, s)[1]
+        assert abs(eigenvector_derivative(pair, s, 0) @ v[:, 0]) <= 1e-12
+    assert_checks_pass(derivative_checks(pair, (0.2, 0.45, 0.6)))
 
 
 def test_two_level_derivatives_closed_form():
@@ -513,17 +507,9 @@ def test_energy_identity_guard_returns_none():
 
 
 def test_energy_identity_on_grid(bundles):
-    b = bundles("toy1", 0.5)
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, 21):
-        dec = decompose_interpolated(b.pair, s)
-        w = dec[0]
-        for k in range(b.pair.dim):
-            for i in range(b.pair.dim):
-                r = energy_identity_residual(b.pair, s, i, k, decomposition=dec)
-                if r is not None:
-                    worst = max(worst, abs(r) / (1 + abs(w[k])))
-    assert worst <= 1e-8
+    pair = bundles("toy1", 0.5).pair
+    dense = [(s, decompose_interpolated(pair, s)) for s in np.linspace(0.0, 1.0, 21)]
+    assert_checks_pass(identity_checks(pair, dense))
 
 
 def test_energy_identity_transverse_zero_target():
