@@ -33,6 +33,7 @@ from .spectral import (
     _gap_at,
     _gap_slopes,
     _hdot_apply,
+    resolution_floor,
 )
 
 
@@ -179,18 +180,58 @@ class WilkinsonFit:
     valid: bool
 
 
-def _auto_fit_window(pair: HamiltonianPair, s_star: float, delta_min: float) -> tuple[float, float]:
-    """Largest symmetric window on which the gap stays below 3x its minimum."""
+def _auto_fit_window(
+    sweep: SpectralSweep, s_star: float, delta_min: float, lanczos: bool
+) -> tuple[float, float]:
+    """Largest symmetric window on the ladder of half-widths
+    cap * 0.999 / 1.3^n, n = 0 .. 199 (cap: the distance from s* to the
+    nearer end of [0, 1]), on which the gap stays at most 3x its minimum;
+    rung 200 when none does.
+
+    The search starts at the rung the hyperbola
+    Delta^2 = Delta_min^2 + a^2 (s - s*)^2 predicts, the first one within
+    the half-width sqrt(8) Delta_min / a where it reaches 3 Delta_min, with
+    the slope difference a read from the sweep's gaps at the grid points
+    either side of s*.  From there it walks up while the next wider rung
+    passes, or down to the first rung that passes; where the gap grows
+    away from s* this is the first passing rung from the top.  Probes are
+    solved as ``_eigensolve`` does with ``lanczos``."""
+    pair = sweep.pair
     cap = min(s_star, 1.0 - s_star)
     if cap <= 0:
         raise ValueError("gap minimum sits at the boundary; no fit window")
-    half = cap * 0.999
-    target = 3.0 * delta_min
+    rungs = [cap * 0.999]
     for _ in range(200):
-        if max(_gap_at(pair, s_star - half), _gap_at(pair, s_star + half)) <= target:
-            break
-        half /= 1.3
-    return (s_star - half, s_star + half)
+        rungs.append(rungs[-1] / 1.3)
+    target = 3.0 * delta_min
+
+    def passes(n: int) -> bool:
+        if n == len(rungs) - 1:
+            return True
+        half = rungs[n]
+        edges = (_gap_at(pair, s_star - half, lanczos), _gap_at(pair, s_star + half, lanczos))
+        return max(edges) <= target
+
+    grid = sweep.grid
+    around = np.clip(
+        [np.searchsorted(grid, s_star, side="left") - 1, np.searchsorted(grid, s_star, side="right")],
+        0, len(grid) - 1,
+    )
+    levels = np.sort(sweep.energies[around], axis=1)
+    edge = levels[:, 1] - levels[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.sqrt(np.maximum(edge**2 - delta_min**2, 0.0)) / np.abs(grid[around] - s_star)
+        predicted = np.sqrt(8.0) * delta_min / np.max(slope)
+    # a NaN prediction (no slope read) starts at the widest rung
+    n = min(int(np.count_nonzero(np.array(rungs) > predicted)), len(rungs) - 1)
+    if passes(n):
+        while n > 0 and passes(n - 1):
+            n -= 1
+    else:
+        n += 1
+        while not passes(n):
+            n += 1
+    return (s_star - rungs[n], s_star + rungs[n])
 
 
 def wilkinson_fit(
@@ -198,22 +239,29 @@ def wilkinson_fit(
     s_star: float,
     window: tuple[float, float] | None = None,
     samples: int = 25,
+    delta_min: float | None = None,
 ) -> WilkinsonFit:
     """Least-squares fit of the two lowest levels to the hyperbola branches
-    around ``s_star``.  The window defaults to the region where the gap is
-    at most three times its minimum; it is resampled at ``samples`` points
-    so sharp anti-crossings are resolved below the sweep grid spacing."""
+    around the gap minimum ``s_star``.  The window defaults to the region
+    where the gap is at most three times its minimum; it is resampled at
+    ``samples`` points so sharp anti-crossings are resolved below the sweep
+    grid spacing.  ``delta_min`` is the gap at s*, read there when not
+    given.  Every gap the fit reads is at least that minimum, so above
+    ``resolution_floor`` the window probes and the samples may take the
+    Lanczos route of ``_eigensolve``."""
     if samples < 7:
         raise ValueError(f"need at least 7 sample points, got {samples}")
     pair = sweep.pair
-    delta_min = _gap_at(pair, s_star)
+    if delta_min is None:
+        delta_min = _gap_at(pair, s_star)
+    lanczos = bool(delta_min > resolution_floor(pair, s_star))
     if window is None:
-        window = _auto_fit_window(pair, s_star, delta_min)
+        window = _auto_fit_window(sweep, s_star, delta_min, lanczos)
     lo, hi = window
     if not (0.0 <= lo < s_star < hi <= 1.0):
         raise ValueError(f"window {window} must bracket s*={s_star} inside [0, 1]")
     ss = np.linspace(lo, hi, samples)
-    e0, e1 = np.array([_eigensolve(pair, s, levels=2, vectors=False) for s in ss]).T
+    e0, e1 = np.array([_eigensolve(pair, s, levels=2, vectors=False, lanczos=lanczos) for s in ss]).T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0
@@ -430,6 +478,15 @@ def _star_context(pair: HamiltonianPair, partition: FinalLevelPartition, s_star:
 
 
 def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: float | None) -> float:
+    """Central-difference step around the gap minimum ``s_star``: ``h``
+    when given and inside the anti-crossing width, otherwise one chosen
+    from that width.  ``delta_min`` is resolved (above
+    ``resolution_floor``), and every gap probed here is at least that
+    minimum, so the probes may take the Lanczos route of ``_eigensolve``."""
+
+    def widest(x: float) -> float:
+        return max(_gap_at(pair, s_star - x, lanczos=True), _gap_at(pair, s_star + x, lanczos=True))
+
     cap = 0.9 * min(s_star, 1.0 - s_star)
     if cap <= 0:
         raise StepSizeError("gap minimum sits at the boundary")
@@ -438,22 +495,21 @@ def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: floa
             raise ValueError(f"step must lie in (0, 1e-4], got {h}")
         if h >= cap:
             raise StepSizeError(f"step {h} leaves [0, 1] around s*={s_star}")
-        widest = max(_gap_at(pair, s_star - h), _gap_at(pair, s_star + h))
-        if widest > 2.0 * delta_min:
+        edge = widest(h)
+        if edge > 2.0 * delta_min:
             raise StepSizeError(
-                f"gap grows to {widest:.3e} at s*+-{h:.1e} (over twice the minimum); shrink h"
+                f"gap grows to {edge:.3e} at s*+-{h:.1e} (over twice the minimum); shrink h"
             )
         return h
     probe = min(1e-3, cap)
-    edge = max(_gap_at(pair, s_star - probe), _gap_at(pair, s_star + probe))
+    edge = widest(probe)
     slope_diff = np.sqrt(max(edge**2 - delta_min**2, 0.0)) / probe
     if slope_diff > 0:
         h = min(1e-4, cap / 2.0, 0.02 * delta_min / slope_diff)
     else:
         h = min(1e-4, cap / 2.0)
     while h > 1e-12:
-        widest = max(_gap_at(pair, s_star - h), _gap_at(pair, s_star + h))
-        if widest <= 2.0 * delta_min:
+        if widest(h) <= 2.0 * delta_min:
             return h
         h /= 2.0
     raise StepSizeError("could not find a step inside the anti-crossing width")
@@ -468,13 +524,13 @@ def _central_differences(star: _StarContext, h: float | None):
     from the anti-crossing width when ``h`` is None) and the two lowest
     eigenvectors at s* + step and s* - step, sign-aligned with s*."""
     pair = star.pair
-    if star.delta <= 0:
+    if star.delta <= resolution_floor(pair, star.s):
         raise ValueError(_unresolved(star))
     coupling = float(star.v[:, 0] @ _hdot_apply(pair, star.v[:, 1]))
     if abs(coupling) < 1e-300:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
     h = _select_step(pair, star.s, star.delta, h)
-    (_, vp), (_, vm) = _central_solves(pair, star.s, h, star.v[:, :2])
+    (_, vp), (_, vm) = _central_solves(pair, star.s, h, star.v[:, :2], lanczos=True)
     return coupling / star.delta, h, vp, vm
 
 
@@ -501,7 +557,8 @@ def _gap_decomposition(star: _StarContext) -> float:
     slope = float(_gap_slopes(star.pair, star.v[None, :, :2])[0])
     threshold = 1e-6 * (1.0 + delta) / max(1.0 - star.s, 1e-12)
     if abs(slope) > threshold:
-        cause = _unresolved(star) if delta <= 0 else "refine the gap minimum first"
+        unresolved = delta <= resolution_floor(star.pair, star.s)
+        cause = _unresolved(star) if unresolved else "refine the gap minimum first"
         raise StationarityError(
             f"|dDelta/ds| = {abs(slope):.3e} at s*={star.s} exceeds {threshold:.3e}; {cause}"
         )
@@ -707,7 +764,7 @@ def build_report(
     star = _star_context(pair, partition, mg.s_star)
 
     try:
-        wilk = wilkinson_fit(swp, mg.s_star)
+        wilk = wilkinson_fit(swp, mg.s_star, delta_min=mg.delta_min)
     except ValueError as err:
         wilk = None
         warnings.append(f"hyperbola fit skipped: {err}")

@@ -4,39 +4,46 @@ Every spectrum of H(s) comes from one function, ``_eigensolve``, which
 picks the solver from what is asked:
 
 * Lanczos (ARPACK ``eigsh`` from a fixed seeded start vector, to machine
-  precision) on the CSR form of H(s), for the lowest one or two levels at
-  a point of a grid laid out before any gap was read (a sweep, the coarse
-  scan of ``min_gap``), when d >= ``LANCZOS_MIN_DIM``, s < 1, the mixer
-  graph is connected and the final ground level is simple.  H(s) of a
-  swap mixer has 5-7 nonzeros per row; above the cut this beats the dense
-  reduction to tridiagonal form.  A Krylov space grown from one vector
-  holds one combination of each eigenspace.  So the solve can miss copies
-  of a degenerate level, and more than two levels stay dense.  It can also
-  return E2 for E1 where E1 - E0 is at the round-off of H(s), where the
-  dense solve reads about 0.  A connected mixer keeps E0 simple for s < 1
-  (Perron-Frobenius), but E1 - E0 still closes to round-off as s -> 1
-  when the final ground level is degenerate; such pairs, disconnected
-  mixers and s = 1 (H diagonal) stay dense.  What remains is a grid point
-  within about eps ||H|| / |dDelta/ds| of a narrow anti-crossing, or a
-  hand-built mixer of weakly linked parts whose ground states stay
-  degenerate over a range of s.  When ARPACK does not converge within
-  ``_LANCZOS_MAXITER`` restarts the point is solved densely.
+  precision) on the CSR form of H(s), for the lowest one or two levels
+  where the caller has no reason to expect E1 - E0 at the round-off of
+  H(s): at a point of a grid laid out before any gap was read (a sweep,
+  the coarse scan of ``min_gap``), and at a point placed after a gap
+  minimum above ``resolution_floor`` was found, whose gap is at least
+  that minimum (the window and samples of the hyperbola fit, the step
+  search around s* and the solves at s* +- h).  It also needs
+  d >= ``LANCZOS_MIN_DIM``, s < 1, a connected mixer graph and a simple
+  final ground level.  H(s) of a swap mixer has 5-7 nonzeros per row;
+  above the cut this beats the dense reduction to tridiagonal form.  A
+  Krylov space grown from one vector holds one combination of each
+  eigenspace.  So the solve can miss copies of a degenerate level, and
+  more than two levels stay dense.  It can also return E2 for E1 where
+  E1 - E0 is at the round-off of H(s), where the dense solve reads about
+  0.  A connected mixer keeps E0 simple for s < 1 (Perron-Frobenius), but
+  E1 - E0 still closes to round-off as s -> 1 when the final ground level
+  is degenerate; such pairs, disconnected mixers and s = 1 (H diagonal)
+  stay dense.  What remains is a grid point within about
+  eps ||H|| / |dDelta/ds| of a narrow anti-crossing, or a hand-built
+  mixer of weakly linked parts whose ground states stay degenerate over a
+  range of s.  When ARPACK does not converge within ``_LANCZOS_MAXITER``
+  restarts the point is solved densely.
 * Dense MRRR (LAPACK ``syevr``), the reference, in every other case: all
-  levels or the lowest few, with or without eigenvectors, and every point
-  placed by reading the gap (golden-section and bisection probes, the fit
-  samples and window, the steps around s*).  Those points close in on the
-  gap minimum, where E1 - E0 can be as small as the round-off of H(s),
-  and the dense solve reads the gap whatever its size.
+  levels or the lowest few, with or without eigenvectors, every point
+  that closes in on the gap minimum before it is known (the Brent and
+  bisection probes of ``min_gap``), every probe after a minimum below the
+  resolution floor, and the central differences of the derivative
+  checks.  Near the minimum E1 - E0 can be as small as the round-off of
+  H(s), and the dense solve reads the gap whatever its size.
 
 On it rest the checked full eigendecomposition, gauge-continuous sweeps
 over an s-grid (of every level, or of the lowest few only), min-gap
-location (golden-section refinement of the brackets a coarse grid gives:
-the cells around its smallest gap, every cell where the Hellmann-Feynman
-gap slope turns from negative to positive, and every cell across which
-the ground vector swaps character; the grid is a sweep's own when one is
-at hand), perturbation-theory derivatives of eigenvalues and
-eigenvectors, and the residuals of the projection identities that relate
-any eigenpair to the mixer neighborhood of a basis state.
+location (Brent refinement on Delta^2 of the brackets a coarse grid
+gives: the cells around its smallest gap, every cell where the
+Hellmann-Feynman gap slope turns from negative to positive, and every
+cell across which the ground vector swaps character; the grid is a
+sweep's own when one is at hand), perturbation-theory derivatives of
+eigenvalues and eigenvectors, and the residuals of the projection
+identities that relate any eigenpair to the mixer neighborhood of a
+basis state.
 
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
@@ -77,7 +84,8 @@ _PROBE_ROUNDOFF = 8
 # across the cell is below this (it turns by more than 45 degrees).
 _SWAP_OVERLAP = np.sqrt(0.5)
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Golden-section step of Brent's method, as a fraction of the longer side.
+_GOLDEN_STEP = (3.0 - np.sqrt(5.0)) / 2.0
 
 
 class EigendecompositionError(RuntimeError):
@@ -113,8 +121,12 @@ def _lanczos(pair: HamiltonianPair, s: float, levels: int, vectors: bool = True)
     last bits.  Raises ``scipy.sparse.linalg.ArpackError`` (no convergence
     within ``_LANCZOS_MAXITER`` restarts among them)."""
     start = np.random.default_rng(_LANCZOS_SEED).uniform(-1.0, 1.0, pair.dim)
+    h = interpolate_csr(pair, s)
+    # ARPACK reads H only through products with one vector; a bare matvec
+    # skips the column-matrix product a wrapped sparse matrix goes through
+    op = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.__matmul__, dtype=h.dtype)
     w, v = scipy.sparse.linalg.eigsh(
-        interpolate_csr(pair, s), k=levels, which="SA", tol=0, v0=start, maxiter=_LANCZOS_MAXITER
+        op, k=levels, which="SA", tol=0, v0=start, maxiter=_LANCZOS_MAXITER
     )
     order = np.argsort(w)
     return (w[order], v[:, order]) if vectors else w[order]
@@ -125,18 +137,21 @@ def _eigensolve(
     s: float,
     levels: int | None = None,
     vectors: bool = True,
-    grid_point: bool = False,
+    lanczos: bool = False,
 ):
     """The one route to a spectrum of H(s): the lowest ``levels``
     eigenvalues (all of them when None), ascending; with ``vectors``,
-    (eigenvalues, eigenvectors as columns).  ``grid_point`` says that s
-    belongs to a grid laid out before any gap was read.  Lanczos for one
-    or two levels at such a point when d >= LANCZOS_MIN_DIM, s < 1, the
-    mixer is connected and the final ground level is simple; dense MRRR
-    otherwise, and where ARPACK fails (see the module docstring).  A
-    failure of the dense solver raises EigendecompositionError."""
+    (eigenvalues, eigenvectors as columns).  ``lanczos`` says that the
+    caller has no reason to expect E1 - E0 at the round-off of H(s) at s:
+    s belongs to a grid laid out before any gap was read, or the gap there
+    is at least a minimum already found above ``resolution_floor``.
+    Lanczos for one or two levels at such a point when d >= LANCZOS_MIN_DIM,
+    s < 1, the mixer is connected and the final ground level is simple;
+    dense MRRR otherwise, and where ARPACK fails (see the module
+    docstring).  A failure of the dense solver raises
+    EigendecompositionError."""
     if (
-        grid_point
+        lanczos
         and levels is not None
         and levels <= 2
         and pair.dim >= LANCZOS_MIN_DIM
@@ -242,10 +257,15 @@ def _align_signs(reference: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _central_solves(pair: HamiltonianPair, s: float, h: float, reference: np.ndarray):
+def _central_solves(
+    pair: HamiltonianPair, s: float, h: float, reference: np.ndarray, lanczos: bool = False
+):
     """(w, v) of the lowest ``reference.shape[1]`` levels at s + h and at
-    s - h, the vectors sign-aligned with ``reference``."""
-    solves = (_eigensolve(pair, x, levels=reference.shape[1]) for x in (s + h, s - h))
+    s - h, the vectors sign-aligned with ``reference``; ``lanczos`` as for
+    ``_eigensolve``."""
+    solves = (
+        _eigensolve(pair, x, levels=reference.shape[1], lanczos=lanczos) for x in (s + h, s - h)
+    )
     return [(w, _align_signs(reference, v)) for w, v in solves]
 
 
@@ -278,7 +298,7 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     prev = None
     for t, s in enumerate(grid):
         try:
-            w, v = _eigensolve(pair, s, levels=keep, grid_point=True)
+            w, v = _eigensolve(pair, s, levels=keep, lanczos=True)
         except EigendecompositionError as err:
             raise EigendecompositionError(f"at s={s}: {err}") from err
         if prev is None:
@@ -309,12 +329,24 @@ class MinGapResult:
         return iter((self.s_star, self.delta_min))
 
 
-def _gap_at(pair: HamiltonianPair, s: float) -> float:
-    w = _eigensolve(pair, s, levels=2, vectors=False)
+def resolution_floor(pair: HamiltonianPair, s: float) -> float:
+    """Smallest gap float64 resolves at s: p(d) eps ||H(s)||, the form of
+    LAPACK's eigenvalue error bound, with a generous p(d) = d^2 and the norm
+    bounded by (1-s) ||H0||_inf + s max|H1|.  p(d) = d is too small: on toy2
+    at alpha=0.66666 float64 reports a gap of 4.2e-14 ~ 100 eps ||H|| (d=20)
+    where 50-digit arithmetic gives 3.7e-19."""
+    norm = (1.0 - s) * float(np.max(np.sum(np.abs(pair.h0), axis=1))) + s * float(
+        np.max(np.abs(pair.h1_diag))
+    )
+    return pair.dim**2 * float(np.finfo(float).eps) * norm
+
+
+def _gap_at(pair: HamiltonianPair, s: float, lanczos: bool = False) -> float:
+    w = _eigensolve(pair, s, levels=2, vectors=False, lanczos=lanczos)
     return float(w[1] - w[0])
 
 
-def _golden_section(
+def _brent(
     pair: HamiltonianPair,
     a: float,
     b: float,
@@ -324,41 +356,77 @@ def _golden_section(
     best_s: float,
     best_g: float,
 ) -> tuple[float, float]:
-    """Golden-section search for the gap minimum on [a, b] (gaps ``fa``,
-    ``fb`` at the ends) down to an s-uncertainty of ``tol``, then one probe
-    at the vertex of the parabola through Delta^2 at the final bracket.
+    """Brent's minimization of Delta^2 on [a, b] (gaps ``fa``, ``fb`` at the
+    ends) down to an s-uncertainty of ``tol``, then one probe at the vertex
+    of the parabola through the smallest Delta^2 probed inside and its
+    neighbours among the probes and the ends.
 
     Near an anti-crossing the gap is the hyperbola
-    Delta^2 = Delta_min^2 + c^2 (s - s*)^2, so that vertex is s* up to
-    round-off, also when the anti-crossing is narrower than ``tol`` and
-    the golden-section probes alone would leave up to c*tol in Delta.
-    Returns the smallest probed gap, or (``best_s``, ``best_g``) when no
-    probe is strictly below it."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = _gap_at(pair, c), _gap_at(pair, d)
-    while b - a > tol:
-        if fc < fd:
-            b, fb, d, fd = d, fd, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _gap_at(pair, c)
+    Delta^2 = Delta_min^2 + c^2 (s - s*)^2, a parabola in s, which the
+    parabolic steps fit exactly; a golden-section step is taken whenever a
+    parabolic one is not acceptable (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).  The closing vertex is
+    s* up to round-off also when the anti-crossing is narrower than ``tol``
+    and the probes alone would leave up to c*tol in Delta.  Returns the
+    smallest probed gap, or (``best_s``, ``best_g``) when no probe is
+    strictly below it."""
+    probes = {a: fa, b: fb}
+
+    def square(s: float) -> float:
+        probes[s] = _gap_at(pair, s)
+        return probes[s] ** 2
+
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = square(x)
+    step = last = 0.0
+    small = 0.5 * tol
+    while max(x - a, b - x) > tol:
+        mid = 0.5 * (a + b)
+        golden = True
+        if abs(last) > small:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                # parabolic step, kept at least ``small`` inside the bracket
+                last, step, golden = step, p / q, False
+                if x + step - a < tol or b - (x + step) < tol:
+                    step = small if mid >= x else -small
+        if golden:
+            last = (a if x >= mid else b) - x
+            step = _GOLDEN_STEP * last
+        u = x + (step if abs(step) >= small else (small if step > 0 else -small))
+        fu = square(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, fa, c, fc = c, fc, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _gap_at(pair, d)
-        if fc < best_g:
-            best_s, best_g = c, fc
-        if fd < best_g:
-            best_s, best_g = d, fd
-    lo, mid, hi = (a, c, d) if fc < fd else (c, d, b)
-    glo, gmid, ghi = (fa**2, fc**2, fd**2) if fc < fd else (fc**2, fd**2, fb**2)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    ss = sorted(probes)  # the ends first and last
+    k = min(range(1, len(ss) - 1), key=lambda j: probes[ss[j]])
+    lo, mid, hi = ss[k - 1 : k + 2]
+    glo, gmid, ghi = (probes[t] ** 2 for t in (lo, mid, hi))
     p = (mid - lo) ** 2 * (gmid - ghi) - (mid - hi) ** 2 * (gmid - glo)
     q = 2.0 * ((mid - lo) * (gmid - ghi) - (mid - hi) * (gmid - glo))
     if q != 0 and lo < mid - p / q < hi:
-        vertex = mid - p / q
-        fv = _gap_at(pair, vertex)
-        if fv < best_g:
-            best_s, best_g = vertex, fv
+        square(mid - p / q)
+    for s, g in list(probes.items())[2:]:  # past the two ends
+        if g < best_g:
+            best_s, best_g = s, g
     return best_s, best_g
 
 
@@ -417,9 +485,10 @@ def min_gap(
 
     The coarse data are the two lowest eigenpairs on a grid: those of
     ``sweep`` when given (its grid must run from 0 to 1), otherwise those
-    of a two-level sweep on ``coarse_points`` evenly spaced s.  Golden-section
-    refinement, closed by one parabolic probe on Delta^2, runs on every
-    candidate bracket and the smallest gap wins:
+    of a two-level sweep on ``coarse_points`` evenly spaced s.  Brent's
+    minimization of Delta^2, closed by one probe at the vertex of the
+    parabola through the smallest probed Delta^2 and its neighbours, runs
+    on every candidate bracket, and the smallest gap wins:
 
     * the cells on either side of the smallest grid gap, when that lies
       inside the interval;
@@ -467,17 +536,17 @@ def min_gap(
         brackets = [(i - 1, i + 1)] + [(j, k) for j, k in brackets if not i - 1 <= j <= i]
     best = (float(ss[i]), float(gaps[i]))
     for a, b in brackets:
-        best = _golden_section(pair, float(ss[a]), float(ss[b]), gaps[a], gaps[b], tol, *best)
+        best = _brent(pair, float(ss[a]), float(ss[b]), gaps[a], gaps[b], tol, *best)
     # Every swap cell is refined once more, also one inside a bracket above:
-    # the golden section over a bracket assumes a unimodal gap, which a
-    # swap cell need not have.
+    # the search over a bracket assumes a unimodal gap, which a swap cell
+    # need not have.
     overlaps = np.abs(np.einsum("ti,ti->t", vectors[:-1, :, 0], vectors[1:, :, 0]))
     for j in np.flatnonzero(overlaps < _SWAP_OVERLAP):
         cell = _bisect_swap(
             pair, float(ss[j]), float(ss[j + 1]), vectors[j, :, 0], vectors[j + 1, :, 0],
             gaps[j], gaps[j + 1], tol,
         )
-        best = _golden_section(pair, *cell, tol, *best)
+        best = _brent(pair, *cell, tol, *best)
     s_star, delta = best
     # H(1) is diagonal, so the gap read there is exact; a probe inside the
     # interval beats it only by more than the probe's own round-off

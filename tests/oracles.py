@@ -226,24 +226,42 @@ def first_order_rotation(h0, h1_diag, s: float, solution_index: int):
 
 def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
     """Gap minimum from ``numpy.linalg.eigvalsh`` gaps on ``points`` evenly
-    spaced s, refined by bounded scalar minimization on the cells either
-    side of the smallest of them; an endpoint wins when nothing inside
-    is lower."""
+    spaced s and on 1000 more s = 1 - u with u log-spaced from 1e-12 up to
+    the even spacing, refined by bounded scalar minimization on the
+    cells either side of every local minimum of that grid: the smallest
+    gap, and every other one that lies below both neighbours by more than
+    the round-off d^2 eps ||H||.  An endpoint wins when nothing inside is
+    lower.
+
+    The log-spaced tail is there for dips at s -> 1 narrower than the even
+    spacing: where final levels lie within a small alpha, the gap can fall
+    to a V far narrower than a cell and saturate at the final splitting
+    beside it, a plateau in which a bounded search of the whole cell stops."""
     from scipy.optimize import minimize_scalar
 
     def gap(s):
         w = np.linalg.eigvalsh(_interpolated(h0, h1_diag, s))
         return float(w[1] - w[0])
 
-    ss = np.linspace(0.0, 1.0, points)
+    spacing = 1.0 / (points - 1)
+    ss = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, points), 1.0 - np.geomspace(1e-12, spacing, 1000, endpoint=False)
+    ]))
     gaps = np.array([gap(s) for s in ss])
-    i = int(np.argmin(gaps))
-    # Search the offset from ss[i]: the bounded method's tolerance grows
-    # with |x|, so an offset near zero resolves s to about xatol.
-    lo, hi = ss[max(i - 1, 0)] - ss[i], ss[min(i + 1, points - 1)] - ss[i]
-    res = minimize_scalar(
-        lambda u: gap(ss[i] + u), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    if res.fun < gaps[i]:
-        return float(ss[i] + res.x), float(res.fun)
-    return float(ss[i]), float(gaps[i])
+    norm = np.max(np.abs(h0).sum(axis=1)) + np.max(np.abs(h1_diag))
+    floor = len(h1_diag) ** 2 * np.finfo(float).eps * norm
+    padded = np.concatenate([[np.inf], gaps, [np.inf]])
+    below = np.minimum(padded[:-2], padded[2:]) - gaps
+    # a tie goes to the last point, s = 1, where H is diagonal and the gap exact
+    i_min = len(gaps) - 1 - int(np.argmin(gaps[::-1]))
+    best_s, best_g = float(ss[i_min]), float(gaps[i_min])
+    for i in sorted({i_min, *np.flatnonzero(below > floor)}):
+        # Search the offset from ss[i]: the bounded method's tolerance grows
+        # with |x|, so an offset near zero resolves s to about xatol.
+        lo, hi = ss[max(i - 1, 0)] - ss[i], ss[min(i + 1, len(ss) - 1)] - ss[i]
+        res = minimize_scalar(
+            lambda u: gap(ss[i] + u), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+        )
+        if res.fun < best_g:
+            best_s, best_g = float(ss[i] + res.x), float(res.fun)
+    return best_s, best_g

@@ -13,8 +13,8 @@ from mingap.hamiltonian import (
     clique_pair,
     interpolate,
 )
-from mingap import spectral
-from mingap.spectral import DegeneracyError, min_gap, sweep as spectral_sweep
+from mingap import anticrossing, spectral
+from mingap.spectral import DegeneracyError, min_gap, resolution_floor, sweep as spectral_sweep
 from mingap.anticrossing import (
     StationarityError,
     StepSizeError,
@@ -199,6 +199,61 @@ def test_wilkinson_rejects_straight_levels():
     fit = wilkinson_fit(swp, 0.5, window=(0.3, 0.7))
     assert not fit.valid
     assert fit.rms_residual <= 1e-10  # parallel lines fit perfectly, yet no bend
+
+
+def _linear_ladder_window(pair, s_star, delta_min):
+    """The fit window of a walk down the whole ladder: the first half-width
+    cap * 0.999 / 1.3^n, n = 0 .. 199, on which the dense gap stays at most
+    3 Delta_min, or n = 200."""
+    cap = min(s_star, 1.0 - s_star)
+    half = cap * 0.999
+    for _ in range(200):
+        edges = (spectral._gap_at(pair, s_star - half), spectral._gap_at(pair, s_star + half))
+        if max(edges) <= 3.0 * delta_min:
+            break
+        half /= 1.3
+    return (s_star - half, s_star + half)
+
+
+def _assert_window_of_the_ladder(monkeypatch, pair, swp):
+    """The fit window at the sweep's gap minimum is the linear ladder's, in
+    at most four rungs; returns False (and checks nothing) where the gap
+    minimum is not resolved."""
+    mg = min_gap(pair, sweep=swp)
+    resolved = bool(mg.delta_min > resolution_floor(pair, mg.s_star))
+    if not resolved:
+        return False
+    probes = []
+
+    def counting(pair, s, lanczos=False):
+        probes.append(s)
+        return spectral._gap_at(pair, s, lanczos)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(anticrossing, "_gap_at", counting)
+        window = anticrossing._auto_fit_window(swp, mg.s_star, mg.delta_min, resolved)
+    assert window == _linear_ladder_window(pair, mg.s_star, mg.delta_min)
+    assert len(probes) <= 8
+    return True
+
+
+@pytest.mark.parametrize("builder", [toy_example_1, toy_example_2])
+def test_fit_window_is_the_ladder_rung_found_from_the_hyperbola(monkeypatch, builder):
+    # the alpha ladder of the benchmark's toy workload; its last rungs fall
+    # below the resolution floor on toy2 (and on toy1 at 0.66666)
+    alphas = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.63, 0.66, 0.6666, 0.66666)
+    resolved = 0
+    for alpha in alphas:
+        pair = clique_pair(builder(alpha).graph)
+        swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 1001), levels=2)
+        resolved += _assert_window_of_the_ladder(monkeypatch, pair, swp)
+    assert resolved >= 9
+
+
+def test_fit_window_is_the_ladder_rung_above_the_lanczos_cut(monkeypatch):
+    pair = clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 201), levels=2)
+    assert _assert_window_of_the_ladder(monkeypatch, pair, swp)
 
 
 def test_wilkinson_window_validation(bundles):
@@ -455,7 +510,7 @@ def test_report_names_an_unresolved_gap_as_the_skip_cause():
     pair = clique_pair(toy_example_2(0.66666).graph)
     report, _, _ = build_report(pair)
     star = _star_context(pair, partition_final_levels(pair), report.s_star)
-    assert star.delta == 0.0, "float64 is expected to read no gap at this s*"
+    assert star.delta <= resolution_floor(pair, star.s), "float64 is expected to read no gap at this s*"
     coupling = float(star.v[:, 0] @ spectral._hdot_apply(pair, star.v[:, 1]))
     assert abs(coupling) > 1e-9  # the levels do couple; the gap is what is lost
     skips = [w for w in report.warnings if "skipped" in w]
@@ -507,8 +562,9 @@ def test_report_brackets_the_gap_minimum_on_its_sweep(bundles, monkeypatch):
     original = spectral._gap_at
     monkeypatch.setattr(spectral, "_gap_at", counting)
     report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
-    # golden section on the two cells around the smallest sweep gap; no scan
-    assert len(calls) <= 45
+    # Brent's search on the two cells around the smallest sweep gap, and
+    # its closing vertex probe; no scan (the golden section made 38)
+    assert len(calls) <= 15
     assert report.s_star == pytest.approx(b.mg.s_star, abs=1e-7)
 
 

@@ -166,10 +166,10 @@ def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
     one_level = []
     original = spectral._eigensolve
 
-    def recording(pair, s, levels=None, vectors=True, grid_point=False):
+    def recording(pair, s, levels=None, vectors=True, lanczos=False):
         if levels == 1:
             one_level.append(s)
-        return original(pair, s, levels=levels, vectors=vectors, grid_point=grid_point)
+        return original(pair, s, levels=levels, vectors=vectors, lanczos=lanczos)
 
     for module in (cli, spectral):
         monkeypatch.setattr(module, "_eigensolve", recording)

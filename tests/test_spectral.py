@@ -24,6 +24,7 @@ from mingap.hamiltonian import (
     build_transverse_field,
     clique_pair,
     interpolate,
+    interpolate_csr,
 )
 from mingap.spectral import (
     LANCZOS_MIN_DIM,
@@ -235,14 +236,14 @@ def test_partial_sweep_level_count():
 
 
 def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch):
-    calls, grid_calls = [], []
+    calls, lanczos_calls = [], []
     original = spectral._eigensolve
 
-    def counting(pair, s, levels=None, vectors=True, grid_point=False):
+    def counting(pair, s, levels=None, vectors=True, lanczos=False):
         calls.append((levels, vectors))
-        if grid_point:
-            grid_calls.append(s)
-        return original(pair, s, levels=levels, vectors=vectors, grid_point=grid_point)
+        if lanczos:
+            lanczos_calls.append(s)
+        return original(pair, s, levels=levels, vectors=vectors, lanczos=lanczos)
 
     for module in (spectral, anticrossing):
         monkeypatch.setattr(module, "_eigensolve", counting)
@@ -256,8 +257,13 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     assert calls.count((None, True)) == 1
     assert {levels for levels, _ in calls} == {None, 2}
     assert calls.count((2, True)) == 201 + 2
-    # the sweep points alone may take the Lanczos route
-    assert np.array_equal(grid_calls, swp.grid)
+    # the Lanczos route is open to the sweep points and, the gap minimum
+    # being resolved, to the probes placed after it: 4 fit-window probes,
+    # 25 fit samples, 4 step probes and s* +- h; min_gap's refinement
+    # probes and s* stay dense
+    assert report.delta_min > spectral.resolution_floor(pair, report.s_star)
+    assert np.array_equal(lanczos_calls[:201], swp.grid)
+    assert len(lanczos_calls) == 201 + 4 + 25 + 4 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +396,18 @@ def test_min_gap_narrows_a_swap_cell_where_the_gap_slope_turns():
     pair = clique_pair(instance.graph)
     res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51)))
     assert res.delta_min < 1e-12
+    assert_matches_fine_scan(pair, res)
+
+
+def test_min_gap_finds_a_dip_beside_the_final_splitting():
+    # final levels within alpha=1e-8: between s=1 and s=1-5.3e-9 the gap
+    # sits at the final splitting 1.9e-10, then falls in a V of width
+    # 3e-10 to a few 1e-15 at s=1-5.5e-9 (40-digit mpmath: 2.9e-15); a
+    # bounded search of the whole last cell stops on the plateau
+    instance = random_instance(8, 4, 0.5, 0.5, 1.5, seed=223765, alpha=1e-8)
+    pair = clique_pair(instance.graph)
+    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 101)))
+    assert res.delta_min < 1e-13 and 0.0 < 1.0 - res.s_star < 1e-8
     assert_matches_fine_scan(pair, res)
 
 
@@ -734,17 +752,32 @@ def test_lanczos_runs_where_it_is_exact_and_mrrr_elsewhere(monkeypatch):
         ((_two_copies_pair(), 0.5, 2, True), "_mrrr"),
         ((_two_copies_pair(1e-8), 0.5, 2, True), "_mrrr"),
     ]
-    for (pair, s, levels, grid_point), route in cases:
+    for (pair, s, levels, lanczos), route in cases:
         routes.clear()
-        spectral._eigensolve(pair, s, levels=levels, vectors=False, grid_point=grid_point)
-        assert routes == [route], (pair.dim, s, levels, grid_point)
+        spectral._eigensolve(pair, s, levels=levels, vectors=False, lanczos=lanczos)
+        assert routes == [route], (pair.dim, s, levels, lanczos)
+
+
+def test_lanczos_is_arpack_on_the_csr_matrix():
+    # the operator ARPACK gets is only the CSR product: eigenpairs bit for
+    # bit those of eigsh on the CSR matrix itself
+    pair = _above_the_cut()
+    start = np.random.default_rng(spectral._LANCZOS_SEED).uniform(-1.0, 1.0, pair.dim)
+    for s in np.linspace(0.0, 0.98, 50):
+        w, v = spectral._lanczos(pair, s, 2)
+        w_ref, v_ref = scipy.sparse.linalg.eigsh(
+            interpolate_csr(pair, s), k=2, which="SA", tol=0, v0=start,
+            maxiter=spectral._LANCZOS_MAXITER,
+        )
+        order = np.argsort(w_ref)
+        assert np.array_equal(w, w_ref[order]) and np.array_equal(v, v_ref[:, order]), s
 
 
 def test_sparse_form_lives_and_dies_with_its_pair():
     # H0's CSR form is kept on the pair, in no cache and no reference
     # cycle: dropping the pair frees it without a garbage collection
     pair = _above_the_cut()
-    spectral._eigensolve(pair, 0.5, levels=2, grid_point=True)
+    spectral._eigensolve(pair, 0.5, levels=2, lanczos=True)
     assert "csr_terms" in vars(pair) and "mixer_connected" in vars(pair)
     ref = weakref.ref(pair)
     gc.disable()
@@ -762,8 +795,8 @@ def test_more_than_two_levels_stay_dense_at_a_degenerate_level():
     # may drop copies of the sixth
     pair = clique_pair(random_instance(9, 4, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph, "transverse_field")
     assert pair.dim >= LANCZOS_MIN_DIM
-    two = spectral._eigensolve(pair, 0.0, levels=2, vectors=False, grid_point=True)
-    six = spectral._eigensolve(pair, 0.0, levels=6, vectors=False, grid_point=True)
+    two = spectral._eigensolve(pair, 0.0, levels=2, vectors=False, lanczos=True)
+    six = spectral._eigensolve(pair, 0.0, levels=6, vectors=False, lanczos=True)
     assert np.max(np.abs(two - [-9.0, -7.0])) <= 1e-12
     assert np.max(np.abs(six - [-9.0, -7.0, -7.0, -7.0, -7.0, -7.0])) <= 1e-12
 
@@ -815,18 +848,18 @@ def _narrow_crossing_above_the_cut(coupling, start):
     return HamiltonianPair(basis=basis, h0=h0, h1_diag=build_diagonal_target(target, basis))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: _narrow_crossing_above_the_cut(1e-12, 0.7),
-        lambda: _narrow_crossing_above_the_cut(1e-16, 1.3),
-        # Delta_min 1.8e-15 at s* = 0.99916
-        lambda: clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=2, alpha=1e-3).graph),
-    ],
-    ids=["vee-1e-12", "vee-1e-16", "random-d462"],
-)
-def test_narrow_minimum_above_the_cut_matches_a_dense_run(monkeypatch, build):
-    pair = build()
+# Gap minima above the cut and below the resolution floor.
+_NARROW_MINIMA = {
+    "vee-1e-12": lambda: _narrow_crossing_above_the_cut(1e-12, 0.7),
+    "vee-1e-16": lambda: _narrow_crossing_above_the_cut(1e-16, 1.3),
+    # Delta_min 1.8e-15 at s* = 0.99916
+    "random-d462": lambda: clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=2, alpha=1e-3).graph),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NARROW_MINIMA))
+def test_narrow_minimum_above_the_cut_matches_a_dense_run(monkeypatch, name):
+    pair = _NARROW_MINIMA[name]()
     assert pair.dim >= LANCZOS_MIN_DIM and pair.mixer_connected
     grid = np.linspace(0.0, 1.0, 101)
     res = min_gap(pair, sweep=sweep(pair, grid, levels=2))
@@ -843,6 +876,55 @@ def test_narrow_minimum_above_the_cut_matches_a_dense_run(monkeypatch, build):
     w_ref = scipy.linalg.eigvalsh(interpolate(pair, ref.s_star), subset_by_index=[0, 1])
     assert np.max(np.abs(w - w_ref)) <= 1e-12
     assert abs((w[1] - w[0]) - (w_ref[1] - w_ref[0])) <= floor
+
+
+def _report_routes(monkeypatch, pair, grid_points):
+    """``build_report`` on ``pair``; returns the report and the solver
+    routes taken by min_gap and after it."""
+    routes = _recording_routes(monkeypatch)
+    marks = []
+    original = anticrossing.min_gap
+
+    def marking(*args, **kwargs):
+        marks.append(len(routes))
+        result = original(*args, **kwargs)
+        marks.append(len(routes))
+        return result
+
+    monkeypatch.setattr(anticrossing, "min_gap", marking)
+    report, _, _ = build_report(pair, grid_points=grid_points)
+    return report, routes[marks[0] : marks[1]], routes[marks[1] :]
+
+
+def test_probes_after_a_resolved_gap_minimum_run_lanczos(monkeypatch):
+    # the report-d462 instance: every gap the report reads after min_gap
+    # is at least a Delta_min above the resolution floor
+    pair = clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    report, refinement, after = _report_routes(monkeypatch, pair, 201)
+    assert report.delta_min > spectral.resolution_floor(pair, report.s_star)
+    assert report.wilkinson is not None and report.rotation is not None
+    assert refinement and set(refinement) == {"_mrrr"}
+    # s* in full, then the fit window and samples, the step probes, s* +- h
+    assert after[0] == "_mrrr" and set(after[1:]) == {"_lanczos"}
+    assert len(after) >= 1 + 2 + 25 + 2 + 2
+
+
+@pytest.mark.parametrize("name", sorted(_NARROW_MINIMA))
+def test_probes_after_an_unresolved_gap_minimum_stay_dense(monkeypatch, name):
+    pair = _NARROW_MINIMA[name]()
+    report, _, after = _report_routes(monkeypatch, pair, 101)
+    assert 0.0 < report.s_star < 1.0
+    assert report.delta_min <= spectral.resolution_floor(pair, report.s_star)
+    assert report.wilkinson is not None
+    assert after and set(after) == {"_mrrr"}
+
+
+def test_verify_derivative_group_solves_densely(monkeypatch):
+    # its central differences read no gap at all, so none of its solves
+    # may take the Lanczos route
+    routes = _recording_routes(monkeypatch)
+    derivative_checks(_above_the_cut(), [0.3, 0.7])
+    assert routes and set(routes) == {"_mrrr"}
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
