@@ -180,9 +180,7 @@ class WilkinsonFit:
     valid: bool
 
 
-def _auto_fit_window(
-    sweep: SpectralSweep, s_star: float, delta_min: float, lanczos: bool
-) -> tuple[float, float]:
+def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> tuple[float, float]:
     """Largest symmetric window on the ladder of half-widths
     cap * 0.999 / 1.3^n, n = 0 .. 199 (cap: the distance from s* to the
     nearer end of [0, 1]), on which the gap stays at most 3x its minimum;
@@ -194,8 +192,9 @@ def _auto_fit_window(
     the slope difference a read from the sweep's gaps at the grid points
     either side of s*.  From there it walks up while the next wider rung
     passes, or down to the first rung that passes; where the gap grows
-    away from s* this is the first passing rung from the top.  Probes are
-    solved as ``_eigensolve`` does with ``lanczos``."""
+    away from s* this is the first passing rung from the top.  ``delta_min``
+    is above ``resolution_floor`` and every gap probed is at least that
+    minimum, so the probes may take the Lanczos route of ``_eigensolve``."""
     pair = sweep.pair
     cap = min(s_star, 1.0 - s_star)
     if cap <= 0:
@@ -209,7 +208,8 @@ def _auto_fit_window(
         if n == len(rungs) - 1:
             return True
         half = rungs[n]
-        edges = (_gap_at(pair, s_star - half, lanczos), _gap_at(pair, s_star + half, lanczos))
+        edges = (_gap_at(pair, s_star - half, lanczos=True),
+                 _gap_at(pair, s_star + half, lanczos=True))
         return max(edges) <= target
 
     grid = sweep.grid
@@ -248,20 +248,24 @@ def wilkinson_fit(
     grid spacing.  ``delta_min`` is the gap at s*, read there when not
     given.  Every gap the fit reads is at least that minimum, so above
     ``resolution_floor`` the window probes and the samples may take the
-    Lanczos route of ``_eigensolve``."""
+    Lanczos route of ``_eigensolve``; at or below it the default window
+    is not sought (the fit is skipped with the unresolved-gap cause), and a
+    given window is sampled densely."""
     if samples < 7:
         raise ValueError(f"need at least 7 sample points, got {samples}")
     pair = sweep.pair
     if delta_min is None:
         delta_min = _gap_at(pair, s_star)
-    lanczos = bool(delta_min > resolution_floor(pair, s_star))
+    resolved = bool(delta_min > resolution_floor(pair, s_star))
     if window is None:
-        window = _auto_fit_window(sweep, s_star, delta_min, lanczos)
+        if not resolved:
+            raise ValueError(_unresolved(s_star, delta_min))
+        window = _auto_fit_window(sweep, s_star, delta_min)
     lo, hi = window
     if not (0.0 <= lo < s_star < hi <= 1.0):
         raise ValueError(f"window {window} must bracket s*={s_star} inside [0, 1]")
     ss = np.linspace(lo, hi, samples)
-    e0, e1 = np.array([_eigensolve(pair, s, levels=2, vectors=False, lanczos=lanczos) for s in ss]).T
+    e0, e1 = np.array([_eigensolve(pair, s, levels=2, vectors=False, lanczos=resolved) for s in ss]).T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0
@@ -515,8 +519,8 @@ def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: floa
     raise StepSizeError("could not find a step inside the anti-crossing width")
 
 
-def _unresolved(star: _StarContext) -> str:
-    return f"the gap at s*={star.s} is not resolved in float64 (it reads {star.delta:.3e})"
+def _unresolved(s_star: float, delta: float) -> str:
+    return f"the gap at s*={s_star} is not resolved in float64 (it reads {delta:.3e})"
 
 
 def _central_differences(star: _StarContext, h: float | None):
@@ -525,7 +529,7 @@ def _central_differences(star: _StarContext, h: float | None):
     eigenvectors at s* + step and s* - step, sign-aligned with s*."""
     pair = star.pair
     if star.delta <= resolution_floor(pair, star.s):
-        raise ValueError(_unresolved(star))
+        raise ValueError(_unresolved(star.s, star.delta))
     coupling = float(star.v[:, 0] @ _hdot_apply(pair, star.v[:, 1]))
     if abs(coupling) < 1e-300:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
@@ -558,7 +562,7 @@ def _gap_decomposition(star: _StarContext) -> float:
     threshold = 1e-6 * (1.0 + delta) / max(1.0 - star.s, 1e-12)
     if abs(slope) > threshold:
         unresolved = delta <= resolution_floor(star.pair, star.s)
-        cause = _unresolved(star) if unresolved else "refine the gap minimum first"
+        cause = _unresolved(star.s, delta) if unresolved else "refine the gap minimum first"
         raise StationarityError(
             f"|dDelta/ds| = {abs(slope):.3e} at s*={star.s} exceeds {threshold:.3e}; {cause}"
         )

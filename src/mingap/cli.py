@@ -202,12 +202,15 @@ def _report(name, result, fields, detail=""):
 def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
     """The energy and gap projection identities, relative to 1 + |E_k| and
     1 + Delta, and the smallest failure-condition ratio difference, over
-    ``decompositions``: (s, (eigenvalues, eigenvectors)) pairs of full
+    ``decompositions``: any iterable (a list, or a generator that solves
+    each point on demand) of (s, (eigenvalues, eigenvectors)) pairs of full
     decompositions of H(s)."""
     worst5 = worst6 = 0.0
     best7 = None
+    points = 0
     unique_gs = _final_ground_simple(pair)
     for s, dec in decompositions:
+        points += 1
         w = dec[0]
         # fmax skips the NaN entries, whose components are guarded
         r5 = energy_identity_residuals(pair, s, decomposition=dec)
@@ -219,7 +222,10 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
             r = failure_condition_residual(pair, s, decomposition=dec)
             if r is not None and (best7 is None or abs(r) < abs(best7)):
                 best7 = r
-    detail = f"max relative residual over {len(decompositions)} grid points"
+        # the loop variables would otherwise hold them while the next
+        # point is solved
+        del dec, r5
+    detail = f"max relative residual over {points} grid points"
     results = [_bounded("energy_identity", worst5, 1e-8, detail),
                _bounded("gap_identity", worst6, 1e-8, detail)]
     if best7 is not None:
@@ -275,14 +281,33 @@ class _Run:
     pair: HamiltonianPair
     report: AntiCrossingReport
     series: OverlapSeries | None
+    checks: tuple[str, ...]
 
     @cached_property
-    def dense(self):
-        """Full decompositions at 21 evenly spaced s, for the groups that read
-        every level.  All are solved before any check reads them: at d=252
-        that took 0.26 s, against 0.6 s alternated with the identity
-        products (2-core Xeon, OpenBLAS 0.3.31)."""
-        return [(s, decompose_interpolated(self.pair, s)) for s in np.linspace(0.0, 1.0, 21)]
+    def full_pass(self) -> tuple[list[dict], float]:
+        """One pass over 21 evenly spaced s for the groups that read every
+        level: the identity checks (when that group runs) and the largest
+        |v[gs] @ v[gs] - 1| of the solution state gs over all levels (0.0
+        without one).  Each point is decomposed in full once and dropped
+        before the next is solved, so one d x d decomposition is held at a
+        time rather than 21."""
+        gs = None if self.series is None else self.series.partition.unique_ground_index
+        deviation = 0.0
+
+        def points():
+            nonlocal deviation
+            for s in np.linspace(0.0, 1.0, 21):
+                dec = decompose_interpolated(self.pair, s)
+                if gs is not None:
+                    deviation = max(deviation, abs(float(dec[1][gs] @ dec[1][gs]) - 1.0))
+                yield s, dec
+                del dec
+
+        stream = points()
+        identities = identity_checks(self.pair, stream) if "identities" in self.checks else []
+        for _ in stream:  # the normalization group alone
+            pass
+        return identities, deviation
 
 
 def _encoding_checks(run: _Run) -> list[dict]:
@@ -308,9 +333,7 @@ def _normalization_checks(run: _Run) -> list[dict]:
         return [_bounded("normalization", dev, 1e-10),
                 _check("consistency", "skip",
                        detail="degenerate final ground state; no solution series")]
-    gs = series.partition.unique_ground_index
-    for _, (_, v) in run.dense:
-        dev = max(dev, abs(float(v[gs] @ v[gs]) - 1.0))
+    dev = max(dev, run.full_pass[1])
     cons = max(
         float(np.max(np.abs(series.solution[:, 0] - series.in_ground[:, 0]))),
         float(np.max(np.abs(series.solution[:, 1] - series.in_excited[:, 0]))),
@@ -373,7 +396,7 @@ def _rotation_checks(run: _Run) -> list[dict]:
 CHECKS = {
     "encoding": _encoding_checks,
     "normalization": _normalization_checks,
-    "identities": lambda run: identity_checks(run.pair, run.dense),
+    "identities": lambda run: run.full_pass[0],
     "derivatives": lambda run: derivative_checks(run.pair, _derivative_samples(run.report.s_star)),
     "decomposition": _decomposition_checks,
     "bound": _bound_checks,
@@ -386,7 +409,7 @@ CHECK_NAMES = tuple(CHECKS)
 def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
     pair = clique_pair(graph, mixer)
     report, _, series = build_report(pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
-    run = _Run(graph, pair, report, series)
+    run = _Run(graph, pair, report, series, cfg.checks)
     results = [c for name, group in CHECKS.items() if name in cfg.checks for c in group(run)]
     # the two swap measurements follow whatever groups ran
     for name, swap in (("choi_measurement", report.choi),

@@ -43,7 +43,9 @@ cell across which the ground vector swaps character; the grid is a
 sweep's own when one is at hand), perturbation-theory derivatives of
 eigenvalues and eigenvectors, and the residuals of the projection
 identities that relate any eigenpair to the mixer neighborhood of a
-basis state.
+basis state.  Every product with the mixer H0 (the schedule derivative
+H1 - H0, the neighbour sums of the identities, ||H0||_inf) runs on its
+CSR form.
 
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
@@ -335,9 +337,7 @@ def resolution_floor(pair: HamiltonianPair, s: float) -> float:
     bounded by (1-s) ||H0||_inf + s max|H1|.  p(d) = d is too small: on toy2
     at alpha=0.66666 float64 reports a gap of 4.2e-14 ~ 100 eps ||H|| (d=20)
     where 50-digit arithmetic gives 3.7e-19."""
-    norm = (1.0 - s) * float(np.max(np.sum(np.abs(pair.h0), axis=1))) + s * float(
-        np.max(np.abs(pair.h1_diag))
-    )
+    norm = (1.0 - s) * _h0_norm(pair) + s * float(np.max(np.abs(pair.h1_diag)))
     return pair.dim**2 * float(np.finfo(float).eps) * norm
 
 
@@ -550,7 +550,7 @@ def min_gap(
     s_star, delta = best
     # H(1) is diagonal, so the gap read there is exact; a probe inside the
     # interval beats it only by more than the probe's own round-off
-    norm = float(np.max(np.abs(pair.h0).sum(axis=1)) + np.max(np.abs(pair.h1_diag)))
+    norm = _h0_norm(pair) + float(np.max(np.abs(pair.h1_diag)))
     if gaps[-1] <= delta + _PROBE_ROUNDOFF * np.finfo(float).eps * norm:
         s_star, delta = 1.0, float(gaps[-1])
     return MinGapResult(
@@ -564,12 +564,29 @@ def decompose_interpolated(pair: HamiltonianPair, s: float) -> tuple[np.ndarray,
     return _eigensolve(pair, s)
 
 
+def _h0_apply(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
+    """H0 applied to a vector, to matrix columns or to a (T, d, m) stack of
+    them, as a product with its CSR form (5-7 nonzeros per row for the
+    swap mixers, where the dense product reads all d)."""
+    h0 = pair.csr_terms[0]
+    if v.ndim < 3:
+        return h0 @ v
+    t, d, m = v.shape
+    columns = v.transpose(1, 0, 2).reshape(d, t * m)
+    return (h0 @ columns).reshape(d, t, m).transpose(1, 0, 2)
+
+
+def _h0_norm(pair: HamiltonianPair) -> float:
+    """||H0||_inf, from its CSR form."""
+    return float(np.max(abs(pair.csr_terms[0]).sum(axis=1)))
+
+
 def _hdot_apply(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
     """(H1 - H0) applied to a vector, to matrix columns or to a stack of
     them (the schedule derivative of H(s))."""
     if v.ndim == 1:
-        return pair.h1_diag * v - pair.h0 @ v
-    return pair.h1_diag[:, None] * v - pair.h0 @ v
+        return pair.h1_diag * v - _h0_apply(pair, v)
+    return pair.h1_diag[:, None] * v - _h0_apply(pair, v)
 
 
 def _require_isolated(w: np.ndarray, k: int, s: float):
@@ -657,7 +674,7 @@ def _neighbour_ratios(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
     """<x_i|(-H0)|v_k> / <x_i|v_k> for every basis state i and column k of
     ``v``; NaN where the component is at or below the guard."""
     ratios = np.full(v.shape, np.nan)
-    np.divide(-(pair.h0 @ v), v, out=ratios, where=np.abs(v) > COMPONENT_GUARD)
+    np.divide(-_h0_apply(pair, v), v, out=ratios, where=np.abs(v) > COMPONENT_GUARD)
     return ratios
 
 

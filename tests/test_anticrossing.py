@@ -231,7 +231,7 @@ def _assert_window_of_the_ladder(monkeypatch, pair, swp):
 
     with monkeypatch.context() as patch:
         patch.setattr(anticrossing, "_gap_at", counting)
-        window = anticrossing._auto_fit_window(swp, mg.s_star, mg.delta_min, resolved)
+        window = anticrossing._auto_fit_window(swp, mg.s_star, mg.delta_min)
     assert window == _linear_ladder_window(pair, mg.s_star, mg.delta_min)
     assert len(probes) <= 8
     return True
@@ -514,9 +514,25 @@ def test_report_names_an_unresolved_gap_as_the_skip_cause():
     coupling = float(star.v[:, 0] @ spectral._hdot_apply(pair, star.v[:, 1]))
     assert abs(coupling) > 1e-9  # the levels do couple; the gap is what is lost
     skips = [w for w in report.warnings if "skipped" in w]
-    assert len(skips) == 3  # gap decomposition, rotation, solution derivative
+    assert len(skips) == 4  # hyperbola fit, gap decomposition, rotation, solution derivative
     assert all("not resolved in float64" in w for w in skips), skips
     assert not any("coupling" in w or "refine the gap minimum" in w for w in skips)
+
+
+def test_fit_of_an_unresolved_gap_is_skipped_with_that_cause():
+    # the report's Delta_min reads 0.0 here; a search for the default window
+    # would walk down the ladder to a rung narrower than one ulp of s*
+    pair = clique_pair(toy_example_2(0.6666).graph)
+    report, swp, _ = build_report(pair)
+    assert report.delta_min <= resolution_floor(pair, report.s_star)
+    cause = anticrossing._unresolved(report.s_star, report.delta_min)
+    assert report.wilkinson is None
+    assert f"hyperbola fit skipped: {cause}" in report.warnings
+    with pytest.raises(ValueError, match="not resolved in float64"):
+        wilkinson_fit(swp, report.s_star, delta_min=report.delta_min)
+    # a given window is still fitted
+    fit = wilkinson_fit(swp, report.s_star, window=(0.99, 0.995), delta_min=report.delta_min)
+    assert fit.window == (0.99, 0.995)
 
 
 def test_report_json_round_trip(bundles):

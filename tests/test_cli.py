@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from click.testing import CliRunner
 
 from mingap import anticrossing, cli, spectral
 from mingap.cli import instance_document, load_instance, main
-from mingap.clique import toy_example_1, toy_example_2
+from mingap.clique import CliqueInstance, random_instance, toy_example_1, toy_example_2
+from mingap.hamiltonian import clique_pair
 
 
 @pytest.fixture()
@@ -199,6 +201,30 @@ def test_verify_normalization_sums_full_rows_once_per_point(runner, monkeypatch,
     assert results["normalization"]["value"] <= 1e-10
     assert len(calls) == 21
     assert len({args[1] for args in calls}) == 21
+
+
+@pytest.mark.parametrize("builder, alpha", [(toy_example_1, 0.5), (toy_example_2, 0.2)])
+def test_identity_checks_read_a_generator_as_a_list(builder, alpha):
+    pair = clique_pair(builder(alpha).graph)
+    grid = np.linspace(0.0, 1.0, 21)
+    listed = [(s, spectral.decompose_interpolated(pair, s)) for s in grid]
+    streamed = ((s, spectral.decompose_interpolated(pair, s)) for s in grid)
+    assert cli.identity_checks(pair, streamed) == cli.identity_checks(pair, listed)
+
+
+def test_verify_holds_one_full_decomposition_at_a_time(runner, tmp_path):
+    # d=252: 21 decompositions held at once are 10.7 MB, one is 0.5 MB
+    graph = random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph
+    path = tmp_path / "d252.json"
+    path.write_text(json.dumps(instance_document(CliqueInstance(graph=graph, description="d252"))))
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["verify", "--instance", str(path), "--grid", "201"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code in (0, 1), result.output
+    assert peak < 8e6
 
 
 def test_verify_degenerate_skips_solution_checks(runner):

@@ -619,6 +619,79 @@ def test_identity_arrays_match_scalars_on_random_instances(n, data, seed, alpha,
     assert_identity_arrays_match_scalars(clique_pair(instance.graph, mixer), s)
 
 
+def assert_h0_products_match_dense(pair, s):
+    """The products with H0 on its CSR form against the dense ones, on a
+    vector, on matrix columns, on the (T, d, m) stack ``_gap_slopes``
+    passes, and in the neighbour ratios: the same guarded entries, and every
+    other entry within 1e-14 ||H0||_inf ||v|| of the dense product (||v|| of
+    the column the entry belongs to)."""
+    bound = 1e-14 * np.max(np.abs(pair.h0).sum(axis=1))
+    d = pair.dim
+    v = decompose_interpolated(pair, s)[1]
+    mixed = np.random.default_rng(0).standard_normal((d, 3))
+    stack = sweep(pair, np.linspace(0.0, 1.0, 5), levels=2).vectors
+    for x, norms in [
+        (v[:, 0], np.linalg.norm(v[:, 0])),
+        (mixed[:, 1], np.linalg.norm(mixed[:, 1])),
+        (v, np.linalg.norm(v, axis=0)),
+        (v[:, 2:], np.linalg.norm(v[:, 2:], axis=0)),
+        (mixed, np.linalg.norm(mixed, axis=0)),
+        (stack, np.linalg.norm(stack, axis=1)[:, None, :]),
+    ]:
+        target = pair.h1_diag[:, None] * x if x.ndim > 1 else pair.h1_diag * x
+        dense = target - pair.h0 @ x
+        csr = spectral._hdot_apply(pair, x)
+        assert csr.shape == dense.shape
+        assert np.all(np.abs(csr - dense) <= bound * norms)
+    for x in (v, v[:, :2], mixed):
+        ratios = spectral._neighbour_ratios(pair, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dense = np.where(np.abs(x) > spectral.COMPONENT_GUARD, -(pair.h0 @ x) / x, np.nan)
+        assert np.array_equal(np.isnan(ratios), np.isnan(dense))
+        live = ~np.isnan(dense)
+        limit = np.broadcast_to(bound * np.linalg.norm(x, axis=0), x.shape)
+        assert np.all((np.abs(ratios - dense) * np.abs(x))[live] <= limit[live])
+
+
+@pytest.mark.parametrize("name", ["toy1", "random-d252"])
+def test_h0_products_on_csr_match_dense(name):
+    if name == "toy1":
+        pair = clique_pair(toy_example_1(0.5).graph)
+    else:
+        pair = clique_pair(random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    for s in (0.0, 0.3, 0.7, 1.0):
+        assert_h0_products_match_dense(pair, s)
+    assert spectral._h0_norm(pair) == np.max(np.abs(pair.h0).sum(axis=1))
+    # with the dense h0 spoilt, the products, norms and slopes still read the CSR form
+    v = decompose_interpolated(pair, 0.3)[1]
+    stack = v[None, :, :2]
+    before = (spectral._hdot_apply(pair, v), spectral._neighbour_ratios(pair, v),
+              spectral._gap_slopes(pair, stack), spectral.resolution_floor(pair, 0.3))
+    spoilt = replace(pair)
+    object.__setattr__(spoilt, "h0", np.full_like(pair.h0, np.nan))
+    object.__setattr__(spoilt, "csr_terms", pair.csr_terms)
+    after = (spectral._hdot_apply(spoilt, v), spectral._neighbour_ratios(spoilt, v),
+             spectral._gap_slopes(spoilt, stack), spectral.resolution_floor(spoilt, 0.3))
+    for x, y in zip(before, after):
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n=st.integers(3, 7),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    s=st.floats(0.0, 1.0),
+)
+def test_h0_products_on_csr_match_dense_on_random_instances(n, data, seed, alpha, mixer, s):
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    assume(pair.dim <= 70)
+    assert_h0_products_match_dense(pair, s)
+
+
 def test_failure_condition_at_start_equals_mixer_gap():
     pair = clique_pair(toy_example_1(0.5).graph)
     w0, _ = eigendecompose(pair.h0)
@@ -915,8 +988,16 @@ def test_probes_after_an_unresolved_gap_minimum_stay_dense(monkeypatch, name):
     report, _, after = _report_routes(monkeypatch, pair, 101)
     assert 0.0 < report.s_star < 1.0
     assert report.delta_min <= spectral.resolution_floor(pair, report.s_star)
-    assert report.wilkinson is not None
+    # no fit window is sought at an unresolved minimum, and a given one is
+    # sampled densely
+    assert report.wilkinson is None
     assert after and set(after) == {"_mrrr"}
+    routes = _recording_routes(monkeypatch)
+    half = 0.5 * min(1e-3, report.s_star, 1.0 - report.s_star)
+    window = (report.s_star - half, report.s_star + half)
+    wilkinson_fit(sweep(pair, [0.0, 1.0], levels=2), report.s_star, window=window,
+                  delta_min=report.delta_min)
+    assert len(routes) == 2 + 25 and set(routes[2:]) == {"_mrrr"}
 
 
 def test_verify_derivative_group_solves_densely(monkeypatch):
