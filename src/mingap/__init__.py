@@ -41,6 +41,7 @@ from .spectral import (
     sweep,
 )
 from .anticrossing import (
+    AntiCrossingPoint,
     AntiCrossingReport,
     FinalLevelPartition,
     OverlapSeries,
@@ -81,7 +82,8 @@ __all__ = [
     "energy_identity_residual", "energy_identity_residuals", "failure_condition_residual",
     "gap_identity_residual", "gap_identity_residuals",
     "min_gap", "min_gap_bounds", "sweep",
-    "AntiCrossingReport", "FinalLevelPartition", "OverlapSeries", "RotationResult",
+    "AntiCrossingPoint", "AntiCrossingReport", "FinalLevelPartition", "OverlapSeries",
+    "RotationResult",
     "SolutionDerivativeResult", "StationarityError", "StepSizeError", "SwapMeasurement",
     "WilkinsonFit", "build_report", "compute_overlaps", "epsilon_bound_margin",
     "gap_decomposition_residual", "measure_choi", "measure_solution_swap",

@@ -15,6 +15,7 @@ never thresholded here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -89,15 +90,6 @@ def partition_final_levels(pair: HamiltonianPair, tol: float | None = None) -> F
 
 
 @dataclass(frozen=True)
-class PointOverlaps:
-    """Overlap families evaluated at a single s."""
-
-    in_ground: np.ndarray
-    in_excited: np.ndarray
-    solution: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class OverlapSeries:
     """Overlap families over the sweep grid.
 
@@ -106,9 +98,9 @@ class OverlapSeries:
     excited vector); ``solution[t, k]`` is the weight of the solution state
     in the k-th instantaneous vector, for the m levels the sweep kept
     (``solution`` has the shape (T, m); a column inside a degenerate
-    cluster that level m cuts holds an arbitrary mix of that cluster).
-    All are squared overlaps, so they are insensitive to the sweep's sign
-    gauge.
+    cluster that level m cuts holds an arbitrary mix of that cluster, and
+    it is None when the final ground level is degenerate).  All are
+    squared overlaps, so they are insensitive to the sweep's sign gauge.
     """
 
     grid: np.ndarray = field(repr=False)
@@ -118,28 +110,33 @@ class OverlapSeries:
     partition: FinalLevelPartition
     sweep: SpectralSweep
 
-    def at(self, s: float) -> PointOverlaps:
-        """Exact overlap values at an arbitrary s (fresh decomposition)."""
-        overlaps = _star_context(self.sweep.pair, self.partition, s).overlaps
-        return overlaps if self.solution is not None else replace(overlaps, solution=None)
+    def at(self, s: float) -> AntiCrossingPoint:
+        """H(s) decomposed once at s, with the local gauge fixed: the ground
+        vector has positive entry sum (it is sign-definite for these
+        mixers) and the excited vector points away from the solution state
+        (with a degenerate final ground level, it couples to the ground
+        vector with a nonnegative element of H1 - H0).  With this
+        convention beta comes out nonnegative at a genuine anti-crossing."""
+        pair = self.sweep.pair
+        gs = self.partition.unique_ground_index
+        w, v = decompose_interpolated(pair, s)
+        v = v.copy()
+        if float(np.sum(v[:, 0])) < 0:
+            v[:, 0] = -v[:, 0]
+        if v[gs, 1] > 0 if gs is not None else float(v[:, 0] @ _hdot_apply(pair, v[:, 1])) < 0:
+            v[:, 1] = -v[:, 1]
+        return AntiCrossingPoint(
+            series=self, s=s, delta=float(w[1] - w[0]), v=v,
+            in_ground=np.array([float(np.sum(v[m, 0] ** 2)) for m in self.partition.members]),
+            in_excited=np.array([float(np.sum(v[m, 1] ** 2)) for m in self.partition.members]),
+            solution=v[gs, :] ** 2 if gs is not None else None,
+        )
 
 
-def compute_overlaps(
-    sweep: SpectralSweep,
-    partition: FinalLevelPartition,
-    include_solution: bool | None = None,
-) -> OverlapSeries:
-    """Evaluate the overlap families on the sweep grid.
-
-    The solution series needs a unique final ground state; with
-    ``include_solution=None`` it is simply omitted when the ground level is
-    degenerate, while an explicit True then raises.
-    """
+def compute_overlaps(sweep: SpectralSweep, partition: FinalLevelPartition) -> OverlapSeries:
+    """Evaluate the overlap families on the sweep grid.  The solution
+    series is present exactly when the final ground state is unique."""
     gs = partition.unique_ground_index
-    if include_solution is None:
-        include_solution = gs is not None
-    if include_solution and gs is None:
-        raise DegeneracyError("solution series needs a unique final ground state")
     t_count = len(sweep.grid)
     levels = partition.level_count
     a = np.empty((t_count, levels))
@@ -148,11 +145,44 @@ def compute_overlaps(
         sel = list(members)
         a[:, l] = np.sum(sweep.vectors[:, sel, 0] ** 2, axis=1)
         b[:, l] = np.sum(sweep.vectors[:, sel, 1] ** 2, axis=1)
-    g = sweep.vectors[:, gs, :] ** 2 if include_solution else None
+    g = sweep.vectors[:, gs, :] ** 2 if gs is not None else None
     return OverlapSeries(
         grid=sweep.grid, in_ground=a, in_excited=b, solution=g,
         partition=partition, sweep=sweep,
     )
+
+
+@dataclass(frozen=True)
+class AntiCrossingPoint:
+    """One full decomposition of H(s) at one point (s* in a report), read
+    by every measurement there: the gap ``delta``, the gauged eigenvectors
+    ``v`` (see ``OverlapSeries.at``) and the overlap families at s, indexed
+    like one row of the series (``solution`` is None with a degenerate
+    final ground level)."""
+
+    series: OverlapSeries = field(repr=False)
+    s: float
+    delta: float
+    v: np.ndarray = field(repr=False)
+    in_ground: np.ndarray
+    in_excited: np.ndarray
+    solution: np.ndarray | None
+
+    @property
+    def pair(self) -> HamiltonianPair:
+        return self.series.sweep.pair
+
+    def differences(self, h: float | None = None):
+        """Rotation rate beta = <v_0|H1-H0|v_1>/Delta at s, the step (``h``,
+        or one selected from the anti-crossing width when it is None) and
+        the two lowest eigenvectors at s + step and s - step, sign-aligned
+        with s.  The auto-selected step is searched and solved once per
+        point."""
+        return self._auto_differences if h is None else _central_differences(self, h)
+
+    @cached_property
+    def _auto_differences(self):
+        return _central_differences(self, None)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +354,6 @@ class SwapMeasurement:
     window: tuple[float, float]
     direction_ok: bool
 
-    @property
-    def half_width(self) -> float:
-        lo, hi = self.window
-        return (hi - lo) / 2.0
-
 
 def _window_indices(grid: np.ndarray, lo: float, hi: float) -> np.ndarray:
     idx = np.nonzero((grid >= lo - 1e-15) & (grid <= hi + 1e-15))[0]
@@ -337,14 +362,15 @@ def _window_indices(grid: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return idx
 
 
-def _measure_choi_window(series: OverlapSeries, star: PointOverlaps, lo: float, hi: float) -> SwapMeasurement:
+def _measure_choi_window(point: AntiCrossingPoint, lo: float, hi: float) -> SwapMeasurement:
+    series = point.series
     idx = _window_indices(series.grid, lo, hi)
     a0 = series.in_ground[idx, 0]
     a1 = series.in_ground[idx, 1]
     b0 = series.in_excited[idx, 0]
     b1 = series.in_excited[idx, 1]
-    a0s, a1s = float(star.in_ground[0]), float(star.in_ground[1])
-    b0s, b1s = float(star.in_excited[0]), float(star.in_excited[1])
+    a0s, a1s = float(point.in_ground[0]), float(point.in_ground[1])
+    b0s, b1s = float(point.in_excited[0]), float(point.in_excited[1])
 
     pair_sum_min = min(
         float(np.min(a0 + a1)), float(np.min(b0 + b1)), a0s + a1s, b0s + b1s
@@ -366,11 +392,12 @@ def _measure_choi_window(series: OverlapSeries, star: PointOverlaps, lo: float, 
     )
 
 
-def _measure_solution_window(series: OverlapSeries, star: PointOverlaps, lo: float, hi: float) -> SwapMeasurement:
+def _measure_solution_window(point: AntiCrossingPoint, lo: float, hi: float) -> SwapMeasurement:
+    series = point.series
     idx = _window_indices(series.grid, lo, hi)
     g0 = series.solution[idx, 0]
     g1 = series.solution[idx, 1]
-    g0s, g1s = float(star.solution[0]), float(star.solution[1])
+    g0s, g1s = float(point.solution[0]), float(point.solution[1])
 
     clause1 = max(0.0, 1.0 - min(float(np.min(g0 + g1)), g0s + g1s))
     clause3 = max(g0[0], 1.0 - g0[-1], 1.0 - g1[0], g1[-1])
@@ -386,14 +413,13 @@ def _measure_solution_window(series: OverlapSeries, star: PointOverlaps, lo: flo
     )
 
 
-def _measure_swap(series: OverlapSeries, s_star: float, star: PointOverlaps, measure, window=None) -> SwapMeasurement:
+def _measure_swap(point: AntiCrossingPoint, measure, window=None) -> SwapMeasurement:
     """``measure`` on ``window``, or with ``window=None`` on every symmetric
-    window around s*, keeping the smallest-gamma measurement (the
-    definition only asks that some window works).  ``star`` holds the
-    overlaps at s*."""
+    window around the point, keeping the smallest-gamma measurement (the
+    definition only asks that some window works)."""
     if window is not None:
-        return measure(series, star, window[0], window[1])
-    grid = series.grid
+        return measure(point, window[0], window[1])
+    s_star, grid = point.s, point.series.grid
     spacing = float(np.median(np.diff(grid)))
     max_half = min(s_star - grid[0], grid[-1] - s_star)
     best = None
@@ -401,7 +427,7 @@ def _measure_swap(series: OverlapSeries, s_star: float, star: PointOverlaps, mea
     while m * spacing <= max_half + 1e-15:
         half = m * spacing
         try:
-            cand = measure(series, star, s_star - half, s_star + half)
+            cand = measure(point, s_star - half, s_star + half)
         except ValueError:
             m += 1
             continue
@@ -411,74 +437,37 @@ def _measure_swap(series: OverlapSeries, s_star: float, star: PointOverlaps, mea
     if best is None:
         return SwapMeasurement(
             satisfied=False, gamma=1.0,
-            epsilon=float(abs(star.in_ground[0] - 0.5)),
+            epsilon=float(abs(point.in_ground[0] - 0.5)),
             window=(s_star, s_star), direction_ok=False,
         )
     return best
 
 
 def measure_choi(
-    series: OverlapSeries, s_star: float, window: tuple[float, float] | None = None
+    point: AntiCrossingPoint, window: tuple[float, float] | None = None
 ) -> SwapMeasurement:
-    """Swap measurement on the four quantities (final ground and first
-    excited level inside each of the two lowest instantaneous vectors).
-    ``window=None`` optimizes over symmetric windows around s*."""
-    if series.partition.level_count < 2:
+    """Swap measurement at ``point`` on the four quantities (final ground
+    and first excited level inside each of the two lowest instantaneous
+    vectors).  ``window=None`` optimizes over symmetric windows around the
+    point."""
+    if point.series.partition.level_count < 2:
         raise ValueError("needs at least two final energy levels")
-    return _measure_swap(series, s_star, series.at(s_star), _measure_choi_window, window)
+    return _measure_swap(point, _measure_choi_window, window)
 
 
 def measure_solution_swap(
-    series: OverlapSeries, s_star: float, window: tuple[float, float] | None = None
+    point: AntiCrossingPoint, window: tuple[float, float] | None = None
 ) -> SwapMeasurement:
-    """Swap measurement on the solution state's weights in the two lowest
-    instantaneous levels (the relaxed parametrization; subsumes the
-    four-quantity one whenever that is satisfied)."""
-    if series.solution is None:
+    """Swap measurement at ``point`` on the solution state's weights in the
+    two lowest instantaneous levels (the relaxed parametrization; subsumes
+    the four-quantity one whenever that is satisfied)."""
+    if point.solution is None:
         raise DegeneracyError("solution series unavailable (degenerate final ground state)")
-    return _measure_swap(series, s_star, series.at(s_star), _measure_solution_window, window)
+    return _measure_swap(point, _measure_solution_window, window)
 
 
 # ---------------------------------------------------------------------------
-# the point s*: one decomposition shared by everything measured there
-
-
-@dataclass(frozen=True)
-class _StarContext:
-    """H(s) decomposed once at one point (s* in a report): the gap, the
-    gauged eigenvectors and the overlap families there."""
-
-    pair: HamiltonianPair
-    partition: FinalLevelPartition
-    s: float
-    delta: float
-    v: np.ndarray
-    overlaps: PointOverlaps
-
-
-def _star_context(pair: HamiltonianPair, partition: FinalLevelPartition, s_star: float) -> _StarContext:
-    """Decompose at s* and fix the local gauge: the ground vector has
-    positive entry sum (it is sign-definite for these mixers) and the
-    excited vector points away from the solution state.  With this
-    convention beta comes out nonnegative at a genuine anti-crossing."""
-    gs = partition.unique_ground_index
-    w, v = decompose_interpolated(pair, s_star)
-    v = v.copy()
-    if float(np.sum(v[:, 0])) < 0:
-        v[:, 0] = -v[:, 0]
-    if gs is not None:
-        if float(v[gs, 1]) > 0:
-            v[:, 1] = -v[:, 1]
-    else:
-        if float(v[:, 0] @ _hdot_apply(pair, v[:, 1])) < 0:
-            v[:, 1] = -v[:, 1]
-    overlaps = PointOverlaps(
-        in_ground=np.array([float(np.sum(v[m, 0] ** 2)) for m in partition.members]),
-        in_excited=np.array([float(np.sum(v[m, 1] ** 2)) for m in partition.members]),
-        solution=v[gs, :] ** 2 if gs is not None else None,
-    )
-    delta = float(w[1] - w[0])
-    return _StarContext(pair=pair, partition=partition, s=s_star, delta=delta, v=v, overlaps=overlaps)
+# finite differences at the gap minimum
 
 
 def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: float | None) -> float:
@@ -523,51 +512,43 @@ def _unresolved(s_star: float, delta: float) -> str:
     return f"the gap at s*={s_star} is not resolved in float64 (it reads {delta:.3e})"
 
 
-def _central_differences(star: _StarContext, h: float | None):
-    """Rotation rate beta = <v_0|H1-H0|v_1>/Delta at s*, the step (selected
-    from the anti-crossing width when ``h`` is None) and the two lowest
-    eigenvectors at s* + step and s* - step, sign-aligned with s*."""
-    pair = star.pair
-    if star.delta <= resolution_floor(pair, star.s):
-        raise ValueError(_unresolved(star.s, star.delta))
-    coupling = float(star.v[:, 0] @ _hdot_apply(pair, star.v[:, 1]))
+def _central_differences(point: AntiCrossingPoint, h: float | None):
+    """``AntiCrossingPoint.differences``, computed afresh."""
+    pair = point.pair
+    if point.delta <= resolution_floor(pair, point.s):
+        raise ValueError(_unresolved(point.s, point.delta))
+    coupling = float(point.v[:, 0] @ _hdot_apply(pair, point.v[:, 1]))
     if abs(coupling) < 1e-300:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
-    h = _select_step(pair, star.s, star.delta, h)
-    (_, vp), (_, vm) = _central_solves(pair, star.s, h, star.v[:, :2], lanczos=True)
-    return coupling / star.delta, h, vp, vm
+    h = _select_step(pair, point.s, point.delta, h)
+    (_, vp), (_, vm) = _central_solves(pair, point.s, h, point.v[:, :2], lanczos=True)
+    return coupling / point.delta, h, vp, vm
 
 
 # ---------------------------------------------------------------------------
 # identities at the gap minimum
 
 
-def gap_decomposition_residual(
-    sweep: SpectralSweep, partition: FinalLevelPartition, s_star: float
-) -> float:
+def gap_decomposition_residual(point: AntiCrossingPoint) -> float:
     """Residual of the stationary-point identity
 
         Delta(s*) = sum_k E_k(1) [b_k(s*) - a_k(s*)]
 
-    where a_k/b_k are the final-level weights inside the two lowest
-    instantaneous vectors.  Rejects s* where the gap derivative (computed
-    via Hellmann-Feynman) is too large for the identity's error to stay
-    within its contract."""
-    return _gap_decomposition(_star_context(sweep.pair, partition, s_star))
-
-
-def _gap_decomposition(star: _StarContext) -> float:
-    delta = star.delta
-    slope = float(_gap_slopes(star.pair, star.v[None, :, :2])[0])
-    threshold = 1e-6 * (1.0 + delta) / max(1.0 - star.s, 1e-12)
+    at ``point``, where a_k/b_k are the final-level weights inside the two
+    lowest instantaneous vectors.  Rejects a point where the gap derivative
+    (computed via Hellmann-Feynman) is too large for the identity's error
+    to stay within its contract."""
+    pair, s, delta = point.pair, point.s, point.delta
+    slope = float(_gap_slopes(pair, point.v[None, :, :2])[0])
+    threshold = 1e-6 * (1.0 + delta) / max(1.0 - s, 1e-12)
     if abs(slope) > threshold:
-        unresolved = delta <= resolution_floor(star.pair, star.s)
-        cause = _unresolved(star.s, delta) if unresolved else "refine the gap minimum first"
+        unresolved = delta <= resolution_floor(pair, s)
+        cause = _unresolved(s, delta) if unresolved else "refine the gap minimum first"
         raise StationarityError(
-            f"|dDelta/ds| = {abs(slope):.3e} at s*={star.s} exceeds {threshold:.3e}; {cause}"
+            f"|dDelta/ds| = {abs(slope):.3e} at s*={s} exceeds {threshold:.3e}; {cause}"
         )
     total = 0.0
-    for energy, a_k, b_k in zip(star.partition.energies, star.overlaps.in_ground, star.overlaps.in_excited):
+    for energy, a_k, b_k in zip(point.series.partition.energies, point.in_ground, point.in_excited):
         total += energy * (float(b_k) - float(a_k))
     return abs(delta - total)
 
@@ -622,22 +603,17 @@ class SolutionDerivativeResult:
     step: float
 
 
-def rotation_residuals(sweep: SpectralSweep, s_star: float, h: float | None = None) -> RotationResult:
+def rotation_residuals(point: AntiCrossingPoint, h: float | None = None) -> RotationResult:
     """Check d|v_0>/ds = -beta |v_1> and d|v_1>/ds = +beta |v_0> at the gap
-    minimum with gauge-aligned central differences (step auto-selected from
-    the anti-crossing width when ``h`` is None)."""
-    star = _star_context(sweep.pair, partition_final_levels(sweep.pair), s_star)
-    return _rotation(star, _central_differences(star, h))
-
-
-def _rotation(star: _StarContext, differences) -> RotationResult:
-    beta, h, vp, vm = differences
-    v = star.v
+    minimum ``point`` with gauge-aligned central differences (step
+    auto-selected from the anti-crossing width when ``h`` is None)."""
+    beta, h, vp, vm = point.differences(h)
+    v = point.v
     d0 = (vp[:, 0] - vm[:, 0]) / (2.0 * h)
     d1 = (vp[:, 1] - vm[:, 1]) / (2.0 * h)
     res0 = float(np.linalg.norm(d0 + beta * v[:, 1])) / abs(beta)
     res1 = float(np.linalg.norm(d1 - beta * v[:, 0])) / abs(beta)
-    upper = np.abs(v[:, :2].T @ _hdot_apply(star.pair, v[:, 2:]))
+    upper = np.abs(v[:, :2].T @ _hdot_apply(point.pair, v[:, 2:]))
     coupling_above = float(np.max(upper)) if upper.size else 0.0
     return RotationResult(
         residual_ground=res0,
@@ -649,22 +625,19 @@ def _rotation(star: _StarContext, differences) -> RotationResult:
 
 
 def solution_derivative_residuals(
-    series: OverlapSeries, s_star: float, h: float | None = None
+    point: AntiCrossingPoint, h: float | None = None
 ) -> SolutionDerivativeResult:
     """Central-difference derivatives of the solution weights g_0, g_1 at
-    the gap minimum, checked against the rotation rate beta."""
-    if series.partition.unique_ground_index is None:
+    the gap minimum ``point``, checked against the rotation rate beta (the
+    auto-selected step and its solves are shared with
+    ``rotation_residuals``)."""
+    gs = point.series.partition.unique_ground_index
+    if gs is None:
         raise DegeneracyError("needs a unique final ground state")
-    star = _star_context(series.sweep.pair, series.partition, s_star)
-    return _solution_derivative(star, _central_differences(star, h))
-
-
-def _solution_derivative(star: _StarContext, differences) -> SolutionDerivativeResult:
-    beta, h, vp, vm = differences
-    gs_index = star.partition.unique_ground_index
-    g0_prime = float(vp[gs_index, 0] ** 2 - vm[gs_index, 0] ** 2) / (2.0 * h)
-    g1_prime = float(vp[gs_index, 1] ** 2 - vm[gs_index, 1] ** 2) / (2.0 * h)
-    g01 = float(star.v[gs_index, 0] ** 2 + star.v[gs_index, 1] ** 2) / 2.0
+    beta, h, vp, vm = point.differences(h)
+    g0_prime = float(vp[gs, 0] ** 2 - vm[gs, 0] ** 2) / (2.0 * h)
+    g1_prime = float(vp[gs, 1] ** 2 - vm[gs, 1] ** 2) / (2.0 * h)
+    g01 = float(point.v[gs, 0] ** 2 + point.v[gs, 1] ** 2) / 2.0
     return SolutionDerivativeResult(
         sum_residual=abs(g0_prime + g1_prime) / abs(beta),
         diff_residual=abs(g0_prime - g1_prime - 4.0 * g01 * beta) / abs(beta),
@@ -765,7 +738,7 @@ def build_report(
         return report, swp, None
 
     series = compute_overlaps(swp, partition)
-    star = _star_context(pair, partition, mg.s_star)
+    point = series.at(mg.s_star)
 
     try:
         wilk = wilkinson_fit(swp, mg.s_star, delta_min=mg.delta_min)
@@ -773,30 +746,25 @@ def build_report(
         wilk = None
         warnings.append(f"hyperbola fit skipped: {err}")
 
-    if partition.level_count < 2:
-        raise ValueError("needs at least two final energy levels")
-    choi = _measure_swap(series, mg.s_star, star.overlaps, _measure_choi_window)
-    solution_swap = None
-    if not ground_degenerate:
-        solution_swap = _measure_swap(series, mg.s_star, star.overlaps, _measure_solution_window)
+    choi = measure_choi(point)
+    solution_swap = None if ground_degenerate else measure_solution_swap(point)
 
     try:
-        decomp_residual = _gap_decomposition(star)
+        decomp_residual = gap_decomposition_residual(point)
     except StationarityError as err:
         decomp_residual = None
         warnings.append(f"gap decomposition skipped: {err}")
 
     rotation = solution_derivative = None
     try:
-        differences = _central_differences(star, None)
+        rotation = rotation_residuals(point)
     except ValueError as err:
         warnings.append(f"rotation check skipped: {err}")
         if not ground_degenerate:
             warnings.append(f"solution derivative check skipped: {err}")
     else:
-        rotation = _rotation(star, differences)
         if not ground_degenerate:
-            solution_derivative = _solution_derivative(star, differences)
+            solution_derivative = solution_derivative_residuals(point)
 
     report = replace(
         report,

@@ -70,10 +70,6 @@ class BasisSet:
     def dim(self) -> int:
         return len(self.states)
 
-    @property
-    def is_full(self) -> bool:
-        return self.k is None
-
     def state(self, i: int) -> str:
         return self.states[i]
 

@@ -59,27 +59,31 @@ class AppError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved command configuration (embedded in reports for provenance)."""
+    """Resolved command configuration (embedded in reports for provenance).
+    ``levels`` and ``out_dir`` are options of ``scan`` only, ``checks`` of
+    ``verify`` only; the other command leaves them None."""
 
     source: str
     mixer: str
     alphas: tuple[tuple[str, float], ...]
     grid_points: int
     refine_tol: float
-    levels: int
-    out_dir: str
-    checks: tuple[str, ...]
+    levels: int | None = None
+    out_dir: str | None = None
+    checks: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.grid_points < 51:
             raise AppError(f"grid must have at least 51 points, got {self.grid_points}")
         if self.refine_tol <= 0:
             raise AppError(f"refinement tolerance must be positive, got {self.refine_tol}")
-        if self.levels < 1:
+        if self.levels is not None and self.levels < 1:
             raise AppError(f"levels must be positive, got {self.levels}")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "alphas": [t for t, _ in self.alphas], "checks": list(self.checks)}
+        """The options the command takes (None fields are left out)."""
+        doc = {**asdict(self), "alphas": [t for t, _ in self.alphas]}
+        return {k: v for k, v in doc.items() if v is not None}
 
 
 def _fail(err: AppError) -> "SystemExit":
@@ -152,16 +156,16 @@ def _parse_alphas(text: str | None, default: float) -> tuple[tuple[str, float], 
 
 
 def _resolve_source(instance: str | None, fixture: str | None):
-    """Returns (description, graph, mixer, fixture_name or None)."""
+    """Returns (description, graph, mixer)."""
     if (instance is None) == (fixture is None):
         raise AppError("exactly one of --instance or --fixture is required")
     if instance is not None:
         graph, mixer = load_instance(instance)
-        return str(instance), graph, mixer, None
+        return str(instance), graph, mixer
     if fixture not in _FIXTURES:
         raise AppError(f"unknown fixture {fixture!r}; available: {sorted(_FIXTURES)}")
     builder, default_alpha = _FIXTURES[fixture]
-    return f"fixture:{fixture}", builder(default_alpha).graph, "swap_chain", fixture
+    return f"fixture:{fixture}", builder(default_alpha).graph, "swap_chain"
 
 
 def _fmt(x: float) -> str:
@@ -438,45 +442,50 @@ _common = [
                  help="Number of sweep grid points."),
     click.option("--refine", "refine_tol", type=float, default=1e-10, show_default=True,
                  help="s-uncertainty of the gap-minimum refinement."),
-    click.option("--levels", type=int, default=6, show_default=True,
-                 help="How many levels/columns to sweep and export."),
-    click.option("--out", "out_dir", type=click.Path(), default="mingap_out", show_default=True),
-    click.option("--checks", "checks_text", default=None,
-                 help=f"Comma-separated subset of {','.join(CHECK_NAMES)}."),
 ]
 
 
-def _apply_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _apply_options(*extra):
+    def decorate(fn):
+        for opt in reversed([*_common, *extra]):
+            fn = opt(fn)
+        return fn
+
+    return decorate
 
 
-def _build_config(instance, fixture, alpha_text, grid_points, refine_tol, levels,
-                  out_dir, checks_text):
-    source, graph, mixer, _ = _resolve_source(instance, fixture)
+def _build_config(instance, fixture, alpha_text, grid_points, refine_tol, **options):
+    """The run configuration from the common options and the command's own
+    ``options`` (RunConfig fields)."""
+    source, graph, mixer = _resolve_source(instance, fixture)
     alphas = _parse_alphas(alpha_text, default=float(graph.alpha))
-    if checks_text is None:
-        checks = CHECK_NAMES
-    else:
-        checks = tuple(c.strip() for c in checks_text.split(",") if c.strip())
-        unknown = set(checks) - set(CHECK_NAMES)
-        if unknown:
-            raise AppError(f"unknown checks: {sorted(unknown)}")
-    cfg = RunConfig(
-        source=source, mixer=mixer, alphas=alphas, grid_points=grid_points,
-        refine_tol=refine_tol, levels=levels, out_dir=str(out_dir), checks=checks,
-    )
+    cfg = RunConfig(source=source, mixer=mixer, alphas=alphas, grid_points=grid_points,
+                    refine_tol=refine_tol, **options)
     return cfg, graph, mixer
 
 
+def _parse_checks(text: str | None) -> tuple[str, ...]:
+    if text is None:
+        return CHECK_NAMES
+    checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    unknown = set(checks) - set(CHECK_NAMES)
+    if unknown:
+        raise AppError(f"unknown checks: {sorted(unknown)}")
+    return checks
+
+
 @main.command()
-@_apply_options
-def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir, checks_text):
+@_apply_options(
+    click.option("--levels", type=int, default=6, show_default=True,
+                 help="How many levels/columns to sweep and export."),
+    click.option("--out", "out_dir", type=click.Path(), default="mingap_out", show_default=True),
+)
+def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir):
     """Sweep the interpolation and emit per-alpha CSV series and a report."""
     try:
         cfg, graph, mixer = _build_config(
-            instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir, checks_text
+            instance, fixture, alpha_text, grid_points, refine_tol,
+            levels=levels, out_dir=str(out_dir),
         )
         base = Path(cfg.out_dir)
         base.mkdir(parents=True, exist_ok=True)
@@ -511,12 +520,16 @@ def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir
 
 
 @main.command()
-@_apply_options
-def verify(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir, checks_text):
+@_apply_options(
+    click.option("--checks", "checks_text", default=None,
+                 help=f"Comma-separated subset of {','.join(CHECK_NAMES)}."),
+)
+def verify(instance, fixture, alpha_text, grid_points, refine_tol, checks_text):
     """Run the identity and invariant suite; exit 1 on any failed check."""
     try:
         cfg, graph, mixer = _build_config(
-            instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir, checks_text
+            instance, fixture, alpha_text, grid_points, refine_tol,
+            checks=_parse_checks(checks_text),
         )
         summary = {"version": __version__, "config": cfg.to_dict(), "runs": []}
         failed = False

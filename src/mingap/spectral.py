@@ -172,8 +172,11 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a
     real symmetric matrix.
 
-    Uses the MRRR driver, which keeps small eigenvector components accurate
-    enough for the ratio identities downstream.
+    Uses the MRRR driver.  Each eigenvector entry carries an absolute
+    error of about eps ||H||, so a ratio that divides by a small component
+    (the projection identities) loses relative accuracy as the component
+    shrinks: with components just above ``COMPONENT_GUARD`` the identity
+    residuals can exceed their 1e-8 bound in float64.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
@@ -641,16 +644,14 @@ def energy_identity_residual(
 
         E_k(s) = s E_i(1) - (1-s) <x_i|(-H0)|v_k> / <x_i|v_k>.
 
-    Returns None when the component <x_i|v_k> is below the guard.
+    Returns None when the component <x_i|v_k> is at or below the guard.
     ``decomposition`` accepts a precomputed (eigenvalues, eigenvectors)
-    pair for H(s).
+    pair for H(s).  Entry (i, 0) of ``energy_identity_residuals`` on
+    level k alone.
     """
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
-    component = float(v[i, k])
-    if abs(component) <= COMPONENT_GUARD:
-        return None
-    neigh = float(-(pair.h0[i, :] @ v[:, k]))
-    return float(w[k] - (s * pair.h1_diag[i] - (1.0 - s) * neigh / component))
+    r = float(energy_identity_residuals(pair, s, decomposition=(w[k:k + 1], v[:, k:k + 1]))[i, 0])
+    return None if np.isnan(r) else r
 
 
 def gap_identity_residual(
@@ -659,15 +660,13 @@ def gap_identity_residual(
     """Residual of the gap expression through basis state i:
 
         Delta(s) = (1-s) [ <neigh(x_i)|v_0>/<x_i|v_0> - <neigh(x_i)|v_1>/<x_i|v_1> ].
+
+    Returns None when either component is at or below the guard.  Entry i
+    of ``gap_identity_residuals`` on the two lowest levels alone.
     """
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
-    c0, c1 = float(v[i, 0]), float(v[i, 1])
-    if abs(c0) <= COMPONENT_GUARD or abs(c1) <= COMPONENT_GUARD:
-        return None
-    n0 = float(-(pair.h0[i, :] @ v[:, 0]))
-    n1 = float(-(pair.h0[i, :] @ v[:, 1]))
-    delta = float(w[1] - w[0])
-    return delta - (1.0 - s) * (n0 / c0 - n1 / c1)
+    r = float(gap_identity_residuals(pair, s, decomposition=(w[:2], v[:, :2]))[i])
+    return None if np.isnan(r) else r
 
 
 def _neighbour_ratios(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:

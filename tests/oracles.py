@@ -133,6 +133,28 @@ class TwoLevelOracle:
         }
 
 
+def projection_identity_entries(h0, h1_diag, s: float, w, v, guard: float):
+    """The projection identities entry by entry, from a dense H0 and a
+    decomposition (w, v) of H(s): ``energy[i, k]`` is
+
+        E_k - (s E_i(1) - (1-s) <x_i|(-H0)|v_k> / <x_i|v_k>)
+
+    and ``gap[i]`` is Delta - (1-s) (r_i0 - r_i1), with r_ik the same
+    neighbour ratio, each neighbour sum a product with one dense row of H0.
+    NaN where a component divided by is at or below ``guard``."""
+    d, m = v.shape
+    energy = np.full((d, m), np.nan)
+    gap = np.full(d, np.nan)
+    for i in range(d):
+        neigh = [-float(h0[i, :] @ v[:, k]) for k in range(m)]
+        for k in range(m):
+            if abs(v[i, k]) > guard:
+                energy[i, k] = w[k] - (s * h1_diag[i] - (1.0 - s) * neigh[k] / v[i, k])
+        if abs(v[i, 0]) > guard and abs(v[i, 1]) > guard:
+            gap[i] = (w[1] - w[0]) - (1.0 - s) * (neigh[0] / v[i, 0] - neigh[1] / v[i, 1])
+    return energy, gap
+
+
 def _interpolated(h0, h1_diag, s: float) -> np.ndarray:
     """H(s) = (1-s) h0 + s diag(h1_diag), assembled directly."""
     return (1.0 - s) * np.asarray(h0, dtype=float) + s * np.diag(np.asarray(h1_diag, dtype=float))

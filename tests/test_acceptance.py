@@ -144,7 +144,7 @@ def test_criterion_4_gap_decomposition(bundles):
     cases = [("toy1", a) for a in (0.0, 0.2, 0.5, 0.6, 0.66)] + [("toy2", 0.2)]
     for name, alpha in cases:
         b = bundles(name, alpha)
-        residual = gap_decomposition_residual(b.sweep, b.partition, b.mg.s_star)
+        residual = gap_decomposition_residual(b.series.at(b.mg.s_star))
         worst_rel = max(worst_rel, residual / (1.0 + b.mg.delta_min))
     elapsed = time.perf_counter() - start
     ok = worst_rel <= 1e-6 and elapsed < 30.0
@@ -162,12 +162,12 @@ def test_criterion_5_definition_behavior(bundles):
     plain = bundles("toy1", 0.0)
     shifted = bundles("toy1", 0.5)
 
-    choi_plain = measure_choi(plain.series, plain.mg.s_star)
-    relaxed_plain = measure_solution_swap(
-        plain.series, plain.mg.s_star, window=choi_plain.window
-    )
-    choi_shifted = measure_choi(shifted.series, shifted.mg.s_star)
-    relaxed_shifted = measure_solution_swap(shifted.series, shifted.mg.s_star)
+    plain_point = plain.series.at(plain.mg.s_star)
+    shifted_point = shifted.series.at(shifted.mg.s_star)
+    choi_plain = measure_choi(plain_point)
+    relaxed_plain = measure_solution_swap(plain_point, window=choi_plain.window)
+    choi_shifted = measure_choi(shifted_point)
+    relaxed_shifted = measure_solution_swap(shifted_point)
 
     structure_ok = (
         choi_plain.satisfied
@@ -271,8 +271,9 @@ def test_criterion_7_rotation_and_solution_derivatives(bundles):
     oracle = {}
     for alpha in alphas:
         b = bundles("toy1", alpha)
-        rot = rotation_residuals(b.sweep, b.mg.s_star)
-        sd = solution_derivative_residuals(b.series, b.mg.s_star)
+        point = b.series.at(b.mg.s_star)
+        rot = rotation_residuals(point)
+        sd = solution_derivative_residuals(point)
         rows.append((alpha, b.mg.delta_min, rot, sd))
         oracle[alpha] = first_order_rotation(
             b.pair.h0, b.pair.h1_diag, b.mg.s_star, b.partition.unique_ground_index

@@ -16,6 +16,7 @@ from mingap.hamiltonian import (
 from mingap import anticrossing, spectral
 from mingap.spectral import DegeneracyError, min_gap, resolution_floor, sweep as spectral_sweep
 from mingap.anticrossing import (
+    AntiCrossingPoint,
     StationarityError,
     StepSizeError,
     build_report,
@@ -28,10 +29,14 @@ from mingap.anticrossing import (
     rotation_residuals,
     solution_derivative_residuals,
     wilkinson_fit,
-    _star_context,
 )
 
 from oracles import TwoLevelOracle
+
+
+def point_at(pair, swp, s):
+    """The anti-crossing point at s, on the overlap series of ``swp``."""
+    return compute_overlaps(swp, partition_final_levels(pair)).at(s)
 
 
 def sharp_two_level(coupling=1e-3):
@@ -152,14 +157,13 @@ def test_overlaps_fourth_level_in_relabelled_fixture(bundles):
     assert star.in_excited[3] > 0.25
 
 
-def test_compute_overlaps_degenerate_ground_raises():
+def test_compute_overlaps_degenerate_ground_omits_the_solution():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
     part = partition_final_levels(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 51))
-    with pytest.raises(DegeneracyError):
-        compute_overlaps(swp, part, include_solution=True)
     series = compute_overlaps(swp, part)
     assert series.solution is None
+    assert series.at(0.5).solution is None
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,7 @@ def test_wilkinson_window_validation(bundles):
 
 def test_choi_satisfied_on_plain_crossing(bundles):
     b = bundles("toy1", 0.0)
-    m = measure_choi(b.series, b.mg.s_star)
+    m = measure_choi(b.series.at(b.mg.s_star))
     assert m.satisfied
     assert m.direction_ok
     assert 0.2 < m.gamma < 0.35
@@ -279,7 +283,7 @@ def test_choi_satisfied_on_plain_crossing(bundles):
 
 def test_choi_not_satisfied_with_third_level(bundles):
     b = bundles("toy1", 0.5)
-    m = measure_choi(b.series, b.mg.s_star)
+    m = measure_choi(b.series.at(b.mg.s_star))
     assert not m.satisfied
     assert m.gamma > 0.5
 
@@ -287,7 +291,7 @@ def test_choi_not_satisfied_with_third_level(bundles):
 def test_solution_swap_satisfied_on_both(bundles):
     for name, alpha, gamma_cap in (("toy1", 0.0, 0.25), ("toy1", 0.5, 0.1)):
         b = bundles(name, alpha)
-        m = measure_solution_swap(b.series, b.mg.s_star)
+        m = measure_solution_swap(b.series.at(b.mg.s_star))
         assert m.satisfied
         assert m.gamma <= gamma_cap
         assert m.epsilon <= 0.1
@@ -302,19 +306,19 @@ def test_solution_swap_rejects_intermediate_crossing(bundles):
     mask = (b.sweep.grid > 0.3) & (b.sweep.grid < b.mg.s_star - 0.02)
     idx = int(np.argmin(np.where(mask, gap12, np.inf)))
     s12 = float(b.sweep.grid[idx])
-    m = measure_solution_swap(b.series, s12)
+    point = b.series.at(s12)
+    m = measure_solution_swap(point)
     assert not m.satisfied
-    star = b.series.at(s12)
-    assert star.solution[2] > 0.1  # more than two levels carry the solution
+    assert point.solution[2] > 0.1  # more than two levels carry the solution
 
 
 def test_sharp_two_level_measures_near_zero():
     pair = sharp_two_level()
     mg = min_gap(pair, tol=1e-12)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 1001))
-    series = compute_overlaps(swp, partition_final_levels(pair))
+    point = point_at(pair, swp, mg.s_star)
     for measure in (measure_choi, measure_solution_swap):
-        m = measure(series, mg.s_star)
+        m = measure(point)
         assert m.satisfied
         assert m.gamma <= 1e-4
         assert m.epsilon <= 1e-2
@@ -322,22 +326,22 @@ def test_sharp_two_level_measures_near_zero():
 
 def test_measure_with_explicit_window(bundles):
     b = bundles("toy1", 0.0)
-    m = measure_choi(b.series, b.mg.s_star,
-                     window=(b.mg.s_star - 0.037, b.mg.s_star + 0.037))
+    point = b.series.at(b.mg.s_star)
+    m = measure_choi(point, window=(b.mg.s_star - 0.037, b.mg.s_star + 0.037))
     assert m.satisfied
     assert m.window == (b.mg.s_star - 0.037, b.mg.s_star + 0.037)
     with pytest.raises(ValueError):
-        measure_choi(b.series, b.mg.s_star,
-                     window=(b.mg.s_star - 1e-5, b.mg.s_star + 1e-5))
+        measure_choi(point, window=(b.mg.s_star - 1e-5, b.mg.s_star + 1e-5))
 
 
 def test_subsumption_on_shared_window(bundles):
     """Whenever the four-quantity measurement is satisfied, the relaxed one
     must hold with parameters no worse, on the same window."""
     b = bundles("toy1", 0.0)
-    choi = measure_choi(b.series, b.mg.s_star)
+    point = b.series.at(b.mg.s_star)
+    choi = measure_choi(point)
     assert choi.satisfied
-    relaxed = measure_solution_swap(b.series, b.mg.s_star, window=choi.window)
+    relaxed = measure_solution_swap(point, window=choi.window)
     assert relaxed.satisfied
     assert relaxed.gamma <= choi.gamma
     assert relaxed.epsilon <= choi.epsilon + 1e-9
@@ -350,14 +354,14 @@ def test_subsumption_on_shared_window(bundles):
 @pytest.mark.parametrize("name,alpha", [("toy1", 0.0), ("toy1", 0.5), ("toy2", 0.2)])
 def test_gap_decomposition_at_minimum(bundles, name, alpha):
     b = bundles(name, alpha)
-    residual = gap_decomposition_residual(b.sweep, b.partition, b.mg.s_star)
+    residual = gap_decomposition_residual(b.series.at(b.mg.s_star))
     assert residual <= 1e-6 * (1.0 + b.mg.delta_min)
 
 
 def test_gap_decomposition_rejects_non_stationary(bundles):
     b = bundles("toy1", 0.5)
     with pytest.raises(StationarityError):
-        gap_decomposition_residual(b.sweep, b.partition, 0.4)
+        gap_decomposition_residual(b.series.at(0.4))
 
 
 def test_gap_decomposition_two_level():
@@ -366,7 +370,7 @@ def test_gap_decomposition_two_level():
     pair = sharp_two_level()
     mg = min_gap(pair, tol=1e-12)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
-    residual = gap_decomposition_residual(swp, partition_final_levels(pair), mg.s_star)
+    residual = gap_decomposition_residual(point_at(pair, swp, mg.s_star))
     assert residual <= 1e-6 * (1.0 + mg.delta_min)
 
 
@@ -400,8 +404,9 @@ def test_rotation_two_level_second_order():
     pair = sharp_two_level()
     mg = min_gap(pair, tol=1e-12)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
-    coarse = rotation_residuals(swp, mg.s_star, h=2e-5)
-    fine = rotation_residuals(swp, mg.s_star, h=1e-5)
+    point = point_at(pair, swp, mg.s_star)
+    coarse = rotation_residuals(point, h=2e-5)
+    fine = rotation_residuals(point, h=1e-5)
     assert coarse.coupling_above_max == 0.0
     assert fine.residual_ground <= 2e-4
     ratio = coarse.residual_ground / fine.residual_ground
@@ -413,18 +418,19 @@ def test_rotation_step_too_large_raises():
     pair = sharp_two_level(coupling=1e-5)  # crossing much narrower than 1e-4
     mg = min_gap(pair, tol=1e-12)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
+    point = point_at(pair, swp, mg.s_star)
     with pytest.raises(StepSizeError):
-        rotation_residuals(swp, mg.s_star, h=1e-4)
+        rotation_residuals(point, h=1e-4)
     with pytest.raises(ValueError):
-        rotation_residuals(swp, mg.s_star, h=1e-3)
-    auto = rotation_residuals(swp, mg.s_star)  # auto-selection shrinks instead
+        rotation_residuals(point, h=1e-3)
+    auto = rotation_residuals(point)  # auto-selection shrinks instead
     assert auto.step < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.6, 0.66])
 def test_beta_nonnegative_under_solution_gauge(bundles, alpha):
     b = bundles("toy1", alpha)
-    rot = rotation_residuals(b.sweep, b.mg.s_star)
+    rot = rotation_residuals(b.series.at(b.mg.s_star))
     assert rot.beta >= 0
 
 
@@ -438,15 +444,15 @@ def test_beta_invariant_under_psd_shift(bundles):
     swp = spectral_sweep(shifted, np.linspace(0.0, 1.0, 101))
     mg = min_gap(shifted, tol=1e-10)
     assert mg.s_star == pytest.approx(b.mg.s_star, abs=1e-8)
-    rot_ref = rotation_residuals(b.sweep, b.mg.s_star)
-    rot_shift = rotation_residuals(swp, mg.s_star)
+    rot_ref = rotation_residuals(b.series.at(b.mg.s_star))
+    rot_shift = rotation_residuals(point_at(shifted, swp, mg.s_star))
     assert rot_shift.beta == pytest.approx(rot_ref.beta, rel=1e-6)
     assert rot_shift.beta >= 0
 
 
 def test_rotation_reasonable_on_fixture(bundles):
     b = bundles("toy1", 0.66)
-    rot = rotation_residuals(b.sweep, b.mg.s_star)
+    rot = rotation_residuals(b.series.at(b.mg.s_star))
     assert rot.residual_ground <= 0.05
     assert rot.residual_excited <= 0.05
     assert rot.coupling_above_max > 0  # higher-level couplings do not vanish here
@@ -460,9 +466,9 @@ def test_solution_derivative_two_level_limit():
     pair = sharp_two_level()
     mg = min_gap(pair, tol=1e-12)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
-    series = compute_overlaps(swp, partition_final_levels(pair))
-    coarse = solution_derivative_residuals(series, mg.s_star, h=2e-5)
-    fine = solution_derivative_residuals(series, mg.s_star, h=1e-5)
+    point = point_at(pair, swp, mg.s_star)
+    coarse = solution_derivative_residuals(point, h=2e-5)
+    fine = solution_derivative_residuals(point, h=1e-5)
     assert fine.sum_residual <= 1e-10
     assert fine.diff_residual <= 1e-3
     assert 3.2 <= coarse.diff_residual / fine.diff_residual <= 4.8
@@ -471,14 +477,14 @@ def test_solution_derivative_two_level_limit():
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.6, 0.66])
 def test_solution_derivative_signs(bundles, alpha):
     b = bundles("toy1", alpha)
-    sd = solution_derivative_residuals(b.series, b.mg.s_star)
+    sd = solution_derivative_residuals(b.series.at(b.mg.s_star))
     assert sd.g0_prime > 0 and sd.g1_prime < 0
 
 
 def test_solution_weights_balanced_at_strong_crossing(bundles):
     b = bundles("toy1", 0.66)
     star = b.series.at(b.mg.s_star)
-    m = measure_solution_swap(b.series, b.mg.s_star)
+    m = measure_solution_swap(star)
     assert abs(star.solution[0] - 0.5) <= m.epsilon + 1e-12
     assert abs(star.solution[1] - 0.5) <= m.epsilon + 1e-12
 
@@ -487,19 +493,18 @@ def test_solution_swap_needs_unique_ground():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
     part = partition_final_levels(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 51))
-    series = compute_overlaps(swp, part)
+    point = compute_overlaps(swp, part).at(0.5)
     for window in (None, (0.4, 0.6)):
         with pytest.raises(DegeneracyError):
-            measure_solution_swap(series, 0.5, window=window)
+            measure_solution_swap(point, window=window)
 
 
 def test_solution_derivative_needs_unique_ground():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
     part = partition_final_levels(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 51))
-    series = compute_overlaps(swp, part)
     with pytest.raises(DegeneracyError):
-        solution_derivative_residuals(series, 0.5)
+        solution_derivative_residuals(compute_overlaps(swp, part).at(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +513,8 @@ def test_solution_derivative_needs_unique_ground():
 
 def test_report_names_an_unresolved_gap_as_the_skip_cause():
     pair = clique_pair(toy_example_2(0.66666).graph)
-    report, _, _ = build_report(pair)
-    star = _star_context(pair, partition_final_levels(pair), report.s_star)
+    report, _, series = build_report(pair)
+    star = series.at(report.s_star)
     assert star.delta <= resolution_floor(pair, star.s), "float64 is expected to read no gap at this s*"
     coupling = float(star.v[:, 0] @ spectral._hdot_apply(pair, star.v[:, 1]))
     assert abs(coupling) > 1e-9  # the levels do couple; the gap is what is lost
@@ -567,6 +572,33 @@ def test_report_decomposes_s_star_once(bundles, monkeypatch):
     assert len(eigh_inputs) + len(eigvalsh_inputs) <= 600
 
 
+def test_a_point_is_solved_once(bundles, monkeypatch):
+    b = bundles("toy1", 0.5)
+    calls = []
+    original = spectral._eigensolve
+
+    def recording(pair, s, levels=None, vectors=True, lanczos=False):
+        calls.append((s, levels, vectors))
+        return original(pair, s, levels=levels, vectors=vectors, lanczos=lanczos)
+
+    monkeypatch.setattr(spectral, "_eigensolve", recording)
+    point = b.series.at(b.mg.s_star)
+    assert isinstance(point, AntiCrossingPoint)
+    assert calls == [(b.mg.s_star, None, True)]  # the one full decomposition
+    measure_choi(point)
+    measure_solution_swap(point)
+    gap_decomposition_residual(point)
+    assert len(calls) == 1
+    rot = rotation_residuals(point)
+    searched = calls[1:]
+    assert searched and all(levels is not None for _, levels, _ in searched)
+    # gap probes of the step search, then one pair of vector solves at s* +- step
+    assert [s for s, _, vectors in searched if vectors] == [point.s + rot.step, point.s - rot.step]
+    sd = solution_derivative_residuals(point)
+    assert len(calls) == 1 + len(searched)
+    assert (sd.beta, sd.step) == (rot.beta, rot.step)
+
+
 def test_report_brackets_the_gap_minimum_on_its_sweep(bundles, monkeypatch):
     b = bundles("toy1", 0.0)
     calls = []
@@ -608,13 +640,13 @@ def test_report_refines_a_minimum_inside_the_last_cell(seed, alpha):
 @pytest.mark.parametrize("name, alpha", [("toy1", 0.0), ("toy1", 0.5), ("toy2", 0.2)])
 def test_report_matches_standalone_measurements(bundles, name, alpha):
     b = bundles(name, alpha)
-    report, swp, series = build_report(b.pair, precomputed_sweep=b.sweep)
-    s_star = report.s_star
-    assert report.choi == measure_choi(series, s_star)
-    assert report.solution_swap == measure_solution_swap(series, s_star)
-    assert report.rotation == rotation_residuals(swp, s_star)
-    assert report.solution_derivative == solution_derivative_residuals(series, s_star)
-    assert report.gap_decomposition_residual == gap_decomposition_residual(swp, b.partition, s_star)
+    report, _, series = build_report(b.pair, precomputed_sweep=b.sweep)
+    point = series.at(report.s_star)
+    assert report.choi == measure_choi(point)
+    assert report.solution_swap == measure_solution_swap(point)
+    assert report.rotation == rotation_residuals(point)
+    assert report.solution_derivative == solution_derivative_residuals(point)
+    assert report.gap_decomposition_residual == gap_decomposition_residual(point)
 
 
 def test_report_degenerate_ground_path():

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,37 @@ from mingap.hamiltonian import clique_pair
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+# config keys both scan and verify record
+SOURCE_CONFIG = ("source", "mixer", "alphas", "grid_points", "refine_tol")
+SOURCE_OPTIONS = {"--instance", "--fixture", "--alpha", "--grid", "--refine", "--help"}
+
+
+COMMAND_OPTIONS = {
+    "scan": SOURCE_OPTIONS | {"--levels", "--out"},
+    "verify": SOURCE_OPTIONS | {"--checks"},
+    "fixtures": {"--help"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_help_lists_the_options_each_command_reads(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    listed = set(re.findall(r"^  (--[a-z]+)", result.output, re.MULTILINE))
+    assert listed == COMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize("command, option", [
+    ("scan", ["--checks", "nonsense"]),
+    ("verify", ["--levels", "0"]),
+    ("verify", ["--out", "elsewhere"]),
+], ids=["scan-checks", "verify-levels", "verify-out"])
+def test_commands_reject_options_they_do_not_read(runner, command, option):
+    result = runner.invoke(main, [command, "--fixture", "toy1", *option])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 def test_fixtures_round_trip(runner, tmp_path):
@@ -74,6 +106,7 @@ def test_scan_outputs_and_round_trip(runner, tmp_path):
 
     report = json.loads((adir / "report.json").read_text())
     assert report["config"]["alpha"] == "0.5"
+    assert set(report["config"]) == set(SOURCE_CONFIG) | {"levels", "out_dir", "alpha"}
     assert report["report"]["solution_swap"]["satisfied"] is True
     assert report["version"]
 
@@ -112,6 +145,7 @@ def test_verify_passes_on_fixture(runner):
     assert result.exit_code == 0, result.output
     summary = json.loads(result.output)
     assert summary["passed"] is True
+    assert set(summary["config"]) == set(SOURCE_CONFIG) | {"checks"}
     checks = {c["name"]: c for c in summary["runs"][0]["checks"]}
     assert checks["encoding"]["status"] == "pass"
     assert checks["energy_identity"]["status"] == "pass"

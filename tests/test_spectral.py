@@ -47,7 +47,7 @@ from mingap.spectral import (
     sweep,
 )
 
-from oracles import TwoLevelOracle, fine_scan_min_gap, jacobi_eigh
+from oracles import TwoLevelOracle, fine_scan_min_gap, jacobi_eigh, projection_identity_entries
 
 # frozen by an independent fine-grid scan (2001 coarse points, tol 1e-12)
 TOY1_ALPHA0_S_STAR = 0.692118551461
@@ -566,34 +566,42 @@ def test_gap_identity_two_level_closed_form():
 
 
 def assert_identity_arrays_match_scalars(pair, s):
-    """The array identities against the per-entry scalar reference: the
-    same guarded (NaN / None) entries, and every other entry within four
-    roundings of the magnitudes that enter it."""
+    """The array identities, and the scalar forms on the lowest two and the
+    top level, against the dense per-entry oracle: the same guarded (NaN /
+    None) entries, and every other entry within four roundings of the
+    magnitudes that enter it."""
     dec = decompose_interpolated(pair, s)
     w, v = dec
     d = pair.dim
     energy = energy_identity_residuals(pair, s, decomposition=dec)
     gap = gap_identity_residuals(pair, s, decomposition=dec)
     assert energy.shape == (d, d) and gap.shape == (d,)
+    energy_ref, gap_ref = projection_identity_entries(
+        pair.h0, pair.h1_diag, s, w, v, spectral.COMPONENT_GUARD
+    )
 
-    def reference(r):
+    def entry(r):
         return np.nan if r is None else r
 
-    energy_ref = np.array([[reference(energy_identity_residual(pair, s, i, k, decomposition=dec))
-                            for k in range(d)] for i in range(d)])
-    gap_ref = np.array([reference(gap_identity_residual(pair, s, i, decomposition=dec))
-                        for i in range(d)])
-    assert np.array_equal(np.isnan(energy), np.isnan(energy_ref))
-    assert np.array_equal(np.isnan(gap), np.isnan(gap_ref))
+    levels = sorted({0, 1, d - 1})
+    energy_scalar = np.array([[entry(energy_identity_residual(pair, s, i, k, decomposition=dec))
+                               for k in levels] for i in range(d)])
+    gap_scalar = np.array([entry(gap_identity_residual(pair, s, i, decomposition=dec))
+                           for i in range(d)])
 
     eps = np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = (1.0 - s) * (np.abs(pair.h0) @ np.abs(v)) / np.abs(v)
     energy_scale = 4 * eps * (np.abs(w)[None, :] + s * np.abs(pair.h1_diag)[:, None] + spread)
     gap_scale = 4 * eps * (abs(w[1] - w[0]) + spread[:, 0] + spread[:, 1])
-    live, live_gap = ~np.isnan(energy_ref), ~np.isnan(gap_ref)
-    assert np.all(np.abs(energy - energy_ref)[live] <= energy_scale[live])
-    assert np.all(np.abs(gap - gap_ref)[live_gap] <= gap_scale[live_gap])
+    checked = ((energy, gap, slice(None)), (energy_scalar, gap_scalar, levels))
+    for got_energy, got_gap, columns in checked:
+        ref, scale = energy_ref[:, columns], energy_scale[:, columns]
+        live, live_gap = ~np.isnan(ref), ~np.isnan(gap_ref)
+        assert np.array_equal(np.isnan(got_energy), ~live)
+        assert np.array_equal(np.isnan(got_gap), ~live_gap)
+        assert np.all(np.abs(got_energy - ref)[live] <= scale[live])
+        assert np.all(np.abs(got_gap - gap_ref)[live_gap] <= gap_scale[live_gap])
 
 
 @pytest.mark.parametrize("builder", [toy_example_1, toy_example_2])
