@@ -23,7 +23,6 @@ from .hamiltonian import (
 from .spectral import (
     DegeneracyError,
     EigendecompositionError,
-    GapBounds,
     MinGapResult,
     SpectralSweep,
     decompose_interpolated,
@@ -37,13 +36,13 @@ from .spectral import (
     gap_identity_residual,
     gap_identity_residuals,
     min_gap,
-    min_gap_bounds,
     sweep,
 )
 from .anticrossing import (
     AntiCrossingPoint,
     AntiCrossingReport,
     FinalLevelPartition,
+    GapBounds,
     OverlapSeries,
     RotationResult,
     SolutionDerivativeResult,
@@ -57,6 +56,7 @@ from .anticrossing import (
     gap_decomposition_residual,
     measure_choi,
     measure_solution_swap,
+    min_gap_bounds,
     partition_final_levels,
     rotation_residuals,
     solution_derivative_residuals,
@@ -76,17 +76,18 @@ __all__ = [
     "BasisSet", "CapacityError", "enumerate_basis",
     "HamiltonianPair", "ProblemGraph", "build_clique_target", "build_diagonal_target",
     "build_swap_mixer", "build_transverse_field", "clique_pair", "interpolate",
-    "DegeneracyError", "EigendecompositionError", "GapBounds", "MinGapResult",
+    "DegeneracyError", "EigendecompositionError", "MinGapResult",
     "SpectralSweep", "decompose_interpolated", "eigendecompose",
     "eigenvalue_derivative", "eigenvalue_second_derivative", "eigenvector_derivative",
     "energy_identity_residual", "energy_identity_residuals", "failure_condition_residual",
     "gap_identity_residual", "gap_identity_residuals",
-    "min_gap", "min_gap_bounds", "sweep",
-    "AntiCrossingPoint", "AntiCrossingReport", "FinalLevelPartition", "OverlapSeries",
+    "min_gap", "sweep",
+    "AntiCrossingPoint", "AntiCrossingReport", "FinalLevelPartition", "GapBounds",
+    "OverlapSeries",
     "RotationResult",
     "SolutionDerivativeResult", "StationarityError", "StepSizeError", "SwapMeasurement",
     "WilkinsonFit", "build_report", "compute_overlaps", "epsilon_bound_margin",
-    "gap_decomposition_residual", "measure_choi", "measure_solution_swap",
+    "gap_decomposition_residual", "measure_choi", "measure_solution_swap", "min_gap_bounds",
     "partition_final_levels", "rotation_residuals", "solution_derivative_residuals",
     "wilkinson_fit",
     "BruteForceResult", "CliqueInstance", "brute_force", "random_instance",

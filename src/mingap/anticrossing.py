@@ -34,6 +34,7 @@ from .spectral import (
     _gap_at,
     _gap_slopes,
     _hdot_apply,
+    _neighbour_ratios,
     resolution_floor,
 )
 
@@ -120,6 +121,10 @@ class OverlapSeries:
         pair = self.sweep.pair
         gs = self.partition.unique_ground_index
         w, v = decompose_interpolated(pair, s)
+        # C order: BLAS sums a strided column in another order than a
+        # contiguous one, so the layout fixes the last bits of beta and of
+        # the rotation residuals.  The solve's workspace is freed by now, so
+        # the copy raises neither the held memory nor the peak.
         v = v.copy()
         if float(np.sum(v[:, 0])) < 0:
             v[:, 0] = -v[:, 0]
@@ -156,9 +161,11 @@ def compute_overlaps(sweep: SpectralSweep, partition: FinalLevelPartition) -> Ov
 class AntiCrossingPoint:
     """One full decomposition of H(s) at one point (s* in a report), read
     by every measurement there: the gap ``delta``, the gauged eigenvectors
-    ``v`` (see ``OverlapSeries.at``) and the overlap families at s, indexed
-    like one row of the series (``solution`` is None with a degenerate
-    final ground level)."""
+    ``v`` (see ``OverlapSeries.at``) and the overlap families at s.
+    ``in_ground`` and ``in_excited`` hold one weight per final level, like
+    a row of the series; ``solution`` holds the solution state's weight in
+    every one of the d levels at s, where the series keeps only the m levels
+    of its sweep (it is None with a degenerate final ground level)."""
 
     series: OverlapSeries = field(repr=False)
     s: float
@@ -362,27 +369,25 @@ def _window_indices(grid: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return idx
 
 
-def _measure_choi_window(point: AntiCrossingPoint, lo: float, hi: float) -> SwapMeasurement:
-    series = point.series
-    idx = _window_indices(series.grid, lo, hi)
-    a0 = series.in_ground[idx, 0]
-    a1 = series.in_ground[idx, 1]
-    b0 = series.in_excited[idx, 0]
-    b1 = series.in_excited[idx, 1]
-    a0s, a1s = float(point.in_ground[0]), float(point.in_ground[1])
-    b0s, b1s = float(point.in_excited[0]), float(point.in_excited[1])
-
-    pair_sum_min = min(
-        float(np.min(a0 + a1)), float(np.min(b0 + b1)), a0s + a1s, b0s + b1s
-    )
-    clause1 = max(0.0, 1.0 - pair_sum_min)
-    clause3 = max(
-        a0[0], 1.0 - a0[-1], 1.0 - a1[0], a1[-1],
-        1.0 - b0[0], b0[-1], b1[0], 1.0 - b1[-1],
-    )
-    gamma = float(max(clause1, clause3, 0.0))
-    epsilon = float(max(abs(a0s - 0.5), abs(a1s - 0.5), abs(b0s - 0.5), abs(b1s - 0.5)))
-    direction_ok = bool(a0[-1] > a0[0] and a1[0] > a1[-1] and b0[0] > b0[-1] and b1[-1] > b1[0])
+def _swap_clauses(
+    grid: np.ndarray, pairs, lo: float, hi: float, extra_epsilon: float
+) -> SwapMeasurement:
+    """The swap clauses on the window (lo, hi) over ``pairs`` of (rising,
+    falling) weights, each given as (its series on ``grid``, its value at
+    the point).  Clause 1 bounds one minus each pair's sum, on the window
+    and at the point; clause 3 bounds the weights at the window ends.
+    Epsilon is the largest of ``extra_epsilon`` and the distances of the
+    weights at the point from 1/2."""
+    idx = _window_indices(grid, lo, hi)
+    sums, ends, halves, direction_ok = [], [], [extra_epsilon], True
+    for (rising, r_at), (falling, f_at) in pairs:
+        r, f = rising[idx], falling[idx]
+        sums += [float(np.min(r + f)), r_at + f_at]
+        ends += [r[0], 1.0 - r[-1], 1.0 - f[0], f[-1]]
+        halves += [abs(r_at - 0.5), abs(f_at - 0.5)]
+        direction_ok = bool(direction_ok and r[-1] > r[0] and f[0] > f[-1])
+    gamma = float(max(1.0 - min(sums), *ends, 0.0))
+    epsilon = float(max(halves))
     return SwapMeasurement(
         satisfied=bool(direction_ok and gamma < 0.5 and epsilon < 0.5),
         gamma=gamma,
@@ -392,34 +397,15 @@ def _measure_choi_window(point: AntiCrossingPoint, lo: float, hi: float) -> Swap
     )
 
 
-def _measure_solution_window(point: AntiCrossingPoint, lo: float, hi: float) -> SwapMeasurement:
-    series = point.series
-    idx = _window_indices(series.grid, lo, hi)
-    g0 = series.solution[idx, 0]
-    g1 = series.solution[idx, 1]
-    g0s, g1s = float(point.solution[0]), float(point.solution[1])
-
-    clause1 = max(0.0, 1.0 - min(float(np.min(g0 + g1)), g0s + g1s))
-    clause3 = max(g0[0], 1.0 - g0[-1], 1.0 - g1[0], g1[-1])
-    gamma = float(max(clause1, clause3, 0.0))
-    epsilon = float(max(abs(g0s - 0.5), abs(g1s - 0.5), abs(g0s - g1s)))
-    direction_ok = bool(g0[-1] > g0[0] and g1[0] > g1[-1])
-    return SwapMeasurement(
-        satisfied=bool(direction_ok and gamma < 0.5 and epsilon < 0.5),
-        gamma=gamma,
-        epsilon=epsilon,
-        window=(float(lo), float(hi)),
-        direction_ok=direction_ok,
-    )
-
-
-def _measure_swap(point: AntiCrossingPoint, measure, window=None) -> SwapMeasurement:
-    """``measure`` on ``window``, or with ``window=None`` on every symmetric
-    window around the point, keeping the smallest-gamma measurement (the
-    definition only asks that some window works)."""
-    if window is not None:
-        return measure(point, window[0], window[1])
+def _measure_swap(
+    point: AntiCrossingPoint, pairs, window=None, extra_epsilon: float = 0.0
+) -> SwapMeasurement:
+    """``_swap_clauses`` on ``window``, or with ``window=None`` on every
+    symmetric window around the point, keeping the smallest-gamma
+    measurement (the definition only asks that some window works)."""
     s_star, grid = point.s, point.series.grid
+    if window is not None:
+        return _swap_clauses(grid, pairs, window[0], window[1], extra_epsilon)
     spacing = float(np.median(np.diff(grid)))
     max_half = min(s_star - grid[0], grid[-1] - s_star)
     best = None
@@ -427,7 +413,7 @@ def _measure_swap(point: AntiCrossingPoint, measure, window=None) -> SwapMeasure
     while m * spacing <= max_half + 1e-15:
         half = m * spacing
         try:
-            cand = measure(point, s_star - half, s_star + half)
+            cand = _swap_clauses(grid, pairs, s_star - half, s_star + half, extra_epsilon)
         except ValueError:
             m += 1
             continue
@@ -452,7 +438,10 @@ def measure_choi(
     point."""
     if point.series.partition.level_count < 2:
         raise ValueError("needs at least two final energy levels")
-    return _measure_swap(point, _measure_choi_window, window)
+    series = point.series
+    a0, a1 = ((series.in_ground[:, k], float(point.in_ground[k])) for k in (0, 1))
+    b0, b1 = ((series.in_excited[:, k], float(point.in_excited[k])) for k in (0, 1))
+    return _measure_swap(point, [(a0, a1), (b1, b0)], window)
 
 
 def measure_solution_swap(
@@ -463,7 +452,8 @@ def measure_solution_swap(
     the four-quantity one whenever that is satisfied)."""
     if point.solution is None:
         raise DegeneracyError("solution series unavailable (degenerate final ground state)")
-    return _measure_swap(point, _measure_solution_window, window)
+    g0, g1 = ((point.series.solution[:, k], float(point.solution[k])) for k in (0, 1))
+    return _measure_swap(point, [(g0, g1)], window, extra_epsilon=abs(g0[1] - g1[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +541,39 @@ def gap_decomposition_residual(point: AntiCrossingPoint) -> float:
     for energy, a_k, b_k in zip(point.series.partition.energies, point.in_ground, point.in_excited):
         total += energy * (float(b_k) - float(a_k))
     return abs(delta - total)
+
+
+@dataclass(frozen=True)
+class GapBounds:
+    """Squared-gap bounds through one basis state; violations are reported,
+    not asserted, because they assume unstated sign conditions."""
+
+    lower: float
+    upper: float
+    lower_holds: bool
+    upper_holds: bool
+
+
+def min_gap_bounds(point: AntiCrossingPoint, i: int) -> GapBounds | None:
+    """Triangle-inequality bounds on Delta^2 at ``point`` built from the
+    squared neighbor-to-component ratios of basis state i (None where a
+    component is guarded).  The ratios do not depend on the point's sign
+    gauge."""
+    r0, r1 = _neighbour_ratios(point.pair, point.v[:, :2])[i]
+    if np.isnan(r0) or np.isnan(r1):
+        return None
+    f2 = (1.0 - point.s) ** 2
+    q0, q1 = float(r0) ** 2, float(r1) ** 2
+    upper = f2 * (q0 + q1)
+    lower = f2 * (q0 - q1)
+    delta_sq = point.delta**2
+    slack = 1e-12 * (1.0 + abs(upper))
+    return GapBounds(
+        lower=lower,
+        upper=upper,
+        lower_holds=bool(lower <= delta_sq + slack),
+        upper_holds=bool(delta_sq <= upper + slack),
+    )
 
 
 def epsilon_bound_margin(report: "AntiCrossingReport", partition: FinalLevelPartition) -> float | None:
@@ -690,7 +713,7 @@ def build_report(
     refine_tol: float = 1e-10,
     precomputed_sweep: SpectralSweep | None = None,
     levels: int = 2,
-) -> tuple[AntiCrossingReport, SpectralSweep, OverlapSeries | None]:
+) -> tuple[AntiCrossingReport, SpectralSweep, AntiCrossingPoint | None]:
     """Run the full analysis pipeline for one interpolation: a sweep of the
     lowest ``levels`` eigenpairs (at least two) on ``grid_points`` evenly
     spaced s (unless ``precomputed_sweep`` is given), the gap minimum
@@ -702,8 +725,10 @@ def build_report(
     returned sweep then has m = min(max(levels, 2), d) columns, with an
     arbitrary gauge inside a degenerate cluster that level m cuts).
 
-    Returns the report plus the sweep and overlap series it was computed
-    from (the series is None when no anti-crossing analysis applies).
+    Returns the report, the sweep it was computed from and the point at
+    s* that every measurement read (``point.series`` is the overlap series
+    on the sweep).  The point is None when no anti-crossing analysis
+    applies.
     """
     grid = np.linspace(0.0, 1.0, grid_points)
     swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid, levels=levels)
@@ -737,8 +762,7 @@ def build_report(
     if not interior:
         return report, swp, None
 
-    series = compute_overlaps(swp, partition)
-    point = series.at(mg.s_star)
+    point = compute_overlaps(swp, partition).at(mg.s_star)
 
     try:
         wilk = wilkinson_fit(swp, mg.s_star, delta_min=mg.delta_min)
@@ -778,4 +802,4 @@ def build_report(
         warnings=tuple(warnings),
     )
     report = replace(report, epsilon_bound_margin=epsilon_bound_margin(report, partition))
-    return report, swp, series
+    return report, swp, point

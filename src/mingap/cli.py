@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .anticrossing import AntiCrossingReport, OverlapSeries, build_report
+from .anticrossing import AntiCrossingPoint, AntiCrossingReport, build_report, min_gap_bounds
 from .clique import CliqueInstance, brute_force, toy_example_1, toy_example_2
 from .hamiltonian import HamiltonianPair, ProblemGraph, clique_pair
 from .spectral import (
@@ -42,7 +42,6 @@ from .spectral import (
     energy_identity_residuals,
     failure_condition_residual,
     gap_identity_residuals,
-    min_gap_bounds,
 )
 
 MIXERS = ("swap_chain", "swap_cycle", "transverse_field")
@@ -284,7 +283,7 @@ class _Run:
     graph: ProblemGraph
     pair: HamiltonianPair
     report: AntiCrossingReport
-    series: OverlapSeries | None
+    point: AntiCrossingPoint | None
     checks: tuple[str, ...]
 
     @cached_property
@@ -295,7 +294,7 @@ class _Run:
         without one).  Each point is decomposed in full once and dropped
         before the next is solved, so one d x d decomposition is held at a
         time rather than 21."""
-        gs = None if self.series is None else self.series.partition.unique_ground_index
+        gs = None if self.point is None else self.point.series.partition.unique_ground_index
         deviation = 0.0
 
         def points():
@@ -326,9 +325,9 @@ def _encoding_checks(run: _Run) -> list[dict]:
 
 
 def _normalization_checks(run: _Run) -> list[dict]:
-    series = run.series
-    if series is None:
+    if run.point is None:
         return [_check("normalization", "skip", detail="; ".join(run.report.warnings))]
+    series = run.point.series
     dev = max(
         float(np.max(np.abs(series.in_ground.sum(axis=1) - 1.0))),
         float(np.max(np.abs(series.in_excited.sum(axis=1) - 1.0))),
@@ -352,7 +351,7 @@ def _derivative_samples(s_star: float) -> list[float]:
 
 
 def _decomposition_checks(run: _Run) -> list[dict]:
-    if run.series is None:
+    if run.point is None:
         return [_check("gap_decomposition", "skip", detail="no interior gap minimum")]
     residual, tol = run.report.gap_decomposition_residual, 1e-6 * (1.0 + run.report.delta_min)
     if residual is None:
@@ -371,8 +370,8 @@ def _bound_checks(run: _Run) -> list[dict]:
 
 def _ratio_checks(run: _Run) -> list[dict]:
     gb = None
-    if run.series is not None and not run.report.ground_degenerate:
-        gb = min_gap_bounds(run.pair, run.report.s_star, run.series.partition.unique_ground_index)
+    if run.point is not None and not run.report.ground_degenerate:
+        gb = min_gap_bounds(run.point, run.point.series.partition.unique_ground_index)
     if gb is None:
         return [_check("squared_gap_bounds", "skip", detail="needs an interior minimum, a unique "
                        "ground state and a nonvanishing component")]
@@ -412,8 +411,8 @@ CHECK_NAMES = tuple(CHECKS)
 
 def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
     pair = clique_pair(graph, mixer)
-    report, _, series = build_report(pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
-    run = _Run(graph, pair, report, series, cfg.checks)
+    report, _, point = build_report(pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
+    run = _Run(graph, pair, report, point, cfg.checks)
     results = [c for name, group in CHECKS.items() if name in cfg.checks for c in group(run)]
     # the two swap measurements follow whatever groups ran
     for name, swap in (("choi_measurement", report.choi),
@@ -491,7 +490,7 @@ def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir
         base.mkdir(parents=True, exist_ok=True)
         for token, alpha in cfg.alphas:
             pair = clique_pair(_with_alpha(graph, alpha), mixer)
-            report, swp, series = build_report(
+            report, swp, point = build_report(
                 pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol, levels=cfg.levels
             )
             adir = base / f"alpha_{token}"
@@ -499,7 +498,8 @@ def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir
             m = min(cfg.levels, pair.dim)
             _write_levels(adir / "energies.csv", "E", swp.grid, swp.energies, m)
             _write_csv(adir / "gap.csv", ["s", "delta"], [swp.grid, swp.gaps()])
-            if series is not None:
+            if point is not None:
+                series = point.series
                 la = min(cfg.levels, series.partition.level_count)
                 _write_levels(adir / "overlaps_a.csv", "a", series.grid, series.in_ground, la)
                 _write_levels(adir / "overlaps_b.csv", "b", series.grid, series.in_excited, la)

@@ -730,35 +730,3 @@ def failure_condition_residual(
                 f"ratio difference {value:.6e} deviates from gap/(1-s) {expected:.6e}"
             )
     return value
-
-
-@dataclass(frozen=True)
-class GapBounds:
-    """Squared-gap bounds through one basis state; violations are reported,
-    not asserted, because they assume unstated sign conditions."""
-
-    lower: float
-    upper: float
-    lower_holds: bool
-    upper_holds: bool
-
-
-def min_gap_bounds(pair: HamiltonianPair, s_star: float, i: int) -> GapBounds | None:
-    """Triangle-inequality bounds on Delta(s*)^2 built from the squared
-    neighbor-to-component ratios of basis state i."""
-    w, v = decompose_interpolated(pair, s_star)
-    r0, r1 = _neighbour_ratios(pair, v[:, :2])[i]
-    if np.isnan(r0) or np.isnan(r1):
-        return None
-    f2 = (1.0 - s_star) ** 2
-    q0, q1 = float(r0) ** 2, float(r1) ** 2
-    upper = f2 * (q0 + q1)
-    lower = f2 * (q0 - q1)
-    delta_sq = float(w[1] - w[0]) ** 2
-    slack = 1e-12 * (1.0 + abs(upper))
-    return GapBounds(
-        lower=lower,
-        upper=upper,
-        lower_holds=bool(lower <= delta_sq + slack),
-        upper_holds=bool(delta_sq <= upper + slack),
-    )

@@ -246,6 +246,12 @@ def first_order_rotation(h0, h1_diag, s: float, solution_index: int):
     return float(beta), higher[0], higher[1]
 
 
+def dense_gap(h0, h1_diag, s: float) -> float:
+    """E1 - E0 of H(s) from ``numpy.linalg.eigvalsh``."""
+    w = np.linalg.eigvalsh(_interpolated(h0, h1_diag, s))
+    return float(w[1] - w[0])
+
+
 def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
     """Gap minimum from ``numpy.linalg.eigvalsh`` gaps on ``points`` evenly
     spaced s and on 1000 more s = 1 - u with u log-spaced from 1e-12 up to
@@ -262,8 +268,7 @@ def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
     from scipy.optimize import minimize_scalar
 
     def gap(s):
-        w = np.linalg.eigvalsh(_interpolated(h0, h1_diag, s))
-        return float(w[1] - w[0])
+        return dense_gap(h0, h1_diag, s)
 
     spacing = 1.0 / (points - 1)
     ss = np.unique(np.concatenate([

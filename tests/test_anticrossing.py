@@ -25,6 +25,7 @@ from mingap.anticrossing import (
     gap_decomposition_residual,
     measure_choi,
     measure_solution_swap,
+    min_gap_bounds,
     partition_final_levels,
     rotation_residuals,
     solution_derivative_residuals,
@@ -513,8 +514,7 @@ def test_solution_derivative_needs_unique_ground():
 
 def test_report_names_an_unresolved_gap_as_the_skip_cause():
     pair = clique_pair(toy_example_2(0.66666).graph)
-    report, _, series = build_report(pair)
-    star = series.at(report.s_star)
+    report, _, star = build_report(pair)
     assert star.delta <= resolution_floor(pair, star.s), "float64 is expected to read no gap at this s*"
     coupling = float(star.v[:, 0] @ spectral._hdot_apply(pair, star.v[:, 1]))
     assert abs(coupling) > 1e-9  # the levels do couple; the gap is what is lost
@@ -597,6 +597,15 @@ def test_a_point_is_solved_once(bundles, monkeypatch):
     sd = solution_derivative_residuals(point)
     assert len(calls) == 1 + len(searched)
     assert (sd.beta, sd.step) == (rot.beta, rot.step)
+    # the point a report hands out sits at its s*, and its step search and
+    # solves at s* +- step are already cached
+    report, _, returned = build_report(b.pair, precomputed_sweep=b.sweep)
+    assert isinstance(returned, AntiCrossingPoint) and returned.s == report.s_star
+    del calls[:]
+    assert rotation_residuals(returned) == report.rotation
+    assert solution_derivative_residuals(returned) == report.solution_derivative
+    assert min_gap_bounds(returned, b.partition.unique_ground_index) is not None
+    assert calls == []
 
 
 def test_report_brackets_the_gap_minimum_on_its_sweep(bundles, monkeypatch):
@@ -640,8 +649,8 @@ def test_report_refines_a_minimum_inside_the_last_cell(seed, alpha):
 @pytest.mark.parametrize("name, alpha", [("toy1", 0.0), ("toy1", 0.5), ("toy2", 0.2)])
 def test_report_matches_standalone_measurements(bundles, name, alpha):
     b = bundles(name, alpha)
-    report, _, series = build_report(b.pair, precomputed_sweep=b.sweep)
-    point = series.at(report.s_star)
+    report, _, returned = build_report(b.pair, precomputed_sweep=b.sweep)
+    point = returned.series.at(report.s_star)  # solved afresh, not the report's cached point
     assert report.choi == measure_choi(point)
     assert report.solution_swap == measure_solution_swap(point)
     assert report.rotation == rotation_residuals(point)
@@ -651,12 +660,12 @@ def test_report_matches_standalone_measurements(bundles, name, alpha):
 
 def test_report_degenerate_ground_path():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
-    report, _, series = build_report(pair, grid_points=101)
+    report, _, point = build_report(pair, grid_points=101)
     assert report.ground_degenerate
     assert report.degenerate_at_end
     assert report.choi is None and report.solution_swap is None
     assert any("degenerate" in w for w in report.warnings)
-    assert series is None
+    assert point is None
 
 
 def test_report_zero_target_path():

@@ -221,6 +221,25 @@ def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
     assert len(set(one_level)) == len(one_level)
 
 
+def test_verify_decomposes_s_star_once(runner, monkeypatch):
+    # 21 full-pass points, 10 derivative samples and s*, where the report's
+    # point serves every check (the squared-gap bounds among them)
+    report = anticrossing.build_report(clique_pair(toy_example_1(0.5).graph), grid_points=201)[0]
+    calls = []
+    original = spectral.decompose_interpolated
+
+    def counting(pair, s):
+        calls.append(s)
+        return original(pair, s)
+
+    for module in (cli, spectral, anticrossing):
+        monkeypatch.setattr(module, "decompose_interpolated", counting)
+    result = runner.invoke(main, ["verify", "--fixture", "toy1", "--grid", "201"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 21 + 10 + 1
+    assert calls.count(report.s_star) == 1
+
+
 @pytest.mark.parametrize("checks", ["normalization", "normalization,identities"])
 def test_verify_normalization_sums_full_rows_once_per_point(runner, monkeypatch, checks):
     # the solution row over all levels comes from 21 dense decompositions,
