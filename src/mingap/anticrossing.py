@@ -369,6 +369,12 @@ def _window_indices(grid: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return idx
 
 
+def _swap_epsilon(pairs, extra_epsilon: float) -> float:
+    """The largest of ``extra_epsilon`` and the distances from 1/2 of the
+    weights at the point in ``pairs`` (see ``_swap_clauses``)."""
+    return float(max(extra_epsilon, *(abs(at - 0.5) for pair in pairs for _, at in pair)))
+
+
 def _swap_clauses(
     grid: np.ndarray, pairs, lo: float, hi: float, extra_epsilon: float
 ) -> SwapMeasurement:
@@ -376,18 +382,16 @@ def _swap_clauses(
     falling) weights, each given as (its series on ``grid``, its value at
     the point).  Clause 1 bounds one minus each pair's sum, on the window
     and at the point; clause 3 bounds the weights at the window ends.
-    Epsilon is the largest of ``extra_epsilon`` and the distances of the
-    weights at the point from 1/2."""
+    Epsilon is ``_swap_epsilon``."""
     idx = _window_indices(grid, lo, hi)
-    sums, ends, halves, direction_ok = [], [], [extra_epsilon], True
+    sums, ends, direction_ok = [], [], True
     for (rising, r_at), (falling, f_at) in pairs:
         r, f = rising[idx], falling[idx]
         sums += [float(np.min(r + f)), r_at + f_at]
         ends += [r[0], 1.0 - r[-1], 1.0 - f[0], f[-1]]
-        halves += [abs(r_at - 0.5), abs(f_at - 0.5)]
         direction_ok = bool(direction_ok and r[-1] > r[0] and f[0] > f[-1])
     gamma = float(max(1.0 - min(sums), *ends, 0.0))
-    epsilon = float(max(halves))
+    epsilon = _swap_epsilon(pairs, extra_epsilon)
     return SwapMeasurement(
         satisfied=bool(direction_ok and gamma < 0.5 and epsilon < 0.5),
         gamma=gamma,
@@ -400,33 +404,39 @@ def _swap_clauses(
 def _measure_swap(
     point: AntiCrossingPoint, pairs, window=None, extra_epsilon: float = 0.0
 ) -> SwapMeasurement:
-    """``_swap_clauses`` on ``window``, or with ``window=None`` on every
-    symmetric window around the point, keeping the smallest-gamma
-    measurement (the definition only asks that some window works)."""
+    """``_swap_clauses`` on ``window``, or with ``window=None`` on the first
+    smallest-gamma symmetric window around the point whose half-width is a
+    whole number of grid spacings (the definition only asks that some
+    window works).  The windows are nested, so gamma on all of them comes
+    from running minima outward from the narrowest.  With no window of two
+    grid points: unsatisfied, gamma 1 and the empty window (s, s)."""
     s_star, grid = point.s, point.series.grid
     if window is not None:
         return _swap_clauses(grid, pairs, window[0], window[1], extra_epsilon)
     spacing = float(np.median(np.diff(grid)))
-    max_half = min(s_star - grid[0], grid[-1] - s_star)
-    best = None
-    m = 1
-    while m * spacing <= max_half + 1e-15:
-        half = m * spacing
-        try:
-            cand = _swap_clauses(grid, pairs, s_star - half, s_star + half, extra_epsilon)
-        except ValueError:
-            m += 1
-            continue
-        if best is None or cand.gamma < best.gamma:
-            best = cand
-        m += 1
-    if best is None:
+    reach = min(s_star - grid[0], grid[-1] - s_star) + 1e-15
+    halves = np.arange(1, int(reach / spacing) + 2) * spacing
+    halves = halves[halves <= reach]
+    first = np.searchsorted(grid, s_star - halves - 1e-15, side="left")
+    last = np.searchsorted(grid, s_star + halves + 1e-15, side="right") - 1
+    held = last - first >= 1
+    if not held.any():
         return SwapMeasurement(
-            satisfied=False, gamma=1.0,
-            epsilon=float(abs(point.in_ground[0] - 0.5)),
-            window=(s_star, s_star), direction_ok=False,
+            satisfied=False, gamma=1.0, epsilon=_swap_epsilon(pairs, extra_epsilon),
+            window=(float(s_star), float(s_star)), direction_ok=False,
         )
-    return best
+    halves, first, last = halves[held], first[held], last[held]
+    c = first[0]
+    sums, ends = [], []
+    for (rising, r_at), (falling, f_at) in pairs:
+        total = rising + falling
+        inward = np.minimum.accumulate(total[c::-1])[::-1]  # min over [i, c]
+        outward = np.minimum.accumulate(total[c:])  # min over [c, c + j]
+        sums += [np.minimum(inward[first], outward[last - c]), np.full(len(first), r_at + f_at)]
+        ends += [rising[first], 1.0 - rising[last], 1.0 - falling[first], falling[last]]
+    gamma = np.maximum(np.maximum(1.0 - np.min(sums, axis=0), np.max(ends, axis=0)), 0.0)
+    half = halves[np.argmin(gamma)]
+    return _swap_clauses(grid, pairs, s_star - half, s_star + half, extra_epsilon)
 
 
 def measure_choi(

@@ -197,7 +197,8 @@ class SpectralSweep:
     (all d of them, or the lowest few; see ``sweep``).  Signs (and the
     ordering inside near-degenerate clusters) are fixed by maximal overlap
     with the previous grid point, so overlap curves are continuous; inside
-    a degenerate cluster that level m cuts, the gauge is arbitrary.
+    a degenerate cluster that level m cuts, the gauge is arbitrary.  It is
+    threaded in one pass over the stacked solves (``_thread_gauge``).
     """
 
     grid: np.ndarray = field(repr=False)
@@ -208,14 +209,6 @@ class SpectralSweep:
     def gaps(self) -> np.ndarray:
         """E_1(s) - E_0(s) on the grid."""
         return self.energies[:, 1] - self.energies[:, 0]
-
-
-def _canonical_signs(v: np.ndarray) -> np.ndarray:
-    """Deterministic start gauge: largest-magnitude entry positive."""
-    lead = np.abs(v).argmax(axis=0)
-    signs = np.sign(v[lead, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    return v * signs
 
 
 def _degenerate_clusters(w: np.ndarray, tol: float):
@@ -229,9 +222,10 @@ def _degenerate_clusters(w: np.ndarray, tol: float):
     return clusters
 
 
-def _match_to_previous(prev: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """Permute within degenerate clusters and fix signs so every column has
-    nonnegative overlap with the previous step's column."""
+def _match_clusters(prev: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+    """Permute, in place, the columns of ``v`` and the entries of ``w``
+    inside each degenerate cluster of ``w``, so that each column follows
+    the column of ``prev`` it overlaps most (greedily by |overlap|)."""
     tol = degeneracy_tolerance(w)
     for cluster in _degenerate_clusters(w, tol):
         idx = list(cluster)
@@ -252,7 +246,37 @@ def _match_to_previous(prev: np.ndarray, w: np.ndarray, v: np.ndarray):
         take = [idx[c] for c in perm]
         v[:, idx] = v[:, take]
         w[idx] = w[take]
-    return w, _align_signs(prev, v)
+
+
+def _thread_gauge(energies: np.ndarray, vectors: np.ndarray) -> None:
+    """Fix, in place, a continuous gauge on the stacked solves ``energies``
+    (T, m) and ``vectors`` (T, d, m).  The first point's columns get their
+    largest-magnitude entry positive.  Later columns are permuted inside
+    degenerate clusters to follow the previous point's (``_match_clusters``
+    reads only |overlap|, so it runs first, at the clustered points alone);
+    then a column flips iff its overlap with the previous gauged column is
+    negative, and an overlap of exactly 0 restarts it at +1."""
+    t_count, _, m = vectors.shape
+    tol = DEGENERACY_RTOL * (1.0 + np.max(np.abs(energies), axis=1))
+    clustered = np.any(np.diff(energies, axis=1) <= tol[:, None], axis=1)
+    for t in np.flatnonzero(clustered[1:]) + 1:
+        _match_clusters(vectors[t - 1], energies[t], vectors[t])
+    steps = np.empty((t_count, m))
+    steps[0] = vectors[0][np.abs(vectors[0]).argmax(axis=0), np.arange(m)]
+    for k in range(m):
+        # summed over a contiguous copy of one level's vectors, as over a
+        # column of one solve in LAPACK's column-major layout: a round-off
+        # overlap of orthogonal vectors keeps the sign that order gives it
+        column = np.ascontiguousarray(vectors[:, :, k])
+        steps[1:, k] = np.einsum("ti,ti->t", column[:-1], column[1:])
+    steps = np.sign(steps)
+    restart = steps == 0
+    steps[restart] = 1.0
+    # the sign at t is the product of the steps since the last restart
+    # (running[t + 1] / running[restart]; a quotient of signs is a product)
+    running = np.cumprod(np.vstack([np.ones(m), steps]), axis=0)
+    last = np.maximum.accumulate(np.where(restart, np.arange(t_count)[:, None], 0), axis=0)
+    vectors *= (running[1:] * np.take_along_axis(running, last, axis=0))[:, None, :]
 
 
 def _align_signs(reference: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -284,9 +308,10 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     T*d*m*8 bytes of vectors.  Every point is a grid point of
     ``_eigensolve``: for m = 2 at d >= LANCZOS_MIN_DIM, a connected mixer
     and a simple final ground level each point but s = 1 is a Lanczos
-    solve; otherwise each is an MRRR subset solve.  The gauge is
-    threaded through the kept columns alone, so inside a degenerate
-    cluster that level m cuts it is arbitrary."""
+    solve; otherwise each is an MRRR subset solve.  The gauge is then
+    threaded in one pass over the stacked arrays (``_thread_gauge``),
+    through the kept columns alone, so inside a degenerate cluster that
+    level m cuts it is arbitrary."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must hold at least two s values")
@@ -300,19 +325,12 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     keep = None if levels is None else min(max(levels, 2), d)
     energies = np.empty((len(grid), keep or d))
     vectors = np.empty((len(grid), d, keep or d))
-    prev = None
     for t, s in enumerate(grid):
         try:
-            w, v = _eigensolve(pair, s, levels=keep, lanczos=True)
+            energies[t], vectors[t] = _eigensolve(pair, s, levels=keep, lanczos=True)
         except EigendecompositionError as err:
             raise EigendecompositionError(f"at s={s}: {err}") from err
-        if prev is None:
-            v = _canonical_signs(v)
-        else:
-            w, v = _match_to_previous(prev, w, v)
-        energies[t] = w
-        vectors[t] = v
-        prev = v
+    _thread_gauge(energies, vectors)
     return SpectralSweep(grid=grid, energies=energies, vectors=vectors, pair=pair)
 
 
@@ -671,18 +689,25 @@ def gap_identity_residual(
 
 def _neighbour_ratios(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
     """<x_i|(-H0)|v_k> / <x_i|v_k> for every basis state i and column k of
-    ``v``; NaN where the component is at or below the guard."""
-    ratios = np.full(v.shape, np.nan)
-    np.divide(-_h0_apply(pair, v), v, out=ratios, where=np.abs(v) > COMPONENT_GUARD)
+    ``v``; NaN where the component is at or below the guard.  Computed in
+    the buffer of the product H0 v."""
+    ratios = _h0_apply(pair, v)
+    np.negative(ratios, out=ratios)
+    guarded = (v <= COMPONENT_GUARD) & (v >= -COMPONENT_GUARD)
+    np.divide(ratios, v, out=ratios, where=~guarded)
+    ratios[guarded] = np.nan
     return ratios
 
 
 def energy_identity_residuals(pair: HamiltonianPair, s: float, decomposition=None) -> np.ndarray:
     """``energy_identity_residual`` for every basis state i (row) and level
-    k (column) at once; NaN where that function returns None."""
+    k (column) at once; NaN where that function returns None.  Evaluated
+    in the buffer of ``_neighbour_ratios``."""
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
-    ratios = _neighbour_ratios(pair, v)
-    return w[None, :] - (s * pair.h1_diag[:, None] - (1.0 - s) * ratios)
+    residuals = _neighbour_ratios(pair, v)
+    np.multiply(residuals, 1.0 - s, out=residuals)
+    np.subtract(s * pair.h1_diag[:, None], residuals, out=residuals)
+    return np.subtract(w[None, :], residuals, out=residuals)
 
 
 def gap_identity_residuals(pair: HamiltonianPair, s: float, decomposition=None) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Nothing here may call into the library's numerical paths: the Jacobi
 solver diagonalizes from scratch, and the two-level formulas come from
-direct closed-form algebra.
+direct closed-form algebra.  The two loop references (``threaded_gauge``,
+``swap_window_scan``) take the library's per-point solves or its clause
+evaluation as input and redo, one point or window at a time, only the
+loop the library evaluates in one pass.
 """
 
 from __future__ import annotations
@@ -292,3 +295,75 @@ def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
         if res.fun < best_g:
             best_s, best_g = float(ss[i] + res.x), float(res.fun)
     return best_s, best_g
+
+
+def threaded_gauge(solves):
+    """The sweep's gauge threaded point by point, from the raw (w, v)
+    solves of each grid point in order: the first point's columns get their
+    largest-magnitude entry positive; at each later point the columns are
+    permuted inside degenerate clusters of w (consecutive values at most
+    ``DEGENERACY_RTOL (1 + max|w|)`` apart) to the previous gauged columns
+    they overlap most, greedily by |overlap|, and then flipped where their
+    overlap with the previous column is negative.  Returns the stacked
+    (energies, vectors)."""
+    rtol = 1e-9  # spectral.DEGENERACY_RTOL
+    energies, vectors, prev = [], [], None
+    for w, v in solves:
+        w, v = np.array(w, dtype=float), np.array(v, dtype=float)
+        if prev is None:
+            lead = np.abs(v).argmax(axis=0)
+            signs = np.sign(v[lead, np.arange(v.shape[1])])
+            signs[signs == 0] = 1.0
+            v = v * signs
+        else:
+            tol = rtol * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+            starts = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > tol] + [len(w)]
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                idx = list(range(lo, hi))
+                if len(idx) < 2:
+                    continue
+                block = np.abs(prev[:, idx].T @ v[:, idx])
+                perm, used_rows, used_cols = [-1] * len(idx), set(), set()
+                for r, c in np.dstack(np.unravel_index(np.argsort(-block, axis=None), block.shape))[0]:
+                    if r in used_rows or c in used_cols:
+                        continue
+                    perm[r] = c
+                    used_rows.add(r)
+                    used_cols.add(c)
+                take = [idx[c] for c in perm]
+                v[:, idx] = v[:, take]
+                w[idx] = w[take]
+            v[:, np.einsum("ik,ik->k", prev, v) < 0] *= -1.0
+        energies.append(w)
+        vectors.append(v)
+        prev = v
+    return np.array(energies), np.array(vectors)
+
+
+def swap_window_scan(clauses, grid, s_star: float, pairs, extra_epsilon: float):
+    """The swap measurement over symmetric windows, one window at a time:
+    ``clauses(grid, pairs, lo, hi, extra_epsilon)`` (the library's clause
+    evaluation, which raises ValueError on a window of fewer than two grid
+    points) on every half-width m * spacing, m = 1, 2, ..., that stays
+    inside the grid; the first window of the smallest gamma wins.  With no
+    such window: unsatisfied, gamma 1, epsilon the largest of
+    ``extra_epsilon`` and the distances of the weights at the point from
+    1/2, and the window (s*, s*).  Returns the winning measurement, or the
+    tuple (satisfied, gamma, epsilon, window, direction_ok) of the
+    fallback."""
+    grid = np.asarray(grid, dtype=float)
+    spacing = float(np.median(np.diff(grid)))
+    reach = min(s_star - grid[0], grid[-1] - s_star)
+    best, m = None, 1
+    while m * spacing <= reach + 1e-15:
+        try:
+            cand = clauses(grid, pairs, s_star - m * spacing, s_star + m * spacing, extra_epsilon)
+        except ValueError:
+            cand = None
+        if cand is not None and (best is None or cand.gamma < best.gamma):
+            best = cand
+        m += 1
+    if best is None:
+        epsilon = max([extra_epsilon] + [abs(at - 0.5) for pair in pairs for _, at in pair])
+        return False, 1.0, float(epsilon), (float(s_star), float(s_star)), False
+    return best

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mingap.basis import enumerate_basis
 from mingap.clique import random_instance, toy_example_1, toy_example_2
@@ -19,6 +22,7 @@ from mingap.anticrossing import (
     AntiCrossingPoint,
     StationarityError,
     StepSizeError,
+    SwapMeasurement,
     build_report,
     compute_overlaps,
     epsilon_bound_margin,
@@ -32,7 +36,7 @@ from mingap.anticrossing import (
     wilkinson_fit,
 )
 
-from oracles import TwoLevelOracle
+from oracles import TwoLevelOracle, swap_window_scan
 
 
 def point_at(pair, swp, s):
@@ -346,6 +350,94 @@ def test_subsumption_on_shared_window(bundles):
     assert relaxed.satisfied
     assert relaxed.gamma <= choi.gamma
     assert relaxed.epsilon <= choi.epsilon + 1e-9
+
+
+def window_oracle(point, pairs, extra_epsilon=0.0):
+    """``oracles.swap_window_scan`` at ``point``: the clauses evaluated one
+    symmetric window at a time."""
+    found = swap_window_scan(
+        anticrossing._swap_clauses, point.series.grid, point.s, pairs, extra_epsilon
+    )
+    return SwapMeasurement(*found) if isinstance(found, tuple) else found
+
+
+def assert_swaps_match_window_oracle(point):
+    """Both swap measurements at ``point`` equal the window-by-window scan
+    over the weight pairs each reads."""
+    series = point.series
+    a0, a1 = ((series.in_ground[:, k], float(point.in_ground[k])) for k in (0, 1))
+    b0, b1 = ((series.in_excited[:, k], float(point.in_excited[k])) for k in (0, 1))
+    assert measure_choi(point) == window_oracle(point, [(a0, a1), (b1, b0)])
+    if point.solution is not None:
+        g0, g1 = ((series.solution[:, k], float(point.solution[k])) for k in (0, 1))
+        expected = window_oracle(point, [(g0, g1)], abs(g0[1] - g1[1]))
+        assert measure_solution_swap(point) == expected
+
+
+@pytest.mark.parametrize("name", ["toy1", "toy2"])
+def test_swap_windows_match_oracle_on_the_alpha_ladder(name):
+    builder = {"toy1": toy_example_1, "toy2": toy_example_2}[name]
+    for alpha in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.63, 0.66, 0.6666, 0.66666):
+        _, _, point = build_report(clique_pair(builder(alpha).graph), grid_points=201)
+        assert_swaps_match_window_oracle(point)
+
+
+def test_swap_windows_match_oracle_at_d252():
+    pair = clique_pair(random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    _, _, point = build_report(pair, grid_points=101)
+    assert_swaps_match_window_oracle(point)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    n=st.integers(3, 7),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    grid_points=st.integers(51, 301),
+)
+def test_swap_windows_match_oracle_on_random_instances(n, data, seed, alpha, grid_points):
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
+    # with one final level (all targets within the degeneracy tolerance)
+    # the report's Choi measurement raises
+    assume(partition_final_levels(pair).level_count >= 2)
+    _, _, point = build_report(pair, grid_points=grid_points)
+    if point is not None:
+        assert_swaps_match_window_oracle(point)
+
+
+def test_swap_window_ties_keep_the_narrowest():
+    """A clean step swap scores gamma 0 on every window; the first, the
+    narrowest, is kept."""
+    grid = np.linspace(0.0, 1.0, 101)
+    point = SimpleNamespace(s=0.5, series=SimpleNamespace(grid=grid))
+    rising = (grid > 0.5).astype(float)
+    pairs = [((rising, 0.5), (1.0 - rising, 0.5))]
+    m = anticrossing._measure_swap(point, pairs)
+    assert m == window_oracle(point, pairs)
+    assert m.gamma == 0.0
+    assert m.window == (0.5 - 0.01, 0.5 + 0.01)
+
+
+def test_swap_without_a_window_reports_the_epsilon_at_the_point():
+    """s* within one grid spacing of s = 1: no symmetric window holds two
+    grid points, and each measurement reports its own epsilon at s*, with
+    the empty window (s*, s*) of floats."""
+    pair = clique_pair(random_instance(8, 4, 0.5, 0.5, 1.5, seed=1, alpha=0.3).graph)
+    report, _, point = build_report(pair, grid_points=201)
+    assert 1.0 - report.s_star < 1.0 / 200
+    assert_swaps_match_window_oracle(point)
+    solution = report.solution_swap
+    assert (solution.satisfied, solution.gamma, solution.direction_ok) == (False, 1.0, False)
+    assert solution.epsilon == pytest.approx(0.9999968, abs=1e-7)
+    assert solution.epsilon == max(abs(point.solution[0] - point.solution[1]),
+                                   abs(point.solution[0] - 0.5), abs(point.solution[1] - 0.5))
+    assert report.choi.epsilon == max(abs(x - 0.5) for x in (*point.in_ground[:2],
+                                                             *point.in_excited[:2]))
+    for m in (report.choi, solution):
+        assert m.window == (report.s_star, report.s_star)
+        assert all(type(x) is float for x in m.window)
 
 
 # ---------------------------------------------------------------------------

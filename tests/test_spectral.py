@@ -58,6 +58,7 @@ from oracles import (
     fine_scan_min_gap,
     jacobi_eigh,
     projection_identity_entries,
+    threaded_gauge,
 )
 
 # frozen by an independent fine-grid scan (2001 coarse points, tol 1e-12)
@@ -169,6 +170,75 @@ def test_sweep_validation():
         sweep(pair, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         sweep(pair, [-0.1, 1.0])
+
+
+TOY_LADDER = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.63, 0.66, 0.6666, 0.66666)
+
+
+def zero_target_pair():
+    """Four states on a complete mixer graph and a zero target: H(s) is
+    (1-s) H0, with a threefold degenerate excited level at every s < 1."""
+    basis = enumerate_basis(2)
+    return HamiltonianPair(
+        basis=basis,
+        h0=np.diag([0.0, 0.0, 0.0, 0.0]) - (np.ones((4, 4)) - np.eye(4)),
+        h1_diag=build_diagonal_target(np.zeros(4), basis),
+    )
+
+
+def assert_sweep_matches_gauge_oracle(pair, grid, levels):
+    """``sweep`` equals, bit for bit, the gauge threaded point by point
+    (``oracles.threaded_gauge``) over the same solves of every grid point."""
+    keep = None if levels is None else min(max(levels, 2), pair.dim)
+    swp = sweep(pair, grid, levels=levels)
+    energies, vectors = threaded_gauge(
+        spectral._eigensolve(pair, s, levels=keep, lanczos=True) for s in swp.grid
+    )
+    assert np.array_equal(swp.energies, energies)
+    assert np.array_equal(swp.vectors, vectors)
+
+
+@pytest.mark.parametrize("levels", [2, 6, None])
+@pytest.mark.parametrize("name", ["toy1", "toy2"])
+def test_sweep_gauge_matches_oracle_on_the_alpha_ladder(name, levels):
+    builder = {"toy1": toy_example_1, "toy2": toy_example_2}[name]
+    for alpha in TOY_LADDER:
+        assert_sweep_matches_gauge_oracle(
+            clique_pair(builder(alpha).graph), np.linspace(0.0, 1.0, 201), levels
+        )
+
+
+@pytest.mark.parametrize("levels", [2, 6, None])
+@pytest.mark.parametrize("case", ["transverse-field", "zero-target", "random-d252"])
+def test_sweep_gauge_matches_oracle_on_degenerate_and_large_cases(case, levels):
+    """The transverse-field toy holds degenerate clusters along the path,
+    the zero-target pair overlaps of exactly zero, and d=252 the
+    dimension of the verify workload."""
+    if case == "transverse-field":
+        pair, points = clique_pair(toy_example_1(0.5).graph, "transverse_field"), 201
+    elif case == "zero-target":
+        pair, points = zero_target_pair(), 101
+    else:
+        pair = clique_pair(random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+        points = 21
+    assert_sweep_matches_gauge_oracle(pair, np.linspace(0.0, 1.0, points), levels)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n=st.integers(3, 7),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    levels=st.sampled_from([1, 2, 6, None]),
+    points=st.integers(2, 61),
+)
+def test_sweep_gauge_matches_oracle_on_random_instances(n, data, seed, alpha, mixer, levels, points):
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    assume(pair.dim <= 70)
+    assert_sweep_matches_gauge_oracle(pair, np.linspace(0.0, 1.0, points), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +692,23 @@ def assert_identity_arrays_match_scalars(pair, s):
         assert np.array_equal(np.isnan(got_gap), ~live_gap)
         assert np.all(np.abs(got_energy - ref)[live] <= scale[live])
         assert np.all(np.abs(got_gap - gap_ref)[live_gap] <= gap_scale[live_gap])
+
+
+def test_identity_checks_of_a_point_work_in_one_buffer():
+    """At d=252 one point of ``identity_checks`` peaks at two d x d arrays
+    of temporaries: the product H0 v, the buffer every later step of the
+    energy identity writes into, and the row-major copy of v the sparse
+    product makes.  With a new array per step it peaked at 3.13."""
+    pair = clique_pair(random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    points = [(0.5, decompose_interpolated(pair, 0.5))]
+    identity_checks(pair, points)
+    tracemalloc.start()
+    try:
+        identity_checks(pair, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * pair.dim**2 * 8
 
 
 @pytest.mark.parametrize("builder", [toy_example_1, toy_example_2])
