@@ -26,7 +26,6 @@ from .spectral import (
     MinGapResult,
     SpectralSweep,
     decompose_interpolated,
-    eigendecompose,
     eigenvalue_derivative,
     eigenvalue_second_derivative,
     eigenvector_derivative,
@@ -77,7 +76,7 @@ __all__ = [
     "HamiltonianPair", "ProblemGraph", "build_clique_target", "build_diagonal_target",
     "build_swap_mixer", "build_transverse_field", "clique_pair", "interpolate",
     "DegeneracyError", "EigendecompositionError", "MinGapResult",
-    "SpectralSweep", "decompose_interpolated", "eigendecompose",
+    "SpectralSweep", "decompose_interpolated",
     "eigenvalue_derivative", "eigenvalue_second_derivative", "eigenvector_derivative",
     "energy_identity_residual", "energy_identity_residuals", "failure_condition_residual",
     "gap_identity_residual", "gap_identity_residuals",

@@ -780,8 +780,12 @@ def build_report(
         wilk = None
         warnings.append(f"hyperbola fit skipped: {err}")
 
-    choi = measure_choi(point)
-    solution_swap = None if ground_degenerate else measure_solution_swap(point)
+    if partition.level_count < 2:
+        choi = solution_swap = None
+        warnings.append("one final energy level; swap measurements skipped")
+    else:
+        choi = measure_choi(point)
+        solution_swap = None if ground_degenerate else measure_solution_swap(point)
 
     try:
         decomp_residual = gap_decomposition_residual(point)

@@ -34,13 +34,21 @@ picks the solver from what is asked:
   checks.  Near the minimum E1 - E0 can be as small as the round-off of
   H(s), and the dense solve reads the gap whatever its size.
 
-On it rest the checked full eigendecomposition, gauge-continuous sweeps
+Below ``_BLAS_THREADS_MIN_DIM`` every solve of a pair, on either route,
+runs on one OpenBLAS thread, and a sweep holds that one scope over its
+whole loop; the caller's thread count is restored afterwards.  There a
+second thread shortens no solve, and one thread makes every spectrum
+independent of the caller's thread count.  From the cut on a solve keeps
+the caller's count.
+
+On it rest the full eigendecomposition of H(s), gauge-continuous sweeps
 over an s-grid (of every level, or of the lowest few only), min-gap
 location (Brent refinement on Delta^2 of the brackets a coarse grid
 gives: the cells around its smallest gap, every cell where the
-Hellmann-Feynman gap slope turns from negative to positive, and every
-cell across which the ground vector swaps character; the grid is a
-sweep's own when one is at hand), perturbation-theory derivatives of
+Hellmann-Feynman gap slope turns from negative to positive, every cell
+across which the ground vector swaps character, and an end cell into
+which the gap falls from a smallest grid gap at s=0 or s=1; the grid is
+a sweep's own when one is at hand), perturbation-theory derivatives of
 eigenvalues and eigenvectors, and the residuals of the projection
 identities that relate any eigenpair to the mixer neighborhood of a
 basis state.  Every product with the mixer H0 (the schedule derivative
@@ -55,6 +63,12 @@ in that entry.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +82,10 @@ DEGENERACY_RTOL = 1e-9
 # Ratio identities skip components with magnitude at or below this.
 COMPONENT_GUARD = 1e-12
 # Dimension from which a one- or two-level solve of H(s) runs Lanczos.  The
-# measured crossover lies between d=252 (dense MRRR 2.8 ms per solve, ARPACK
-# 3.7 ms) and d=330 (5.3 ms against 4.7 ms); at d=462 it is 10 ms against
-# 3-5 ms (2 cores, OpenBLAS).
+# measured crossover lies between d=252 (dense MRRR 2.4 ms per solve, ARPACK
+# 2.6-4.2 ms) and d=330 (4.4-5.2 ms against 2.6-4.6 ms); at d=462 it is
+# 9.9-12 ms against 2.6-4.4 ms (one OpenBLAS thread, 2 cores, OpenBLAS
+# 0.3.31).
 LANCZOS_MIN_DIM = 300
 # Seed of the Lanczos start vector.  Fixed, so that a solve is a pure
 # function of H(s) and repeated runs are byte-identical.
@@ -80,6 +95,17 @@ _LANCZOS_SEED = 0
 # d=462 sweep through a gap of 2e-15; the cap bounds a stalled solve to a
 # few dense ones.
 _LANCZOS_MAXITER = 100
+# Dimension from which a solve of H(s) keeps the caller's OpenBLAS thread
+# count; below it every solve of the pair runs on one thread.  A second
+# thread shortens no ARPACK solve (d=462: 4.6 ms of wall time and 9.2 ms of
+# CPU on two threads, 2.6 ms of both on one) and no dense one below a
+# crossover between d=462 and d=495.  A two-level MRRR solve takes, on two
+# threads against one, 10.1 against 9.9 ms at d=462, 12.0 against 12.0 ms
+# at d=495, 23.9 against 28.2 ms at d=715 and 39.9 against 69.5 ms at d=924;
+# a full one 37.5 against 38.1 ms at d=462 (each setting in its own
+# process, 2 cores, OpenBLAS 0.3.31).  On one thread a solve's bits no
+# longer depend on the caller's thread count either.
+_BLAS_THREADS_MIN_DIM = 470
 # Round-off allowance, in eps ||H||, of a gap probed at s < 1.
 _PROBE_ROUNDOFF = 8
 # The ground vector swaps character across a grid cell when its overlap
@@ -100,6 +126,80 @@ class DegeneracyError(ValueError):
 
 def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
     return DEGENERACY_RTOL * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
+
+
+@functools.cache
+def _openblas_thread_counts() -> tuple:
+    """(get, set) of the thread count of every OpenBLAS library loaded in
+    the process: the libraries are found by path in /proc/self/maps, their
+    functions by the names SciPy's and NumPy's bundled builds
+    (``scipy_openblas_*``, ``scipy_openblas_*64_``) and a system build
+    (``openblas_*``) export.  Empty where none is found (no /proc, or
+    another BLAS).  Read once, on the first pinned solve."""
+    paths = {}
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5].strip()):
+                    paths[fields[5].strip()] = None
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("", "64_")):
+            names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+            if all(hasattr(lib, name) for name in names):
+                get, set_ = (getattr(lib, name) for name in names)
+                get.restype, get.argtypes = ctypes.c_int, ()
+                set_.restype, set_.argtypes = None, (ctypes.c_int,)
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """A scope in which every loaded OpenBLAS runs on one thread.  The
+    thread count is process-wide (``openblas_set_num_threads_local`` too
+    acts on the whole process in OpenBLAS 0.3.31), so there is one scope
+    for the process: re-entrant and shared by Python threads.  Only the
+    outermost entry and exit call OpenBLAS; the exit restores the counts
+    the entry found, also on an exception."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._restore = [(set_, get()) for get, set_ in _openblas_thread_counts()]
+                for set_, count in self._restore:
+                    if count != 1:
+                        set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._restore:
+                    if count != 1:
+                        set_(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _blas_threads(pair: HamiltonianPair):
+    """The scope every solve of ``pair`` runs in: one OpenBLAS thread below
+    ``_BLAS_THREADS_MIN_DIM``, the caller's thread count from it."""
+    return _ONE_BLAS_THREAD if pair.dim < _BLAS_THREADS_MIN_DIM else contextlib.nullcontext()
 
 
 def _mrrr(h: np.ndarray, levels: int | None = None, vectors: bool = True):
@@ -150,42 +250,24 @@ def _eigensolve(
     Lanczos for one or two levels at such a point when d >= LANCZOS_MIN_DIM,
     s < 1, the mixer is connected and the final ground level is simple;
     dense MRRR otherwise, and where ARPACK fails (see the module
-    docstring).  A failure of the dense solver raises
+    docstring).  Below ``_BLAS_THREADS_MIN_DIM`` the solve runs on one
+    OpenBLAS thread.  A failure of the dense solver raises
     EigendecompositionError."""
-    if (
-        lanczos
-        and levels is not None
-        and levels <= 2
-        and pair.dim >= LANCZOS_MIN_DIM
-        and s < 1.0
-        and pair.mixer_connected
-        and _final_ground_simple(pair)
-    ):
-        try:
-            return _lanczos(pair, s, levels, vectors)
-        except scipy.sparse.linalg.ArpackError:
-            pass
-    return _mrrr(interpolate(pair, s), levels, vectors)
-
-
-def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a
-    real symmetric matrix.
-
-    Uses the MRRR driver.  Each eigenvector entry carries an absolute
-    error of about eps ||H||, so a ratio that divides by a small component
-    (the projection identities) loses relative accuracy as the component
-    shrinks: with components just above ``COMPONENT_GUARD`` the identity
-    residuals can exceed their 1e-8 bound in float64.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    asym = float(np.max(np.abs(h - h.T)))
-    if asym > 1e-12 * scale:
-        raise ValueError(f"matrix is not symmetric: max|H - H^T| = {asym:.3e}")
-    return _mrrr(h)
+    with _blas_threads(pair):
+        if (
+            lanczos
+            and levels is not None
+            and levels <= 2
+            and pair.dim >= LANCZOS_MIN_DIM
+            and s < 1.0
+            and pair.mixer_connected
+            and _final_ground_simple(pair)
+        ):
+            try:
+                return _lanczos(pair, s, levels, vectors)
+            except scipy.sparse.linalg.ArpackError:
+                pass
+        return _mrrr(interpolate(pair, s), levels, vectors)
 
 
 @dataclass(frozen=True)
@@ -325,11 +407,13 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     keep = None if levels is None else min(max(levels, 2), d)
     energies = np.empty((len(grid), keep or d))
     vectors = np.empty((len(grid), d, keep or d))
-    for t, s in enumerate(grid):
-        try:
-            energies[t], vectors[t] = _eigensolve(pair, s, levels=keep, lanczos=True)
-        except EigendecompositionError as err:
-            raise EigendecompositionError(f"at s={s}: {err}") from err
+    # one scope for the loop: the solves inside it only nest
+    with _blas_threads(pair):
+        for t, s in enumerate(grid):
+            try:
+                energies[t], vectors[t] = _eigensolve(pair, s, levels=keep, lanczos=True)
+            except EigendecompositionError as err:
+                raise EigendecompositionError(f"at s={s}: {err}") from err
     _thread_gauge(energies, vectors)
     return SpectralSweep(grid=grid, energies=energies, vectors=vectors, pair=pair)
 
@@ -483,6 +567,38 @@ def _bisect_swap(
     return a, b, fa, fb
 
 
+def _refine_end(
+    pair: HamiltonianPair,
+    end: float,
+    inner: float,
+    f_end: float,
+    f_inner: float,
+    tol: float,
+    best_s: float,
+    best_g: float,
+) -> tuple[float, float]:
+    """Refine a gap minimum that a grid puts at ``end`` (0 or 1) while the
+    gap slope there says the gap falls inward, toward ``inner``, the
+    nearest grid point (gaps ``f_end``, ``f_inner``).
+
+    The cell is halved toward ``end`` until its midpoint reads below
+    ``f_end``; the cell from the previous midpoint to ``end`` then holds a
+    gap below both its ends, and Brent's search runs on it.  Returns as
+    ``_brent``; (``best_s``, ``best_g``) when the cell shrinks below ``tol``
+    first."""
+    while abs(end - inner) > tol:
+        mid = 0.5 * (inner + end)
+        f_mid = _gap_at(pair, mid)
+        if f_mid < f_end:
+            if f_mid < best_g:
+                best_s, best_g = mid, f_mid
+            if end < inner:
+                return _brent(pair, end, inner, f_end, f_inner, tol, best_s, best_g)
+            return _brent(pair, inner, end, f_inner, f_end, tol, best_s, best_g)
+        inner, f_inner = mid, f_mid
+    return best_s, best_g
+
+
 def _gap_slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
     """dDelta/ds = <v1|H1-H0|v1> - <v0|H1-H0|v0> (Hellmann-Feynman) at
     every grid point, from ``vectors[t, :, :2]``, in one batched product."""
@@ -522,6 +638,11 @@ def min_gap(
       minimum, or a maximum, may sit beside a narrow minimum), so the
       cell is first narrowed to the swap point by bisection on that
       overlap.
+    * the end cell, when the smallest grid gap sits at s=0 or s=1, the
+      gap slope there says the gap falls inward and does not turn across
+      the cell: the cell can hold a maximum and then a dip toward the end
+      without a swap of the ground vector.  It is halved toward the end
+      until its midpoint reads below the end's gap (``_refine_end``).
 
     The gap at s=1 is exact (H(1) is diagonal), so a candidate inside the
     interval must beat it by more than a probe's round-off.  An s=1 result
@@ -558,6 +679,12 @@ def min_gap(
     best = (float(ss[i]), float(gaps[i]))
     for a, b in brackets:
         best = _brent(pair, float(ss[a]), float(ss[b]), gaps[a], gaps[b], tol, *best)
+    last = len(ss) - 1
+    if i in (0, last) and gaps[i] > deg_tol:
+        j = 1 if i == 0 else last - 1
+        falls_inward = slopes[i] < 0 if i == 0 else slopes[i] > 0
+        if falls_inward and not turns[min(i, j)]:
+            best = _refine_end(pair, float(ss[i]), float(ss[j]), gaps[i], gaps[j], tol, *best)
     # Every swap cell is refined once more, also one inside a bracket above:
     # the search over a bracket assumes a unimodal gap, which a swap cell
     # need not have.

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mingap import (
     clique_pair,
@@ -12,6 +13,11 @@ from mingap import (
     toy_example_1,
     toy_example_2,
 )
+
+# A failing draw prints its ``@reproduce_failure`` blob, so that an
+# unseeded failure can be replayed; nothing drawn or asserted changes.
+settings.register_profile("mingap", print_blob=True)
+settings.load_profile("mingap")
 
 _BUILDERS = {"toy1": toy_example_1, "toy2": toy_example_2}
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []

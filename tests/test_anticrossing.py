@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mingap.basis import enumerate_basis
@@ -399,11 +399,14 @@ def test_swap_windows_match_oracle_at_d252():
 def test_swap_windows_match_oracle_on_random_instances(n, data, seed, alpha, grid_points):
     k = data.draw(st.integers(1, n - 1))
     pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
-    # with one final level (all targets within the degeneracy tolerance)
-    # the report's Choi measurement raises
-    assume(partition_final_levels(pair).level_count >= 2)
-    _, _, point = build_report(pair, grid_points=grid_points)
-    if point is not None:
+    report, _, point = build_report(pair, grid_points=grid_points)
+    if point is None:
+        return
+    if point.series.partition.level_count < 2:
+        # one final level (all targets within the degeneracy tolerance):
+        # there is no pair of levels to swap, and no oracle to match
+        assert report.choi is None and report.solution_swap is None
+    else:
         assert_swaps_match_window_oracle(point)
 
 
@@ -758,6 +761,19 @@ def test_report_degenerate_ground_path():
     assert report.choi is None and report.solution_swap is None
     assert any("degenerate" in w for w in report.warnings)
     assert point is None
+
+
+def test_report_on_one_final_level_skips_the_swap_measurements():
+    # all three target energies lie within the degeneracy tolerance, yet
+    # the gap minimum is interior: no pair of final levels to swap
+    pair = clique_pair(random_instance(3, 1, 0.5, 0.5, 1.5, seed=1, alpha=1e-10).graph)
+    assert partition_final_levels(pair).level_count == 1
+    report, _, point = build_report(pair, grid_points=101)
+    assert point is not None and 0.0 < report.s_star < 1.0
+    assert report.choi is None and report.solution_swap is None
+    assert "one final energy level; swap measurements skipped" in report.warnings
+    with pytest.raises(ValueError, match="two final energy levels"):
+        measure_choi(point)
 
 
 def test_report_zero_target_path():

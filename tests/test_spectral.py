@@ -1,5 +1,7 @@
 import gc
+import json
 import sys
+import threading
 from dataclasses import replace
 import tracemalloc
 import weakref
@@ -38,8 +40,8 @@ from mingap.spectral import (
     DegeneracyError,
     EigendecompositionError,
     _gap_at,
+    _mrrr,
     decompose_interpolated,
-    eigendecompose,
     eigenvalue_derivative,
     eigenvalue_second_derivative,
     eigenvector_derivative,
@@ -74,30 +76,25 @@ def two_level_pair(e0, e1, coupling):
 
 
 # ---------------------------------------------------------------------------
-# eigendecompose
+# dense eigendecomposition (MRRR, the reference solver)
 
 
 def test_eigendecompose_two_by_two():
-    w, v = eigendecompose(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    w, v = _mrrr(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert np.allclose(w, [-1.0, 1.0])
     assert np.allclose(v.T @ v, np.eye(2), atol=1e-14)
 
 
 def test_eigendecompose_diagonal():
-    w, v = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+    w, v = _mrrr(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0, 3.0])
     assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
-
-
-def test_eigendecompose_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_eigendecompose_residual_and_orthonormality():
     pair = clique_pair(toy_example_1(0.5).graph)
     h = interpolate(pair, 0.5)
-    w, v = eigendecompose(h)
+    w, v = _mrrr(h)
     for k in range(pair.dim):
         r = np.linalg.norm(h @ v[:, k] - w[k] * v[:, k])
         assert r <= 1e-10 * (1 + abs(w[k]))
@@ -109,7 +106,7 @@ def test_eigendecompose_against_jacobi(order):
     """Independent-solver cross-check at the toy instance midpoint."""
     pair = clique_pair(toy_example_1(0.5).graph)
     h = interpolate(pair, 0.5)
-    w, _ = eigendecompose(h)
+    w, _ = _mrrr(h)
     w_j, _ = jacobi_eigh(h, sweep_order=order)
     assert np.max(np.abs(w - w_j)) <= 1e-9
 
@@ -120,7 +117,7 @@ def test_eigendecompose_against_jacobi(order):
 
 def test_sweep_endpoints(bundles):
     b = bundles("toy1", 0.5)
-    w0, _ = eigendecompose(b.pair.h0)
+    w0, _ = _mrrr(b.pair.h0)
     assert np.allclose(b.sweep.energies[0], w0, atol=1e-12)
     assert np.allclose(b.sweep.energies[-1], np.sort(b.pair.h1_diag), atol=1e-12)
     gs = int(np.argmin(b.pair.h1_diag))
@@ -460,6 +457,10 @@ def test_min_gap_refines_a_minimum_inside_the_last_cell(seed, alpha):
 # a flat minimum: s* and the oracle's s* lie 2.5e-6 apart, their gaps 5.9e-8
 # relative, and the oracle's gap at s* reads 9.3e-9 relative below its own
 @example(n=5, seed=131, alpha=2**-23, grid_points=51)
+# the smallest grid gap at s=1 and the gap slope positive at both ends of
+# the last cell: the gap peaks inside it, then dips 2.5e-7 below the gap
+# at s=1 at s~0.99996, with no swap of the ground vector across the cell
+@example(n=8, seed=362, alpha=0.1875, grid_points=51)
 def test_min_gap_on_a_sweep_matches_fine_scan(n, seed, alpha, grid_points):
     pair = clique_pair(random_instance(n, n // 2, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
     res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, grid_points)))
@@ -809,7 +810,7 @@ def test_h0_products_on_csr_match_dense_on_random_instances(n, data, seed, alpha
 
 def test_failure_condition_at_start_equals_mixer_gap():
     pair = clique_pair(toy_example_1(0.5).graph)
-    w0, _ = eigendecompose(pair.h0)
+    w0, _ = _mrrr(pair.h0)
     r = failure_condition_residual(pair, 0.0)
     assert r == pytest.approx(w0[1] - w0[0], abs=1e-10)
 
@@ -1211,3 +1212,148 @@ def test_arpack_failure_falls_back_to_mrrr(monkeypatch):
     assert np.array_equal(swp.energies, dense.energies)
     assert np.array_equal(swp.vectors, dense.vectors)
     assert min_gap(pair, coarse_points=51) == dense_gap
+
+
+# ---------------------------------------------------------------------------
+# one OpenBLAS thread for every solve below ``_BLAS_THREADS_MIN_DIM``
+
+
+@pytest.fixture
+def blas_threads():
+    """The (get, set) thread-count functions of every loaded OpenBLAS, set
+    to 2 threads; the counts found are restored afterwards."""
+    controls = spectral._openblas_thread_counts()
+    if not controls:
+        pytest.skip("no OpenBLAS library found in this process: the pin does nothing here")
+    found = _thread_counts(controls)
+    try:
+        _set_thread_counts(controls, 2)
+        if _thread_counts(controls) != [2] * len(controls):
+            pytest.skip("OpenBLAS is built single-threaded here: there is no count to pin")
+        yield controls
+    finally:
+        for (_, set_), count in zip(controls, found):
+            set_(count)
+
+
+def _thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+def _set_thread_counts(controls, count):
+    for _, set_ in controls:
+        set_(count)
+
+
+def _recording_thread_counts(monkeypatch, controls, fail=False):
+    """Wrap both solver routes to record the OpenBLAS thread counts each
+    solve runs under (and, with ``fail``, to raise after recording)."""
+    seen = []
+    for name in ("_mrrr", "_lanczos"):
+        original = getattr(spectral, name)
+
+        def recording(*args, _original=original, **kwargs):
+            seen.append(tuple(_thread_counts(controls)))
+            if fail:
+                raise EigendecompositionError("failing on purpose")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, recording)
+    return seen
+
+
+def test_solves_below_the_cut_run_on_one_thread_and_restore_the_count(monkeypatch, blas_threads):
+    pair = clique_pair(toy_example_1(0.5).graph)
+    assert pair.dim < spectral._BLAS_THREADS_MIN_DIM
+    seen = _recording_thread_counts(monkeypatch, blas_threads)
+    for count in (2, 3):
+        _set_thread_counts(blas_threads, count)
+        seen.clear()
+        spectral._eigensolve(pair, 0.5, levels=2)
+        sweep(pair, np.linspace(0.0, 1.0, 11))
+        min_gap(pair, coarse_points=51)
+        assert seen and set(seen) == {(1,) * len(blas_threads)}
+        assert _thread_counts(blas_threads) == [count] * len(blas_threads)
+
+
+def test_the_count_is_restored_after_a_solve_that_raises(monkeypatch, blas_threads):
+    pair = clique_pair(toy_example_1(0.5).graph)
+    seen = _recording_thread_counts(monkeypatch, blas_threads, fail=True)
+    with pytest.raises(EigendecompositionError):
+        spectral._eigensolve(pair, 0.5, levels=2)
+    with pytest.raises(EigendecompositionError, match="at s=0.0"):
+        sweep(pair, np.linspace(0.0, 1.0, 11))
+    assert seen == [(1,) * len(blas_threads)] * 2
+    assert _thread_counts(blas_threads) == [2] * len(blas_threads)
+
+
+def test_nested_scopes_pin_once_and_restore_at_the_outermost_exit(blas_threads):
+    one, two = [1] * len(blas_threads), [2] * len(blas_threads)
+    pair = clique_pair(toy_example_1(0.5).graph)
+    with spectral._ONE_BLAS_THREAD:
+        with spectral._ONE_BLAS_THREAD:
+            assert _thread_counts(blas_threads) == one
+            spectral._eigensolve(pair, 0.5, levels=2)
+        assert _thread_counts(blas_threads) == one
+    assert _thread_counts(blas_threads) == two
+
+
+def test_python_threads_sweeping_at_once_restore_the_count(monkeypatch, blas_threads):
+    # more sweeping threads than cores, switching often: a lost update of
+    # the scope's depth would leave a solve on the caller's count or the
+    # count unrestored
+    pair = clique_pair(toy_example_1(0.5).graph)
+    grid = np.linspace(0.0, 1.0, 201)
+    expected = sweep(pair, grid)
+    seen = _recording_thread_counts(monkeypatch, blas_threads)
+    start = threading.Barrier(4, timeout=60)
+    results, errors = [], []
+
+    def sweeping():
+        try:
+            start.wait()
+            for _ in range(3):
+                results.append(sweep(pair, grid))
+        except BaseException as err:  # surfaced below, in the test's thread
+            errors.append(err)
+
+    workers = [threading.Thread(target=sweeping) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors and len(results) == 12
+    assert set(seen) == {(1,) * len(blas_threads)}
+    assert _thread_counts(blas_threads) == [2] * len(blas_threads)
+    for swp in results:
+        assert np.array_equal(swp.energies, expected.energies)
+        assert np.array_equal(swp.vectors, expected.vectors)
+
+
+def test_solves_from_the_cut_keep_the_callers_count(monkeypatch, blas_threads):
+    big = clique_pair(random_instance(12, 4, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    assert big.dim >= spectral._BLAS_THREADS_MIN_DIM > LANCZOS_MIN_DIM
+    seen = _recording_thread_counts(monkeypatch, blas_threads)
+    for lanczos in (True, False):
+        spectral._eigensolve(big, 0.5, levels=2, lanczos=lanczos)
+    assert seen == [(2,) * len(blas_threads)] * 2
+    assert _thread_counts(blas_threads) == [2] * len(blas_threads)
+
+
+def test_report_does_not_depend_on_the_callers_thread_count(blas_threads):
+    # the d=252 instance of the benchmark's verify workload; with the
+    # solves on the caller's threads, the dense probes of min_gap read
+    # s* 0.9560090058576113 on one thread and 0.9560090026233817 on two
+    pair = clique_pair(random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    reports = []
+    for count in (1, 2):
+        _set_thread_counts(blas_threads, count)
+        reports.append(json.dumps(build_report(pair, grid_points=201)[0].to_dict()))
+        assert _thread_counts(blas_threads) == [count] * len(blas_threads)
+    assert reports[0] == reports[1]
