@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .basis import BasisSet, CapacityError, enumerate_basis
 from .hamiltonian import (
+    FinalLevelPartition,
     HamiltonianPair,
     ProblemGraph,
     build_clique_target,
@@ -19,6 +20,7 @@ from .hamiltonian import (
     build_transverse_field,
     clique_pair,
     interpolate,
+    partition_final_levels,
 )
 from .spectral import (
     DegeneracyError,
@@ -40,7 +42,6 @@ from .spectral import (
 from .anticrossing import (
     AntiCrossingPoint,
     AntiCrossingReport,
-    FinalLevelPartition,
     GapBounds,
     OverlapSeries,
     RotationResult,
@@ -56,7 +57,6 @@ from .anticrossing import (
     measure_choi,
     measure_solution_swap,
     min_gap_bounds,
-    partition_final_levels,
     rotation_residuals,
     solution_derivative_residuals,
     wilkinson_fit,

@@ -14,19 +14,20 @@ never thresholded here.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.optimize
 
-from .hamiltonian import HamiltonianPair
+# partition_final_levels is bound here too: the stage spans of
+# bench/tracing.py look it up in this module
+from .hamiltonian import FinalLevelPartition, HamiltonianPair, partition_final_levels
 from .spectral import (
     DegeneracyError,
     MinGapResult,
     SpectralSweep,
     decompose_interpolated,
-    degeneracy_tolerance,
     min_gap,
     sweep as spectral_sweep,
     _central_solves,
@@ -48,49 +49,6 @@ class StepSizeError(ValueError):
 
 
 @dataclass(frozen=True)
-class FinalLevelPartition:
-    """Basis states grouped into (possibly degenerate) final energy levels,
-    ascending in energy."""
-
-    energies: tuple[float, ...]
-    members: tuple[tuple[int, ...], ...]
-    tol: float
-
-    @property
-    def level_count(self) -> int:
-        return len(self.energies)
-
-    @property
-    def unique_ground_index(self) -> int | None:
-        """Basis index of the solution state, or None if the lowest final
-        level is degenerate."""
-        if len(self.members[0]) == 1:
-            return self.members[0][0]
-        return None
-
-
-def partition_final_levels(pair: HamiltonianPair, tol: float | None = None) -> FinalLevelPartition:
-    """Single-linkage clustering of the target energies: a new level starts
-    wherever consecutive sorted energies are more than ``tol`` apart."""
-    values = pair.h1_diag
-    if tol is None:
-        tol = degeneracy_tolerance(values)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    order = np.argsort(values, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] > tol:
-            groups.append([])
-        groups[-1].append(int(idx))
-    return FinalLevelPartition(
-        energies=tuple(float(np.mean(values[g])) for g in groups),
-        members=tuple(tuple(sorted(g)) for g in groups),
-        tol=float(tol),
-    )
-
-
-@dataclass(frozen=True)
 class OverlapSeries:
     """Overlap families over the sweep grid.
 
@@ -108,8 +66,12 @@ class OverlapSeries:
     in_ground: np.ndarray = field(repr=False)
     in_excited: np.ndarray = field(repr=False)
     solution: np.ndarray | None = field(repr=False)
-    partition: FinalLevelPartition
     sweep: SpectralSweep
+
+    @property
+    def partition(self) -> FinalLevelPartition:
+        """The final levels of the sweep's pair."""
+        return self.sweep.pair.final_levels
 
     def at(self, s: float) -> AntiCrossingPoint:
         """H(s) decomposed once at s, with the local gauge fixed: the ground
@@ -130,31 +92,30 @@ class OverlapSeries:
             v[:, 0] = -v[:, 0]
         if v[gs, 1] > 0 if gs is not None else float(v[:, 0] @ _hdot_apply(pair, v[:, 1])) < 0:
             v[:, 1] = -v[:, 1]
-        return AntiCrossingPoint(
-            series=self, s=s, delta=float(w[1] - w[0]), v=v,
-            in_ground=np.array([float(np.sum(v[m, 0] ** 2)) for m in self.partition.members]),
-            in_excited=np.array([float(np.sum(v[m, 1] ** 2)) for m in self.partition.members]),
-            solution=v[gs, :] ** 2 if gs is not None else None,
-        )
+        families = _overlap_families(v, self.partition)
+        return AntiCrossingPoint(self, s, float(w[1] - w[0]), v, *families)
 
 
-def compute_overlaps(sweep: SpectralSweep, partition: FinalLevelPartition) -> OverlapSeries:
-    """Evaluate the overlap families on the sweep grid.  The solution
-    series is present exactly when the final ground state is unique."""
-    gs = partition.unique_ground_index
-    t_count = len(sweep.grid)
-    levels = partition.level_count
-    a = np.empty((t_count, levels))
-    b = np.empty((t_count, levels))
+def _overlap_families(vectors: np.ndarray, partition: FinalLevelPartition):
+    """(in_ground, in_excited, solution) of the eigenvectors ``vectors`` at
+    one point (d, m) or on a grid (T, d, m): the weight of each final level
+    of ``partition`` in columns 0 and 1, and that of the solution state in
+    every column (None when the final ground level is degenerate)."""
+    in_ground, in_excited = np.empty((2, *vectors.shape[:-2], partition.level_count))
     for l, members in enumerate(partition.members):
         sel = list(members)
-        a[:, l] = np.sum(sweep.vectors[:, sel, 0] ** 2, axis=1)
-        b[:, l] = np.sum(sweep.vectors[:, sel, 1] ** 2, axis=1)
-    g = sweep.vectors[:, gs, :] ** 2 if gs is not None else None
-    return OverlapSeries(
-        grid=sweep.grid, in_ground=a, in_excited=b, solution=g,
-        partition=partition, sweep=sweep,
-    )
+        in_ground[..., l] = np.sum(vectors[..., sel, 0] ** 2, axis=-1)
+        in_excited[..., l] = np.sum(vectors[..., sel, 1] ** 2, axis=-1)
+    gs = partition.unique_ground_index
+    return in_ground, in_excited, vectors[..., gs, :] ** 2 if gs is not None else None
+
+
+def compute_overlaps(sweep: SpectralSweep) -> OverlapSeries:
+    """Evaluate the overlap families on the sweep grid, over the final
+    levels of its pair.  The solution series is present exactly when the
+    final ground state is unique."""
+    families = _overlap_families(sweep.vectors, sweep.pair.final_levels)
+    return OverlapSeries(sweep.grid, *families, sweep)
 
 
 @dataclass(frozen=True)
@@ -217,6 +178,12 @@ class WilkinsonFit:
     valid: bool
 
 
+def _edge_gap(pair: HamiltonianPair, s_star: float, x: float) -> float:
+    """The larger gap at s* - x and at s* + x, probed in that order, on the
+    Lanczos route: the callers' resolved minimum at s* bounds both below."""
+    return max(_gap_at(pair, s_star - x, lanczos=True), _gap_at(pair, s_star + x, lanczos=True))
+
+
 def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> tuple[float, float]:
     """Largest symmetric window on the ladder of half-widths
     cap * 0.999 / 1.3^n, n = 0 .. 199 (cap: the distance from s* to the
@@ -242,20 +209,14 @@ def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> t
     target = 3.0 * delta_min
 
     def passes(n: int) -> bool:
-        if n == len(rungs) - 1:
-            return True
-        half = rungs[n]
-        edges = (_gap_at(pair, s_star - half, lanczos=True),
-                 _gap_at(pair, s_star + half, lanczos=True))
-        return max(edges) <= target
+        return n == len(rungs) - 1 or _edge_gap(pair, s_star, rungs[n]) <= target
 
     grid = sweep.grid
     around = np.clip(
         [np.searchsorted(grid, s_star, side="left") - 1, np.searchsorted(grid, s_star, side="right")],
         0, len(grid) - 1,
     )
-    levels = np.sort(sweep.energies[around], axis=1)
-    edge = levels[:, 1] - levels[:, 0]
+    edge = sweep.gaps()[around]
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.sqrt(np.maximum(edge**2 - delta_min**2, 0.0)) / np.abs(grid[around] - s_star)
         predicted = np.sqrt(8.0) * delta_min / np.max(slope)
@@ -362,70 +323,42 @@ class SwapMeasurement:
     direction_ok: bool
 
 
-def _window_indices(grid: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    idx = np.nonzero((grid >= lo - 1e-15) & (grid <= hi + 1e-15))[0]
-    if len(idx) < 2:
-        raise ValueError(f"window ({lo}, {hi}) holds fewer than two grid samples")
-    return idx
-
-
-def _swap_epsilon(pairs, extra_epsilon: float) -> float:
-    """The largest of ``extra_epsilon`` and the distances from 1/2 of the
-    weights at the point in ``pairs`` (see ``_swap_clauses``)."""
-    return float(max(extra_epsilon, *(abs(at - 0.5) for pair in pairs for _, at in pair)))
-
-
-def _swap_clauses(
-    grid: np.ndarray, pairs, lo: float, hi: float, extra_epsilon: float
-) -> SwapMeasurement:
-    """The swap clauses on the window (lo, hi) over ``pairs`` of (rising,
-    falling) weights, each given as (its series on ``grid``, its value at
-    the point).  Clause 1 bounds one minus each pair's sum, on the window
-    and at the point; clause 3 bounds the weights at the window ends.
-    Epsilon is ``_swap_epsilon``."""
-    idx = _window_indices(grid, lo, hi)
-    sums, ends, direction_ok = [], [], True
-    for (rising, r_at), (falling, f_at) in pairs:
-        r, f = rising[idx], falling[idx]
-        sums += [float(np.min(r + f)), r_at + f_at]
-        ends += [r[0], 1.0 - r[-1], 1.0 - f[0], f[-1]]
-        direction_ok = bool(direction_ok and r[-1] > r[0] and f[0] > f[-1])
-    gamma = float(max(1.0 - min(sums), *ends, 0.0))
-    epsilon = _swap_epsilon(pairs, extra_epsilon)
-    return SwapMeasurement(
-        satisfied=bool(direction_ok and gamma < 0.5 and epsilon < 0.5),
-        gamma=gamma,
-        epsilon=epsilon,
-        window=(float(lo), float(hi)),
-        direction_ok=direction_ok,
-    )
-
-
 def _measure_swap(
     point: AntiCrossingPoint, pairs, window=None, extra_epsilon: float = 0.0
 ) -> SwapMeasurement:
-    """``_swap_clauses`` on ``window``, or with ``window=None`` on the first
-    smallest-gamma symmetric window around the point whose half-width is a
-    whole number of grid spacings (the definition only asks that some
-    window works).  The windows are nested, so gamma on all of them comes
-    from running minima outward from the narrowest.  With no window of two
-    grid points: unsatisfied, gamma 1 and the empty window (s, s)."""
+    """The swap clauses over ``pairs`` of (rising, falling) weights, each
+    given as (its series on the grid, its value at the point), on
+    ``window``, or with ``window=None`` on the first smallest-gamma
+    symmetric window around the point whose half-width is a whole number
+    of grid spacings (the definition only asks that some window works).
+    Clause 1 bounds one minus each pair's sum, on the window and at the
+    point; clause 3 bounds the weights at the window ends.  Epsilon is the
+    largest of ``extra_epsilon`` and the distances from 1/2 of the weights
+    at the point.  The windows are nested, so the smallest sums on all of
+    them come from running minima outward from the first.  A given window
+    of fewer than two grid points raises ValueError; with no symmetric
+    one: unsatisfied, gamma 1 and the empty window (s, s)."""
     s_star, grid = point.s, point.series.grid
-    if window is not None:
-        return _swap_clauses(grid, pairs, window[0], window[1], extra_epsilon)
-    spacing = float(np.median(np.diff(grid)))
-    reach = min(s_star - grid[0], grid[-1] - s_star) + 1e-15
-    halves = np.arange(1, int(reach / spacing) + 2) * spacing
-    halves = halves[halves <= reach]
-    first = np.searchsorted(grid, s_star - halves - 1e-15, side="left")
-    last = np.searchsorted(grid, s_star + halves + 1e-15, side="right") - 1
+    epsilon = float(max(extra_epsilon, *(abs(at - 0.5) for pair in pairs for _, at in pair)))
+    if window is None:
+        spacing = float(np.median(np.diff(grid)))
+        reach = min(s_star - grid[0], grid[-1] - s_star) + 1e-15
+        halves = np.arange(1, int(reach / spacing) + 2) * spacing
+        halves = halves[halves <= reach]
+        lo, hi = s_star - halves, s_star + halves
+    else:
+        lo, hi = np.array(window[:1], dtype=float), np.array(window[1:], dtype=float)
+    first = np.searchsorted(grid, lo - 1e-15, side="left")
+    last = np.searchsorted(grid, hi + 1e-15, side="right") - 1
     held = last - first >= 1
+    if window is not None and not held[0]:
+        raise ValueError(f"window ({window[0]}, {window[1]}) holds fewer than two grid samples")
     if not held.any():
         return SwapMeasurement(
-            satisfied=False, gamma=1.0, epsilon=_swap_epsilon(pairs, extra_epsilon),
+            satisfied=False, gamma=1.0, epsilon=epsilon,
             window=(float(s_star), float(s_star)), direction_ok=False,
         )
-    halves, first, last = halves[held], first[held], last[held]
+    lo, hi, first, last = lo[held], hi[held], first[held], last[held]
     c = first[0]
     sums, ends = [], []
     for (rising, r_at), (falling, f_at) in pairs:
@@ -435,8 +368,16 @@ def _measure_swap(
         sums += [np.minimum(inward[first], outward[last - c]), np.full(len(first), r_at + f_at)]
         ends += [rising[first], 1.0 - rising[last], 1.0 - falling[first], falling[last]]
     gamma = np.maximum(np.maximum(1.0 - np.min(sums, axis=0), np.max(ends, axis=0)), 0.0)
-    half = halves[np.argmin(gamma)]
-    return _swap_clauses(grid, pairs, s_star - half, s_star + half, extra_epsilon)
+    n = int(np.argmin(gamma))
+    i, j = first[n], last[n]
+    direction_ok = all(r[j] > r[i] and f[i] > f[j] for (r, _), (f, _) in pairs)
+    return SwapMeasurement(
+        satisfied=bool(direction_ok and gamma[n] < 0.5 and epsilon < 0.5),
+        gamma=float(gamma[n]),
+        epsilon=epsilon,
+        window=(float(lo[n]), float(hi[n])),
+        direction_ok=bool(direction_ok),
+    )
 
 
 def measure_choi(
@@ -446,7 +387,7 @@ def measure_choi(
     and first excited level inside each of the two lowest instantaneous
     vectors).  ``window=None`` optimizes over symmetric windows around the
     point."""
-    if point.series.partition.level_count < 2:
+    if point.pair.final_levels.level_count < 2:
         raise ValueError("needs at least two final energy levels")
     series = point.series
     a0, a1 = ((series.in_ground[:, k], float(point.in_ground[k])) for k in (0, 1))
@@ -476,10 +417,6 @@ def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: floa
     from that width.  ``delta_min`` is resolved (above
     ``resolution_floor``), and every gap probed here is at least that
     minimum, so the probes may take the Lanczos route of ``_eigensolve``."""
-
-    def widest(x: float) -> float:
-        return max(_gap_at(pair, s_star - x, lanczos=True), _gap_at(pair, s_star + x, lanczos=True))
-
     cap = 0.9 * min(s_star, 1.0 - s_star)
     if cap <= 0:
         raise StepSizeError("gap minimum sits at the boundary")
@@ -488,21 +425,21 @@ def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: floa
             raise ValueError(f"step must lie in (0, 1e-4], got {h}")
         if h >= cap:
             raise StepSizeError(f"step {h} leaves [0, 1] around s*={s_star}")
-        edge = widest(h)
+        edge = _edge_gap(pair, s_star, h)
         if edge > 2.0 * delta_min:
             raise StepSizeError(
                 f"gap grows to {edge:.3e} at s*+-{h:.1e} (over twice the minimum); shrink h"
             )
         return h
     probe = min(1e-3, cap)
-    edge = widest(probe)
+    edge = _edge_gap(pair, s_star, probe)
     slope_diff = np.sqrt(max(edge**2 - delta_min**2, 0.0)) / probe
     if slope_diff > 0:
         h = min(1e-4, cap / 2.0, 0.02 * delta_min / slope_diff)
     else:
         h = min(1e-4, cap / 2.0)
     while h > 1e-12:
-        if widest(h) <= 2.0 * delta_min:
+        if _edge_gap(pair, s_star, h) <= 2.0 * delta_min:
             return h
         h /= 2.0
     raise StepSizeError("could not find a step inside the anti-crossing width")
@@ -548,7 +485,7 @@ def gap_decomposition_residual(point: AntiCrossingPoint) -> float:
             f"|dDelta/ds| = {abs(slope):.3e} at s*={s} exceeds {threshold:.3e}; {cause}"
         )
     total = 0.0
-    for energy, a_k, b_k in zip(point.series.partition.energies, point.in_ground, point.in_excited):
+    for energy, a_k, b_k in zip(point.pair.final_levels.energies, point.in_ground, point.in_excited):
         total += energy * (float(b_k) - float(a_k))
     return abs(delta - total)
 
@@ -591,14 +528,19 @@ def epsilon_bound_margin(report: "AntiCrossingReport", partition: FinalLevelPart
     K = 2 (E_0 + E_1 + 2M) on energies shifted so the lowest is zero
     (M is the shifted maximum).  Only applies when the four-quantity
     measurement is satisfied; returns None otherwise."""
-    if report.choi is None or not report.choi.satisfied:
-        return None
-    if partition.level_count < 2:
+    return _epsilon_margin(report.choi, report.delta_min, partition)
+
+
+def _epsilon_margin(
+    choi: SwapMeasurement | None, delta_min: float, partition: FinalLevelPartition
+) -> float | None:
+    """``epsilon_bound_margin`` of a report with ``choi`` and ``delta_min``."""
+    if choi is None or not choi.satisfied or partition.level_count < 2:
         return None
     energies = np.array(partition.energies) - partition.energies[0]
     m = float(np.max(energies))
     k_const = 2.0 * (float(energies[0]) + float(energies[1]) + 2.0 * m)
-    return k_const * report.choi.epsilon - report.delta_min
+    return k_const * choi.epsilon - delta_min
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +606,7 @@ def solution_derivative_residuals(
     the gap minimum ``point``, checked against the rotation rate beta (the
     auto-selected step and its solves are shared with
     ``rotation_residuals``)."""
-    gs = point.series.partition.unique_ground_index
+    gs = point.pair.final_levels.unique_ground_index
     if gs is None:
         raise DegeneracyError("needs a unique final ground state")
     beta, h, vp, vm = point.differences(h)
@@ -742,7 +684,7 @@ def build_report(
     """
     grid = np.linspace(0.0, 1.0, grid_points)
     swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid, levels=levels)
-    partition = partition_final_levels(pair)
+    partition = pair.final_levels
     mg: MinGapResult = min_gap(pair, tol=refine_tol, sweep=swp)
 
     warnings: list[str] = []
@@ -752,68 +694,46 @@ def build_report(
             f"final ground level is degenerate ({len(partition.members[0])} states); "
             "solution-based quantities skipped"
         )
+    point = wilk = choi = solution_swap = decomp_residual = rotation = solution_derivative = None
     if mg.all_degenerate:
         warnings.append("gap vanishes on the whole interval; no anti-crossing analysis")
-    if mg.degenerate_at_end:
+    elif mg.degenerate_at_end:
         warnings.append("gap minimum sits at s=1 (degenerate final ground state)")
-
-    interior = not (mg.all_degenerate or mg.degenerate_at_end) and 0.0 < mg.s_star < 1.0
-    if not interior and not mg.all_degenerate and not mg.degenerate_at_end:
+    elif not 0.0 < mg.s_star < 1.0:
         warnings.append(f"gap minimum at the boundary s={mg.s_star}; no anti-crossing analysis")
+    else:
+        point = compute_overlaps(swp).at(mg.s_star)
+        try:
+            wilk = wilkinson_fit(swp, mg.s_star, delta_min=mg.delta_min)
+        except ValueError as err:
+            warnings.append(f"hyperbola fit skipped: {err}")
+        if partition.level_count < 2:
+            warnings.append("one final energy level; swap measurements skipped")
+        else:
+            choi = measure_choi(point)
+            solution_swap = None if ground_degenerate else measure_solution_swap(point)
+        try:
+            decomp_residual = gap_decomposition_residual(point)
+        except StationarityError as err:
+            warnings.append(f"gap decomposition skipped: {err}")
+        try:
+            rotation = rotation_residuals(point)
+        except ValueError as err:
+            warnings.append(f"rotation check skipped: {err}")
+            if not ground_degenerate:
+                warnings.append(f"solution derivative check skipped: {err}")
+        else:
+            if not ground_degenerate:
+                solution_derivative = solution_derivative_residuals(point)
 
     report = AntiCrossingReport(
-        s_star=mg.s_star, delta_min=mg.delta_min, beta=None,
+        s_star=mg.s_star, delta_min=mg.delta_min,
+        beta=rotation.beta if rotation is not None else None,
         ground_degenerate=ground_degenerate,
         degenerate_at_end=mg.degenerate_at_end, all_degenerate=mg.all_degenerate,
-        wilkinson=None, choi=None, solution_swap=None,
-        gap_decomposition_residual=None, epsilon_bound_margin=None,
-        rotation=None, solution_derivative=None, warnings=tuple(warnings),
-    )
-    if not interior:
-        return report, swp, None
-
-    point = compute_overlaps(swp, partition).at(mg.s_star)
-
-    try:
-        wilk = wilkinson_fit(swp, mg.s_star, delta_min=mg.delta_min)
-    except ValueError as err:
-        wilk = None
-        warnings.append(f"hyperbola fit skipped: {err}")
-
-    if partition.level_count < 2:
-        choi = solution_swap = None
-        warnings.append("one final energy level; swap measurements skipped")
-    else:
-        choi = measure_choi(point)
-        solution_swap = None if ground_degenerate else measure_solution_swap(point)
-
-    try:
-        decomp_residual = gap_decomposition_residual(point)
-    except StationarityError as err:
-        decomp_residual = None
-        warnings.append(f"gap decomposition skipped: {err}")
-
-    rotation = solution_derivative = None
-    try:
-        rotation = rotation_residuals(point)
-    except ValueError as err:
-        warnings.append(f"rotation check skipped: {err}")
-        if not ground_degenerate:
-            warnings.append(f"solution derivative check skipped: {err}")
-    else:
-        if not ground_degenerate:
-            solution_derivative = solution_derivative_residuals(point)
-
-    report = replace(
-        report,
-        beta=rotation.beta if rotation is not None else None,
-        wilkinson=wilk,
-        choi=choi,
-        solution_swap=solution_swap,
+        wilkinson=wilk, choi=choi, solution_swap=solution_swap,
         gap_decomposition_residual=decomp_residual,
-        rotation=rotation,
-        solution_derivative=solution_derivative,
-        warnings=tuple(warnings),
+        epsilon_bound_margin=_epsilon_margin(choi, mg.delta_min, partition),
+        rotation=rotation, solution_derivative=solution_derivative, warnings=tuple(warnings),
     )
-    report = replace(report, epsilon_bound_margin=epsilon_bound_margin(report, partition))
     return report, swp, point

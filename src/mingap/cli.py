@@ -34,7 +34,6 @@ from .hamiltonian import HamiltonianPair, ProblemGraph, clique_pair
 from .spectral import (
     _central_solves,
     _eigensolve,
-    _final_ground_simple,
     decompose_interpolated,
     eigenvalue_derivative,
     eigenvalue_second_derivative,
@@ -111,6 +110,8 @@ def load_instance(path: str | Path) -> tuple[ProblemGraph, str]:
         raise AppError(f"cannot read instance file {path}: {err}", kind="io") from err
     except json.JSONDecodeError as err:
         raise AppError(f"instance file {path} is not valid JSON: {err}", kind="io") from err
+    if not isinstance(doc, dict):
+        raise AppError(f"instance file {path} holds no JSON object", kind="io")
     missing = {"n", "k", "alpha", "weights", "edges"} - set(doc)
     if missing:
         raise AppError(f"instance file {path} lacks keys: {sorted(missing)}", kind="io")
@@ -215,7 +216,6 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
     worst5 = worst6 = 0.0
     best7 = None
     points = 0
-    unique_gs = _final_ground_simple(pair)
     for s, dec in decompositions:
         points += 1
         w = dec[0]
@@ -226,7 +226,7 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
         r6 = gap_identity_residuals(pair, s, decomposition=dec)
         delta = float(w[1] - w[0])
         worst6 = float(np.fmax.reduce(np.abs(r6) / (1.0 + delta), None, initial=worst6))
-        if unique_gs and s < 1.0:
+        if s < 1.0 and pair.final_levels.unique_ground_index is not None:
             r = failure_condition_residual(pair, s, decomposition=dec)
             if r is not None and (best7 is None or abs(r) < abs(best7)):
                 best7 = r
@@ -299,7 +299,7 @@ class _Run:
         without one).  Each point is decomposed in full once and dropped
         before the next is solved, so one d x d decomposition is held at a
         time rather than 21."""
-        gs = None if self.point is None else self.point.series.partition.unique_ground_index
+        gs = None if self.point is None else self.pair.final_levels.unique_ground_index
         deviation = 0.0
 
         def points():
@@ -376,7 +376,7 @@ def _bound_checks(run: _Run) -> list[dict]:
 def _ratio_checks(run: _Run) -> list[dict]:
     gb = None
     if run.point is not None and not run.report.ground_degenerate:
-        gb = min_gap_bounds(run.point, run.point.series.partition.unique_ground_index)
+        gb = min_gap_bounds(run.point, run.pair.final_levels.unique_ground_index)
     if gb is None:
         return [_check("squared_gap_bounds", "skip", detail="needs an interior minimum, a unique "
                        "ground state and a nonvanishing component")]
@@ -505,7 +505,7 @@ def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir
             _write_csv(adir / "gap.csv", ["s", "delta"], [swp.grid, swp.gaps()])
             if point is not None:
                 series = point.series
-                la = min(cfg.levels, series.partition.level_count)
+                la = min(cfg.levels, pair.final_levels.level_count)
                 _write_levels(adir / "overlaps_a.csv", "a", series.grid, series.in_ground, la)
                 _write_levels(adir / "overlaps_b.csv", "b", series.grid, series.in_excited, la)
                 if series.solution is not None:

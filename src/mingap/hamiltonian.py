@@ -18,13 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
 from .basis import BasisSet, enumerate_basis
+
+# Two eigenvalues count as degenerate below this relative spacing.
+DEGENERACY_RTOL = 1e-9
+
+
+def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
+    return DEGENERACY_RTOL * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,12 @@ class ProblemGraph:
     alpha: float
 
     def __init__(self, n, edges, weights, k, alpha):
+        for name, value in (("n", n), ("k", k)):
+            # a bool or a fraction (2.5, not 3.0) is no count
+            whole = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
+            if isinstance(value, bool) or not whole:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        n, k = int(n), int(k)
         if n < 2:
             raise ValueError(f"need at least two nodes, got n={n}")
         norm = []
@@ -63,10 +76,10 @@ class ProblemGraph:
             raise ValueError(f"clique size must satisfy 0 < k < n, got k={k}")
         if not isinstance(alpha, Real) or alpha < 0:
             raise ValueError(f"alpha must be a nonnegative real, got {alpha!r}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "alpha", alpha)
 
     @property
@@ -120,6 +133,47 @@ class HamiltonianPair:
         simple."""
         count, _ = scipy.sparse.csgraph.connected_components(self.csr_terms[0], directed=False)
         return count == 1
+
+    @cached_property
+    def final_levels(self) -> FinalLevelPartition:
+        """The final levels of the pair (``partition_final_levels``), built
+        on first use and kept on the pair."""
+        return partition_final_levels(self)
+
+
+@dataclass(frozen=True)
+class FinalLevelPartition:
+    """Basis states grouped into (possibly degenerate) final energy levels,
+    ascending in energy."""
+
+    energies: tuple[float, ...]
+    members: tuple[tuple[int, ...], ...]
+
+    @property
+    def level_count(self) -> int:
+        return len(self.energies)
+
+    @property
+    def unique_ground_index(self) -> int | None:
+        """Basis index of the solution state, or None if the lowest final
+        level is degenerate."""
+        if len(self.members[0]) == 1:
+            return self.members[0][0]
+        return None
+
+
+def partition_final_levels(pair: HamiltonianPair) -> FinalLevelPartition:
+    """Single-linkage clustering of the target energies: a new level starts
+    wherever consecutive sorted energies are more than
+    ``degeneracy_tolerance`` apart."""
+    values = pair.h1_diag
+    tol = degeneracy_tolerance(values)
+    order = np.argsort(values, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(values[order]) > tol) + 1)
+    return FinalLevelPartition(
+        energies=tuple(float(np.mean(values[g])) for g in groups),
+        members=tuple(tuple(np.sort(g).tolist()) for g in groups),
+    )
 
 
 def build_transverse_field(n: int) -> np.ndarray:

@@ -75,10 +75,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .hamiltonian import HamiltonianPair, interpolate, interpolate_csr
+from .hamiltonian import (
+    DEGENERACY_RTOL,
+    HamiltonianPair,
+    degeneracy_tolerance,
+    interpolate,
+    interpolate_csr,
+)
 
-# Two eigenvalues count as degenerate below this relative spacing.
-DEGENERACY_RTOL = 1e-9
 # Ratio identities skip components with magnitude at or below this.
 COMPONENT_GUARD = 1e-12
 # Dimension from which a one- or two-level solve of H(s) runs Lanczos.  The
@@ -122,10 +126,6 @@ class EigendecompositionError(RuntimeError):
 
 class DegeneracyError(ValueError):
     """Operation requires a nondegenerate level and found a degeneracy."""
-
-
-def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
-    return DEGENERACY_RTOL * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
 @functools.cache
@@ -261,7 +261,7 @@ def _eigensolve(
             and pair.dim >= LANCZOS_MIN_DIM
             and s < 1.0
             and pair.mixer_connected
-            and _final_ground_simple(pair)
+            and pair.final_levels.unique_ground_index is not None
         ):
             try:
                 return _lanczos(pair, s, levels, vectors)
@@ -274,13 +274,16 @@ def _eigensolve(
 class SpectralSweep:
     """Spectra over an s-grid with a continuous eigenvector gauge.
 
-    ``energies[t, k]`` is the k-th eigenvalue (ascending) at ``grid[t]``;
+    ``energies[t, k]`` is the k-th eigenvalue at ``grid[t]``;
     ``vectors[t, :, k]`` the matching eigenvector, for the m kept levels
-    (all d of them, or the lowest few; see ``sweep``).  Signs (and the
-    ordering inside near-degenerate clusters) are fixed by maximal overlap
-    with the previous grid point, so overlap curves are continuous; inside
-    a degenerate cluster that level m cuts, the gauge is arbitrary.  It is
-    threaded in one pass over the stacked solves (``_thread_gauge``).
+    (all d of them, or the lowest few; see ``sweep``).  Signs and the
+    ordering inside near-degenerate clusters are fixed by maximal overlap
+    with the previous grid point, so overlap curves are continuous; the
+    energies ascend from cluster to cluster but not inside a degenerate
+    cluster, where they follow the gauge (``lowest`` orders them by
+    value).  Inside a degenerate cluster that level m cuts, the gauge is
+    arbitrary.  It is threaded in one pass over the stacked solves
+    (``_thread_gauge``).
     """
 
     grid: np.ndarray = field(repr=False)
@@ -288,9 +291,25 @@ class SpectralSweep:
     vectors: np.ndarray = field(repr=False)
     pair: HamiltonianPair
 
+    @functools.cached_property
+    def _by_value(self) -> np.ndarray:
+        """The columns of the two lowest levels by value at every grid
+        point, (T, 2).  A stable sort, so the gauge order stands where it
+        is already ascending."""
+        return np.argsort(self.energies, axis=1, kind="stable")[:, :2]
+
+    def lowest(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two lowest levels by value at every grid point: energies
+        (T, 2), ascending, and the matching vectors (T, d, 2)."""
+        return (
+            np.take_along_axis(self.energies, self._by_value, axis=1),
+            np.take_along_axis(self.vectors, self._by_value[:, None, :], axis=2),
+        )
+
     def gaps(self) -> np.ndarray:
-        """E_1(s) - E_0(s) on the grid."""
-        return self.energies[:, 1] - self.energies[:, 0]
+        """E_1(s) - E_0(s) on the grid, of the two lowest levels by value."""
+        energies = np.take_along_axis(self.energies, self._by_value, axis=1)
+        return energies[:, 1] - energies[:, 0]
 
 
 def _degenerate_clusters(w: np.ndarray, tol: float):
@@ -431,9 +450,6 @@ class MinGapResult:
     delta_min: float
     degenerate_at_end: bool = False
     all_degenerate: bool = False
-
-    def __iter__(self):
-        return iter((self.s_star, self.delta_min))
 
 
 def resolution_floor(pair: HamiltonianPair, s: float) -> float:
@@ -659,11 +675,7 @@ def min_gap(
     ss = sweep.grid
     if ss[0] != 0.0 or ss[-1] != 1.0:
         raise ValueError(f"sweep grid must run from 0 to 1, got [{ss[0]}, {ss[-1]}]")
-    # A sweep orders a degenerate cluster by gauge, not by value: take the
-    # two lowest levels by value at every point.
-    lowest = np.argsort(sweep.energies, axis=1, kind="stable")[:, :2]
-    energies = np.take_along_axis(sweep.energies, lowest, axis=1)
-    vectors = np.take_along_axis(sweep.vectors, lowest[:, None, :], axis=2)
+    energies, vectors = sweep.lowest()
     gaps = energies[:, 1] - energies[:, 0]
     deg_tol = degeneracy_tolerance(
         np.concatenate([[np.max(np.abs(pair.h1_diag))], gaps])
@@ -846,22 +858,6 @@ def gap_identity_residuals(pair: HamiltonianPair, s: float, decomposition=None) 
     return delta - (1.0 - s) * (ratios[:, 0] - ratios[:, 1])
 
 
-def _final_ground_simple(pair: HamiltonianPair) -> bool:
-    try:
-        _unique_ground_index(pair)
-    except DegeneracyError:
-        return False
-    return True
-
-
-def _unique_ground_index(pair: HamiltonianPair) -> int:
-    order = np.argsort(pair.h1_diag)
-    tol = degeneracy_tolerance(pair.h1_diag)
-    if pair.dim > 1 and pair.h1_diag[order[1]] - pair.h1_diag[order[0]] <= tol:
-        raise DegeneracyError("final ground level is degenerate")
-    return int(order[0])
-
-
 def failure_condition_residual(
     pair: HamiltonianPair, s: float, decomposition=None
 ) -> float | None:
@@ -869,7 +865,9 @@ def failure_condition_residual(
     solution state; equals Delta(s)/(1-s), which is asserted internally.
     The difference approaching zero signals an exponentially long runtime.
     """
-    gs = _unique_ground_index(pair)
+    gs = pair.final_levels.unique_ground_index
+    if gs is None:
+        raise DegeneracyError("final ground level is degenerate")
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     r0, r1 = _neighbour_ratios(pair, v[:, :2])[gs]
     if np.isnan(r0) or np.isnan(r1):

@@ -49,7 +49,7 @@ def bundles():
             pair = clique_pair(instance.graph)
             partition = partition_final_levels(pair)
             swp = sweep(pair, np.linspace(0.0, 1.0, grid_points))
-            series = compute_overlaps(swp, partition)
+            series = compute_overlaps(swp)
             cache[key] = SimpleNamespace(
                 instance=instance,
                 pair=pair,

@@ -2,10 +2,10 @@
 
 Nothing here may call into the library's numerical paths: the Jacobi
 solver diagonalizes from scratch, and the two-level formulas come from
-direct closed-form algebra.  The two loop references (``threaded_gauge``,
-``swap_window_scan``) take the library's per-point solves or its clause
-evaluation as input and redo, one point or window at a time, only the
-loop the library evaluates in one pass.
+direct closed-form algebra.  The two loop references redo, one point or
+window at a time, a loop the library evaluates in one pass:
+``threaded_gauge`` takes the library's per-point solves as input, and
+``swap_window_scan`` evaluates the swap clauses itself.
 """
 
 from __future__ import annotations
@@ -340,27 +340,44 @@ def threaded_gauge(solves):
     return np.array(energies), np.array(vectors)
 
 
-def swap_window_scan(clauses, grid, s_star: float, pairs, extra_epsilon: float):
-    """The swap measurement over symmetric windows, one window at a time:
-    ``clauses(grid, pairs, lo, hi, extra_epsilon)`` (the library's clause
-    evaluation, which raises ValueError on a window of fewer than two grid
-    points) on every half-width m * spacing, m = 1, 2, ..., that stays
-    inside the grid; the first window of the smallest gamma wins.  With no
-    such window: unsatisfied, gamma 1, epsilon the largest of
+def swap_clauses(grid, pairs, lo: float, hi: float, extra_epsilon: float):
+    """The swap clauses on the one window (lo, hi), over ``pairs`` of
+    (rising, falling) weights, each given as (its series on ``grid``, its
+    value at the point): gamma bounds one minus each pair's sum on the
+    grid samples inside the window (1e-15 slack) and at the point, and the
+    rising weight's distance from 0 and 1 at the window's first and last
+    sample (the falling one's from 1 and 0); epsilon is the largest of
     ``extra_epsilon`` and the distances of the weights at the point from
-    1/2, and the window (s*, s*).  Returns the winning measurement, or the
-    tuple (satisfied, gamma, epsilon, window, direction_ok) of the
-    fallback."""
+    1/2.  Returns (satisfied, gamma, epsilon, window, direction_ok), or
+    None when the window holds fewer than two grid samples."""
+    inside = [t for t, s in enumerate(grid) if lo - 1e-15 <= s <= hi + 1e-15]
+    if len(inside) < 2:
+        return None
+    i, j = inside[0], inside[-1]
+    gamma, direction_ok = 0.0, True
+    for (rising, r_at), (falling, f_at) in pairs:
+        smallest = min(min(float(rising[t] + falling[t]) for t in inside), r_at + f_at)
+        gamma = max(gamma, 1.0 - smallest, rising[i], 1.0 - rising[j], 1.0 - falling[i], falling[j])
+        direction_ok = direction_ok and rising[j] > rising[i] and falling[i] > falling[j]
+    epsilon = max([extra_epsilon] + [abs(at - 0.5) for pair in pairs for _, at in pair])
+    satisfied = bool(direction_ok and gamma < 0.5 and epsilon < 0.5)
+    return satisfied, float(gamma), float(epsilon), (float(lo), float(hi)), bool(direction_ok)
+
+
+def swap_window_scan(grid, s_star: float, pairs, extra_epsilon: float):
+    """The swap measurement over symmetric windows, one window at a time:
+    ``swap_clauses`` on every half-width m * spacing, m = 1, 2, ..., that
+    stays inside the grid; the first window of the smallest gamma wins.
+    With no window of two grid samples: unsatisfied, gamma 1, the epsilon
+    of the clauses and the window (s*, s*).  Returns the tuple
+    (satisfied, gamma, epsilon, window, direction_ok)."""
     grid = np.asarray(grid, dtype=float)
     spacing = float(np.median(np.diff(grid)))
     reach = min(s_star - grid[0], grid[-1] - s_star)
     best, m = None, 1
     while m * spacing <= reach + 1e-15:
-        try:
-            cand = clauses(grid, pairs, s_star - m * spacing, s_star + m * spacing, extra_epsilon)
-        except ValueError:
-            cand = None
-        if cand is not None and (best is None or cand.gamma < best.gamma):
+        cand = swap_clauses(grid, pairs, s_star - m * spacing, s_star + m * spacing, extra_epsilon)
+        if cand is not None and (best is None or cand[1] < best[1]):
             best = cand
         m += 1
     if best is None:

@@ -41,7 +41,7 @@ from oracles import TwoLevelOracle, swap_window_scan
 
 def point_at(pair, swp, s):
     """The anti-crossing point at s, on the overlap series of ``swp``."""
-    return compute_overlaps(swp, partition_final_levels(pair)).at(s)
+    return compute_overlaps(swp).at(s)
 
 
 def sharp_two_level(coupling=1e-3):
@@ -164,9 +164,8 @@ def test_overlaps_fourth_level_in_relabelled_fixture(bundles):
 
 def test_compute_overlaps_degenerate_ground_omits_the_solution():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
-    part = partition_final_levels(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 51))
-    series = compute_overlaps(swp, part)
+    series = compute_overlaps(swp)
     assert series.solution is None
     assert series.at(0.5).solution is None
 
@@ -355,10 +354,7 @@ def test_subsumption_on_shared_window(bundles):
 def window_oracle(point, pairs, extra_epsilon=0.0):
     """``oracles.swap_window_scan`` at ``point``: the clauses evaluated one
     symmetric window at a time."""
-    found = swap_window_scan(
-        anticrossing._swap_clauses, point.series.grid, point.s, pairs, extra_epsilon
-    )
-    return SwapMeasurement(*found) if isinstance(found, tuple) else found
+    return SwapMeasurement(*swap_window_scan(point.series.grid, point.s, pairs, extra_epsilon))
 
 
 def assert_swaps_match_window_oracle(point):
@@ -587,9 +583,8 @@ def test_solution_weights_balanced_at_strong_crossing(bundles):
 
 def test_solution_swap_needs_unique_ground():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
-    part = partition_final_levels(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 51))
-    point = compute_overlaps(swp, part).at(0.5)
+    point = compute_overlaps(swp).at(0.5)
     for window in (None, (0.4, 0.6)):
         with pytest.raises(DegeneracyError):
             measure_solution_swap(point, window=window)
@@ -597,10 +592,9 @@ def test_solution_swap_needs_unique_ground():
 
 def test_solution_derivative_needs_unique_ground():
     pair = clique_pair(toy_example_1(Fraction(2, 3)).graph)
-    part = partition_final_levels(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 51))
     with pytest.raises(DegeneracyError):
-        solution_derivative_residuals(compute_overlaps(swp, part).at(0.5))
+        solution_derivative_residuals(compute_overlaps(swp).at(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,26 @@ def test_instance_file_errors(runner, tmp_path):
     assert json.loads(result.stderr)["kind"] == "io"
 
 
+def test_instance_file_with_a_fractional_clique_size(runner, tmp_path):
+    doc = {**instance_document(toy_example_2(0.2)), "k": 2.5}
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", "--instance", str(path), "--checks", "encoding"])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)
+    assert error["kind"] == "io" and "must be an integer" in error["error"]
+
+
+@pytest.mark.parametrize("doc", [["n", "k", "alpha", "weights", "edges"], 4, "text", None])
+def test_instance_file_that_is_no_object(runner, tmp_path, doc):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", "--instance", str(path)])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)
+    assert error["kind"] == "io" and "no JSON object" in error["error"]
+
+
 def test_instance_file_accepted(runner, tmp_path):
     doc = instance_document(toy_example_2(0.2))
     path = tmp_path / "inst.json"

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from mingap.hamiltonian import (
     build_swap_mixer,
     build_transverse_field,
     clique_pair,
+    degeneracy_tolerance,
     interpolate,
 )
 
@@ -224,6 +226,42 @@ def test_problem_graph_validation():
         ProblemGraph(3, [(1, 2)], [1, 1, 1], 2, -1.0)
     with pytest.raises(ValueError, match="duplicate"):
         ProblemGraph(3, [(1, 2), (2, 1)], [1, 1, 1], 2, 0.0)
+
+
+def test_problem_graph_takes_whole_counts_only():
+    # 2.5 once ran as k=2; a bool is no count either
+    for n, k in ((4, 2.5), (4, True), (4.5, 2), (True, 1), (4, "2"), (4, float("inf"))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProblemGraph(n, [(1, 2)], [1, 1, 1, 1], k, 0.0)
+    graph = ProblemGraph(4.0, [(1, 2)], [1, 1, 1, 1], np.int64(3), 0.0)
+    assert (graph.n, graph.k) == (4, 3)
+    assert type(graph.n) is int and type(graph.k) is int
+
+
+@pytest.mark.parametrize("graph", [
+    toy_example_1(0.0).graph,  # degenerate levels
+    toy_example_1(0.5).graph,
+    toy_example_1(Fraction(2, 3)).graph,  # degenerate final ground level
+    random_instance(8, 4, 0.5, 0.5, 1.5, seed=1, alpha=0.3).graph,
+])
+def test_final_levels_match_a_single_linkage_loop(graph):
+    """The pair's final levels, built once, against the loop they were
+    once computed by: a new level wherever consecutive sorted target
+    energies lie more than the degeneracy tolerance apart."""
+    pair = clique_pair(graph)
+    levels = pair.final_levels
+    assert pair.final_levels is levels
+    values = pair.h1_diag.tolist()
+    tol = degeneracy_tolerance(pair.h1_diag)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    groups = [[order[0]]]
+    for i in order[1:]:
+        if values[i] - values[groups[-1][-1]] > tol:
+            groups.append([])
+        groups[-1].append(i)
+    assert levels.members == tuple(tuple(sorted(g)) for g in groups)
+    assert levels.energies == tuple(float(np.mean(pair.h1_diag[g])) for g in groups)
+    assert (levels.unique_ground_index is None) == (len(groups[0]) > 1)
 
 
 def test_pair_validation():

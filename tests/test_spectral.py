@@ -20,7 +20,6 @@ from mingap.anticrossing import (
     build_report,
     compute_overlaps,
     min_gap_bounds,
-    partition_final_levels,
     wilkinson_fit,
 )
 from mingap.basis import enumerate_basis
@@ -157,6 +156,20 @@ def test_sweep_gap_positive_before_end(bundles):
     for name, alpha in (("toy1", 0.5), ("toy2", 0.2)):
         b = bundles(name, alpha)
         assert np.all(b.sweep.gaps()[:-1] > 0)
+
+
+def test_sweep_lowest_levels_and_gaps_go_by_value():
+    # the gauge may order the levels of a degenerate cluster against their
+    # values; lowest() and gaps() read them in value order
+    pair = clique_pair(toy_example_1(0.5).graph)
+    swp = sweep(pair, np.linspace(0.0, 1.0, 3), levels=3)
+    swap = [1, 0, 2]
+    swapped = replace(swp, energies=swp.energies[:, swap], vectors=swp.vectors[:, :, swap])
+    energies, vectors = swapped.lowest()
+    assert np.array_equal(energies, swp.energies[:, :2])
+    assert np.array_equal(vectors, swp.vectors[:, :, :2])
+    assert np.array_equal(swapped.gaps(), swp.gaps())
+    assert np.all(swp.gaps() >= 0)
 
 
 def test_sweep_validation():
@@ -364,7 +377,7 @@ def test_min_gap_zero_target_flagged_degenerate():
 def test_min_gap_regression_constants():
     pair = clique_pair(toy_example_1(0.0).graph)
     res = min_gap(pair, tol=1e-10)
-    s_star, delta = res
+    s_star, delta = res.s_star, res.delta_min
     assert s_star == pytest.approx(TOY1_ALPHA0_S_STAR, abs=1e-7)
     assert delta == pytest.approx(TOY1_ALPHA0_DELTA_MIN, rel=1e-9)
     assert not res.degenerate_at_end and not res.all_degenerate
@@ -843,7 +856,7 @@ def test_failure_condition_rejects_degenerate_ground():
 def point_on_sweep(pair, s):
     """The anti-crossing point at s, on the overlap series of a 51-point sweep."""
     swp = sweep(pair, np.linspace(0.0, 1.0, 51))
-    return compute_overlaps(swp, partition_final_levels(pair)).at(s)
+    return compute_overlaps(swp).at(s)
 
 
 def test_bounds_upper_holds_at_ground_state(bundles):
