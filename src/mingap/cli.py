@@ -463,6 +463,11 @@ def _build_config(instance, fixture, alpha_text, grid_points, refine_tol, **opti
     ``options`` (RunConfig fields)."""
     source, graph, mixer = _resolve_source(instance, fixture)
     alphas = _parse_alphas(alpha_text, default=float(graph.alpha))
+    for token, alpha in alphas:  # refused before any run starts
+        try:
+            _with_alpha(graph, alpha)
+        except ValueError as err:
+            raise AppError(f"bad alpha value {token!r}: {err}") from err
     cfg = RunConfig(source=source, mixer=mixer, alphas=alphas, grid_points=grid_points,
                     refine_tol=refine_tol, **options)
     return cfg, graph, mixer

@@ -16,6 +16,7 @@ independently computed tables match bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
@@ -34,6 +35,15 @@ def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
     return DEGENERACY_RTOL * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int, where it is a whole number: a bool or a
+    fraction (2.5, not 3.0) is no count."""
+    whole = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProblemGraph:
     """Weighted graph instance for maximum-weight k-clique.
@@ -49,17 +59,12 @@ class ProblemGraph:
     alpha: float
 
     def __init__(self, n, edges, weights, k, alpha):
-        for name, value in (("n", n), ("k", k)):
-            # a bool or a fraction (2.5, not 3.0) is no count
-            whole = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
-            if isinstance(value, bool) or not whole:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        n, k = int(n), int(k)
+        n, k = _whole("n", n), _whole("k", k)
         if n < 2:
             raise ValueError(f"need at least two nodes, got n={n}")
         norm = []
         for e in edges:
-            i, j = e
+            i, j = (_whole(f"endpoint of edge {e}", x) for x in e)
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -67,15 +72,18 @@ class ProblemGraph:
             norm.append((min(i, j), max(i, j)))
         if len(set(norm)) != len(norm):
             raise ValueError("duplicate edges")
+        if any(isinstance(w, (bool, np.bool_)) for w in weights):
+            raise ValueError(f"weights must be reals, got {tuple(weights)!r}")
         weights = tuple(float(w) for w in weights)
         if len(weights) != n:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError(f"weights must be finite and nonnegative, got {weights!r}")
         if not 0 < k < n:
             raise ValueError(f"clique size must satisfy 0 < k < n, got k={k}")
-        if not isinstance(alpha, Real) or alpha < 0:
-            raise ValueError(f"alpha must be a nonnegative real, got {alpha!r}")
+        real = isinstance(alpha, Real) and not isinstance(alpha, bool)
+        if not (real and 0 <= alpha < math.inf):
+            raise ValueError(f"alpha must be a finite nonnegative real, got {alpha!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "weights", weights)

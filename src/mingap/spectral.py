@@ -44,11 +44,10 @@ the caller's count.
 On it rest the full eigendecomposition of H(s), gauge-continuous sweeps
 over an s-grid (of every level, or of the lowest few only), min-gap
 location (Brent refinement on Delta^2 of the brackets a coarse grid
-gives: the cells around its smallest gap, every cell where the
-Hellmann-Feynman gap slope turns from negative to positive, every cell
-across which the ground vector swaps character, and an end cell into
-which the gap falls from a smallest grid gap at s=0 or s=1; the grid is
-a sweep's own when one is at hand), perturbation-theory derivatives of
+gives: every cell where the cubic Hermite interpolant of the grid gaps
+and Hellmann-Feynman gap slopes has a minimum, and every cell across
+which the ground vector swaps character; the grid is a sweep's own when
+one is at hand), perturbation-theory derivatives of
 eigenvalues and eigenvectors, and the residuals of the projection
 identities that relate any eigenpair to the mixer neighborhood of a
 basis state.  Every product with the mixer H0 (the schedule derivative
@@ -474,11 +473,11 @@ def _brent(
     fa: float,
     fb: float,
     tol: float,
-    best_s: float,
-    best_g: float,
+    start: float | None = None,
 ) -> tuple[float, float]:
     """Brent's minimization of Delta^2 on [a, b] (gaps ``fa``, ``fb`` at the
-    ends) down to an s-uncertainty of ``tol``, then one probe at the vertex
+    ends), from a first probe at ``start`` (the golden-section point when
+    None), down to an s-uncertainty of ``tol``, then one probe at the vertex
     of the parabola through the smallest Delta^2 probed inside and its
     neighbours among the probes and the ends.
 
@@ -488,16 +487,15 @@ def _brent(
     parabolic one is not acceptable (R. P. Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 5).  The closing vertex is
     s* up to round-off also when the anti-crossing is narrower than ``tol``
-    and the probes alone would leave up to c*tol in Delta.  Returns the
-    smallest probed gap, or (``best_s``, ``best_g``) when no probe is
-    strictly below it."""
+    and the probes alone would leave up to c*tol in Delta.  Returns (s,
+    gap) of the first smallest probe inside the bracket."""
     probes = {a: fa, b: fb}
 
     def square(s: float) -> float:
         probes[s] = _gap_at(pair, s)
         return probes[s] ** 2
 
-    x = w = v = a + _GOLDEN_STEP * (b - a)
+    x = w = v = a + _GOLDEN_STEP * (b - a) if start is None else float(start)
     fx = fw = fv = square(x)
     step = last = 0.0
     small = 0.5 * tol
@@ -545,10 +543,7 @@ def _brent(
     q = 2.0 * ((mid - lo) * (gmid - ghi) - (mid - hi) * (gmid - glo))
     if q != 0 and lo < mid - p / q < hi:
         square(mid - p / q)
-    for s, g in list(probes.items())[2:]:  # past the two ends
-        if g < best_g:
-            best_s, best_g = s, g
-    return best_s, best_g
+    return min(list(probes.items())[2:], key=lambda probe: probe[1])  # past the two ends
 
 
 def _bisect_swap(
@@ -583,43 +578,36 @@ def _bisect_swap(
     return a, b, fa, fb
 
 
-def _refine_end(
-    pair: HamiltonianPair,
-    end: float,
-    inner: float,
-    f_end: float,
-    f_inner: float,
-    tol: float,
-    best_s: float,
-    best_g: float,
-) -> tuple[float, float]:
-    """Refine a gap minimum that a grid puts at ``end`` (0 or 1) while the
-    gap slope there says the gap falls inward, toward ``inner``, the
-    nearest grid point (gaps ``f_end``, ``f_inner``).
-
-    The cell is halved toward ``end`` until its midpoint reads below
-    ``f_end``; the cell from the previous midpoint to ``end`` then holds a
-    gap below both its ends, and Brent's search runs on it.  Returns as
-    ``_brent``; (``best_s``, ``best_g``) when the cell shrinks below ``tol``
-    first."""
-    while abs(end - inner) > tol:
-        mid = 0.5 * (inner + end)
-        f_mid = _gap_at(pair, mid)
-        if f_mid < f_end:
-            if f_mid < best_g:
-                best_s, best_g = mid, f_mid
-            if end < inner:
-                return _brent(pair, end, inner, f_end, f_inner, tol, best_s, best_g)
-            return _brent(pair, inner, end, f_inner, f_end, tol, best_s, best_g)
-        inner, f_inner = mid, f_mid
-    return best_s, best_g
-
-
 def _gap_slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
     """dDelta/ds = <v1|H1-H0|v1> - <v0|H1-H0|v0> (Hellmann-Feynman) at
     every grid point, from ``vectors[t, :, :2]``, in one batched product."""
     dots = np.einsum("tik,tik->tk", vectors, _hdot_apply(pair, vectors))
     return dots[:, 1] - dots[:, 0]
+
+
+def _cell_minima(grid: np.ndarray, gaps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """The s of the interior local minimum in each of the T-1 grid cells
+    of the cubic Hermite interpolant of ``gaps`` and their s-derivatives
+    ``slopes`` (Fritsch and Carlson, SIAM J. Numer. Anal. 17, 1980); NaN
+    where a cell's cubic has none.  With the end slopes m0, m1 scaled by
+    the cell width, p'(tau) = m0 + b tau + a tau^2 turns from negative to
+    positive inside (0, 1) iff m0 < 0 < m1, or the vertex -b/(2a) lies
+    inside and p' there is > 0 where m0 < 0 and m1 <= 0, < 0 where m0 >= 0
+    and m1 > 0.  The turn is the root at which p'' = sqrt(b^2 - 4 a m0),
+    in a form free of cancellation."""
+    h = np.diff(grid)
+    f0, f1 = gaps[:-1], gaps[1:]
+    m0, m1 = slopes[:-1] * h, slopes[1:] * h
+    b = 2.0 * (3.0 * (f1 - f0) - 2.0 * m0 - m1)
+    a = 3.0 * (2.0 * (f0 - f1) + m0 + m1)
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * m0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0: no vertex
+        vertex, at_vertex = -b / (2.0 * a), m0 - b * b / (4.0 * a)
+        turn = np.where(b > 0, -2.0 * m0 / (b + root), (root - b) / (2.0 * a))
+    peak = (m0 < 0) & (m1 <= 0) & (at_vertex > 0)
+    dip = (m0 >= 0) & (m1 > 0) & (at_vertex < 0)
+    flagged = (m0 < 0) & (m1 > 0) | (vertex > 0) & (vertex < 1) & (peak | dip)
+    return np.where(flagged, grid[:-1] + h * np.clip(turn, 0.0, 1.0), np.nan)
 
 
 def _coarse_sweep(pair: HamiltonianPair, points: int) -> SpectralSweep:
@@ -641,24 +629,23 @@ def min_gap(
     of a two-level sweep on ``coarse_points`` evenly spaced s.  Brent's
     minimization of Delta^2, closed by one probe at the vertex of the
     parabola through the smallest probed Delta^2 and its neighbours, runs
-    on every candidate bracket, and the smallest gap wins:
+    on two kinds of bracket, and the smallest gap wins (the smallest grid
+    gap when no probe is below it):
 
-    * the cells on either side of the smallest grid gap, when that lies
-      inside the interval;
-    * every other cell where the Hellmann-Feynman gap slope changes from
-      negative to positive, which catches minima narrower than the grid
-      spacing (including ones in the first or last cell);
+    * every cell where the cubic Hermite interpolant of the grid gaps and
+      Hellmann-Feynman gap slopes has an interior local minimum, from a
+      first probe there (``_cell_minima``).  In exact arithmetic these
+      are all the cells the grid data point to: the one a nonzero slope
+      at an interior smallest grid gap points into (its cubic starts
+      falling, or ends rising, with the other end no lower), every cell
+      where the slope turns from negative to positive, and an end cell
+      into which the gap falls from a smallest grid gap at s=0 or s=1 (it
+      may hold a maximum and then a dip toward the end).
     * every cell across which the ground vector swaps character,
-      |<v0(t)|v0(t+1)>| < 1/sqrt(2), whether or not the gap slope turns
-      there.  The gap need not be unimodal on such a cell (a wider local
-      minimum, or a maximum, may sit beside a narrow minimum), so the
-      cell is first narrowed to the swap point by bisection on that
-      overlap.
-    * the end cell, when the smallest grid gap sits at s=0 or s=1, the
-      gap slope there says the gap falls inward and does not turn across
-      the cell: the cell can hold a maximum and then a dip toward the end
-      without a swap of the ground vector.  It is halved toward the end
-      until its midpoint reads below the end's gap (``_refine_end``).
+      |<v0(t)|v0(t+1)>| < 1/sqrt(2).  The gap need not be unimodal on
+      such a cell: a wider local minimum, or a maximum, may sit beside a
+      narrow minimum that the end data do not show.  So the cell is
+      first narrowed to the swap point by bisection on that overlap.
 
     The gap at s=1 is exact (H(1) is diagonal), so a candidate inside the
     interval must beat it by more than a probe's round-off.  An s=1 result
@@ -684,19 +671,11 @@ def min_gap(
     if np.max(gaps) <= deg_tol:
         return MinGapResult(float(ss[i]), float(gaps[i]), all_degenerate=True)
     slopes = _gap_slopes(pair, vectors)
-    turns = (slopes[:-1] < 0) & (slopes[1:] > 0)
-    brackets = [(j, j + 1) for j in np.flatnonzero(turns)]
-    if 0 < i < len(ss) - 1:
-        brackets = [(i - 1, i + 1)] + [(j, k) for j, k in brackets if not i - 1 <= j <= i]
-    best = (float(ss[i]), float(gaps[i]))
-    for a, b in brackets:
-        best = _brent(pair, float(ss[a]), float(ss[b]), gaps[a], gaps[b], tol, *best)
-    last = len(ss) - 1
-    if i in (0, last) and gaps[i] > deg_tol:
-        j = 1 if i == 0 else last - 1
-        falls_inward = slopes[i] < 0 if i == 0 else slopes[i] > 0
-        if falls_inward and not turns[min(i, j)]:
-            best = _refine_end(pair, float(ss[i]), float(ss[j]), gaps[i], gaps[j], tol, *best)
+    minima = _cell_minima(ss, gaps, slopes)
+    candidates = [(float(ss[i]), float(gaps[i]))] + [
+        _brent(pair, float(ss[j]), float(ss[j + 1]), gaps[j], gaps[j + 1], tol, minima[j])
+        for j in np.flatnonzero(~np.isnan(minima))
+    ]
     # Every swap cell is refined once more, also one inside a bracket above:
     # the search over a bracket assumes a unimodal gap, which a swap cell
     # need not have.
@@ -706,8 +685,8 @@ def min_gap(
             pair, float(ss[j]), float(ss[j + 1]), vectors[j, :, 0], vectors[j + 1, :, 0],
             gaps[j], gaps[j + 1], tol,
         )
-        best = _brent(pair, *cell, tol, *best)
-    s_star, delta = best
+        candidates.append(_brent(pair, *cell, tol))
+    s_star, delta = min(candidates, key=lambda candidate: candidate[1])  # the first smallest
     # H(1) is diagonal, so the gap read there is exact; a probe inside the
     # interval beats it only by more than the probe's own round-off
     norm = _h0_norm(pair) + float(np.max(np.abs(pair.h1_diag)))

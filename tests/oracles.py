@@ -1,9 +1,10 @@
 """Independent computation routes used only by the test suite.
 
 Nothing here may call into the library's numerical paths: the Jacobi
-solver diagonalizes from scratch, and the two-level formulas come from
-direct closed-form algebra.  The two loop references redo, one point or
-window at a time, a loop the library evaluates in one pass:
+solver diagonalizes from scratch, the two-level formulas come from
+direct closed-form algebra, and the cubic Hermite interpolant is read
+from dense samples.  The two loop references redo, one point or window
+at a time, a loop the library evaluates in one pass:
 ``threaded_gauge`` takes the library's per-point solves as input, and
 ``swap_window_scan`` evaluates the swap clauses itself.
 """
@@ -295,6 +296,32 @@ def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
         if res.fun < best_g:
             best_s, best_g = float(ss[i] + res.x), float(res.fun)
     return best_s, best_g
+
+
+def hermite_cell_minima(grid, gaps, slopes, intervals: int = 2048):
+    """For each grid cell, the s of the interior local minimum of the cubic
+    Hermite interpolant of ``gaps`` and their derivatives ``slopes`` at its
+    ends, NaN where it has none, read from the cubic sampled at
+    ``intervals`` + 1 evenly spaced points of the cell: the first sample
+    after a fall at which the samples rise again.  The cubic is summed from
+    the Hermite basis functions, not from its power form.  For small dyadic
+    data (integers, cell widths a power of 2) and ``intervals`` a power of 2
+    every sample is exact."""
+    tau = np.arange(intervals + 1) / intervals
+    h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
+    h10 = tau * (1.0 - tau) ** 2
+    h01 = tau**2 * (3.0 - 2.0 * tau)
+    h11 = tau**2 * (tau - 1.0)
+    minima = np.full(len(grid) - 1, np.nan)
+    for t in range(len(grid) - 1):
+        h = grid[t + 1] - grid[t]
+        p = gaps[t] * h00 + h * slopes[t] * h10 + gaps[t + 1] * h01 + h * slopes[t + 1] * h11
+        steps = np.sign(np.diff(p))
+        falls = np.flatnonzero(steps < 0)
+        rises = np.flatnonzero(steps[falls[0]:] > 0) if falls.size else []
+        if len(rises):
+            minima[t] = grid[t] + h * tau[falls[0] + rises[0]]
+    return minima
 
 
 def threaded_gauge(solves):

@@ -358,6 +358,36 @@ def test_instance_file_errors(runner, tmp_path):
     assert json.loads(result.stderr)["kind"] == "io"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weights", "[1, NaN, 1, 1, 1, 1]"),
+    ("weights", "[1, Infinity, 1, 1, 1, 1]"),
+    ("weights", "[1, true, 1, 1, 1, 1]"),
+    ("alpha", "NaN"),
+    ("alpha", "true"),
+    ("edges", "[[1.5, 2], [1, 3]]"),
+])
+def test_instance_file_with_a_value_the_graph_refuses(runner, tmp_path, field, value):
+    # a NaN weight once reached LAPACK and ended in a traceback
+    doc = instance_document(toy_example_2(0.2))
+    text = json.dumps({**doc, field: None}).replace(f'"{field}": null', f'"{field}": {value}')
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["verify", "--instance", str(path), "--grid", "101"])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)
+    assert error["kind"] == "io" and field.rstrip("s") in error["error"]
+
+
+@pytest.mark.parametrize("command", ["scan", "verify"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+def test_alpha_option_the_graph_refuses(runner, tmp_path, command, alpha):
+    out = ["--out", str(tmp_path / "out")] if command == "scan" else []
+    result = runner.invoke(main, [command, "--fixture", "toy1", "--alpha", f"0.5,{alpha}", *out])
+    assert result.exit_code == 2
+    assert "alpha" in json.loads(result.stderr)["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_instance_file_with_a_fractional_clique_size(runner, tmp_path):
     doc = {**instance_document(toy_example_2(0.2)), "k": 2.5}
     path = tmp_path / "fractional.json"

@@ -238,6 +238,37 @@ def test_problem_graph_takes_whole_counts_only():
     assert type(graph.n) is int and type(graph.k) is int
 
 
+def test_problem_graph_takes_whole_edge_endpoints_only():
+    # (1.5, 2) once stood in the edge set, which no clique reads as an edge
+    for edge in ((1.5, 2), (1, True), (1, "2"), (float("nan"), 2)):
+        with pytest.raises(ValueError, match="endpoint of edge"):
+            ProblemGraph(4, [edge, (1, 3)], [1, 1, 1, 1], 2, 0.5)
+    graph = ProblemGraph(4, [(2.0, 1), (np.int64(3), 1)], [1, 1, 1, 1], 2, 0.5)
+    assert graph.edges == ((1, 2), (1, 3))
+    assert all(type(x) is int for e in graph.edges for x in e)
+
+
+@pytest.mark.parametrize("weights, alpha", [
+    ([1, float("nan"), 1, 1], 0.5),
+    ([1, float("inf"), 1, 1], 0.5),
+    ([1, 1, -float("inf"), 1], 0.5),
+    ([1, True, 1, 1], 0.5),
+    ([1, np.True_, 1, 1], 0.5),
+    ([1, 1, 1, 1], float("nan")),
+    ([1, 1, 1, 1], float("inf")),
+    ([1, 1, 1, 1], True),
+    ([1, 1, 1, 1], np.float64("nan")),
+])
+def test_problem_graph_refuses_bools_and_non_finite_reals(weights, alpha):
+    with pytest.raises(ValueError, match="weights|alpha"):
+        ProblemGraph(4, [(1, 2)], weights, 2, alpha)
+
+
+def test_problem_graph_keeps_exact_alpha():
+    graph = ProblemGraph(4, [(1, 2)], [1, 1, 1, 1], 2, Fraction(2, 3))
+    assert graph.alpha == Fraction(2, 3)
+
+
 @pytest.mark.parametrize("graph", [
     toy_example_1(0.0).graph,  # degenerate levels
     toy_example_1(0.5).graph,

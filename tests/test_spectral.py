@@ -38,6 +38,7 @@ from mingap.spectral import (
     LANCZOS_MIN_DIM,
     DegeneracyError,
     EigendecompositionError,
+    _cell_minima,
     _gap_at,
     _mrrr,
     decompose_interpolated,
@@ -57,6 +58,7 @@ from oracles import (
     TwoLevelOracle,
     dense_gap,
     fine_scan_min_gap,
+    hermite_cell_minima,
     jacobi_eigh,
     projection_identity_entries,
     threaded_gauge,
@@ -536,6 +538,65 @@ def test_min_gap_reads_the_sweep_in_place():
     finally:
         tracemalloc.stop()
     assert peak < swp.vectors.nbytes / 4
+
+
+@st.composite
+def dyadic_cells(draw):
+    """(grid, gaps, slopes) on 2-8 points: integer gaps and slopes, cell
+    widths 1/2, 1 or 2.  On such data the predicate's signs and the
+    oracle's samples are exact in float64, and every turn of the cubic
+    lies several samples from the next turn and from the cell ends."""
+    t = draw(st.integers(2, 8))
+    widths = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=t - 1, max_size=t - 1))
+    gaps = draw(st.lists(st.integers(0, 8), min_size=t, max_size=t))
+    slopes = draw(st.lists(st.integers(-5, 5), min_size=t, max_size=t))
+    return np.concatenate([[0.0], np.cumsum(widths)]), np.array(gaps, float), np.array(slopes, float)
+
+
+def _cells(gaps, slopes, widths=None):
+    grid = np.concatenate([[0.0], np.cumsum(widths or [1.0] * (len(gaps) - 1))])
+    return grid, np.array(gaps, float), np.array(slopes, float)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cells=dyadic_cells())
+@example(cells=_cells([1, 2], [0, 0]))  # zero slopes: a rising cubic
+@example(cells=_cells([2, 2, 2], [-1, -1, 0]))  # equal ends, m1 <= 0: a dip in each cell
+@example(cells=_cells([0, 1], [1, 1]))  # a = b = 0: a straight line
+@example(cells=_cells([0, 0], [-1, 1], [0.5]))  # a = 0: p' linear, turning inside
+@example(cells=_cells([3, 0, 4], [4, 0, 0]))  # p' = 0 at a cell end: no interior minimum
+def test_cell_minima_match_a_sampled_cubic(cells):
+    got, sampled = _cell_minima(*cells), hermite_cell_minima(*cells)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(sampled))
+    # within two of the oracle's 2048 sample spacings of the widest cell
+    np.testing.assert_allclose(got, sampled, rtol=0, atol=2.0 * 2.0 / 2048)
+
+
+def _earlier_brackets(gaps, slopes):
+    """The cells each bracket of min_gap's earlier grid rules spanned: the
+    two around an interior smallest grid gap, every cell where the slope
+    turns from negative to positive, and an end cell into which the slope
+    at a smallest grid gap at an end points, when it does not turn there.
+    The first rule is kept where the slope at the smallest gap is
+    nonzero, which the argument that a cubic there has a minimum needs."""
+    i, last = int(np.argmin(gaps)), len(gaps) - 1
+    turns = (slopes[:-1] < 0) & (slopes[1:] > 0)
+    brackets = [[j] for j in np.flatnonzero(turns)]
+    if 0 < i < last and slopes[i] != 0:
+        brackets.append([i - 1, i])
+    end = min(i, last - 1)
+    if (i == 0 and slopes[0] < 0 or i == last and slopes[-1] > 0) and not turns[end]:
+        brackets.append([end])
+    return brackets
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cells=dyadic_cells())
+def test_cell_minima_flag_a_cell_of_every_earlier_bracket(cells):
+    grid, gaps, slopes = cells
+    flagged = ~np.isnan(_cell_minima(grid, gaps, slopes))
+    for bracket in _earlier_brackets(gaps, slopes):
+        assert flagged[bracket].any(), bracket
 
 
 # ---------------------------------------------------------------------------
