@@ -39,7 +39,6 @@ from .spectral import (
     eigenvalue_second_derivative,
     eigenvector_derivative,
     energy_identity_residuals,
-    failure_condition_residual,
     gap_identity_residuals,
 )
 
@@ -215,6 +214,7 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
     decompositions of H(s)."""
     worst5 = worst6 = 0.0
     best7 = None
+    gs = pair.final_levels.unique_ground_index
     points = 0
     for s, dec in decompositions:
         points += 1
@@ -226,9 +226,11 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
         r6 = gap_identity_residuals(pair, s, decomposition=dec)
         delta = float(w[1] - w[0])
         worst6 = float(np.fmax.reduce(np.abs(r6) / (1.0 + delta), None, initial=worst6))
-        if s < 1.0 and pair.final_levels.unique_ground_index is not None:
-            r = failure_condition_residual(pair, s, decomposition=dec)
-            if r is not None and (best7 is None or abs(r) < abs(best7)):
+        if s < 1.0 and gs is not None and not np.isnan(r6[gs]):
+            # the ratio difference at the solution state, read off the gap
+            # residual: r6[gs] = Delta - (1-s) (ratio_0 - ratio_1)
+            r = float((delta - r6[gs]) / (1.0 - s))
+            if best7 is None or abs(r) < abs(best7):
                 best7 = r
         # the loop variables would otherwise hold them while the next
         # point is solved
@@ -249,8 +251,9 @@ def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
     """Perturbation-theory derivatives of the ground level at every s of
     ``points`` against finite differences of one-level solves.  Each point
     is decomposed in full once, since the perturbation sums read every
-    level.  First derivatives take central differences with h=1e-5 (the
-    vectors sign-aligned with the one at s).  The second derivative takes
+    level, and the second differences read E0 at s from it.  First
+    derivatives take central differences with h=1e-5 (the vectors
+    sign-aligned with the one at s).  The second derivative takes
     the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of second central
     differences D with h=1e-3, whose truncation error is O(h^4): near a
     higher anti-crossing E0'' reaches tens (-34 at one d=252 sample),
@@ -268,7 +271,7 @@ def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
         worst1 = max(worst1, abs(d1 - (wp[0] - wm[0]) / (2 * h)))
         dv = eigenvector_derivative(pair, s, 0, decomposition=dec)
         worstv = max(worstv, float(np.linalg.norm(dv - (vp[:, 0] - vm[:, 0]) / (2 * h))))
-        e0 = ground(s)
+        e0 = float(dec[0][0])
         wide, narrow = ((ground(s + k) + ground(s - k) - 2 * e0) / k**2 for k in (1e-3, 5e-4))
         d2 = eigenvalue_second_derivative(pair, s, 0, decomposition=dec)
         worst2 = max(worst2, abs(d2 - (4 * narrow - wide) / 3))

@@ -26,15 +26,23 @@ picks the solver from what is asked:
   mixer of weakly linked parts whose ground states stay degenerate over a
   range of s.  When ARPACK does not converge within ``_LANCZOS_MAXITER``
   restarts the point is solved densely.
+* NumPy's ``eigh`` (LAPACK ``syevd``) of every level, sliced to the
+  lowest few, for a solve of more than two but fewer than all levels with
+  eigenvectors at d < ``_SYEVD_MAX_DIM``: the multi-level sweep of
+  ``mingap scan`` on small instances.  A sweep on this route solves its
+  grid in stacked calls of at most ``_STACK_LENGTH`` matrices, which
+  removes the per-call cost that dominates at such d; a matrix gets the
+  same bits alone or in a stack.
 * Dense MRRR (LAPACK ``syevr``), the reference, in every other case: all
-  levels or the lowest few, with or without eigenvectors, every point
-  that closes in on the gap minimum before it is known (the Brent and
-  bisection probes of ``min_gap``), every probe after a minimum below the
-  resolution floor, and the central differences of the derivative
-  checks.  Near the minimum E1 - E0 can be as small as the round-off of
-  H(s), and the dense solve reads the gap whatever its size.
+  levels, one or two, or the lowest few above the cut, with or without
+  eigenvectors; every point that closes in on the gap minimum before it
+  is known (the Brent and bisection probes of ``min_gap``), every probe
+  after a minimum below the resolution floor, and the central
+  differences of the derivative checks.  Near the minimum E1 - E0 can be
+  as small as the round-off of H(s), and the dense solve reads the gap
+  whatever its size.
 
-Below ``_BLAS_THREADS_MIN_DIM`` every solve of a pair, on either route,
+Below ``_BLAS_THREADS_MIN_DIM`` every solve of a pair, on every route,
 runs on one OpenBLAS thread, and a sweep holds that one scope over its
 whole loop; the caller's thread count is restored afterwards.  There a
 second thread shortens no solve, and one thread makes every spectrum
@@ -109,6 +117,17 @@ _LANCZOS_MAXITER = 100
 # process, 2 cores, OpenBLAS 0.3.31).  On one thread a solve's bits no
 # longer depend on the caller's thread count either.
 _BLAS_THREADS_MIN_DIM = 470
+# Dimension below which a solve of more than two but fewer than all levels,
+# with eigenvectors, is NumPy's eigh of every level.  Per grid point on one
+# OpenBLAS thread, a six-level MRRR subset solve against NumPy's eigh in a
+# stack of 64: 79 against 49 us at d=20, 108 against 76 at d=28, 162 against
+# 133 at d=35, 148 against 147 at d=36, 187 against 215 at d=45 and 228
+# against 300 at d=56 (2 cores, OpenBLAS 0.3.31).  Above the crossover the
+# vectors of every level cost more than MRRR's six.
+_SYEVD_MAX_DIM = 36
+# Matrices per stacked call of a sweep on the NumPy route.  One stack of a
+# whole 1001-point grid would hold 1001 d x d matrices at once.
+_STACK_LENGTH = 64
 # Round-off allowance, in eps ||H||, of a gap probed at s < 1.
 _PROBE_ROUNDOFF = 8
 # The ground vector swaps character across a grid cell when its overlap
@@ -202,7 +221,8 @@ def _blas_threads(pair: HamiltonianPair):
 
 
 def _mrrr(h: np.ndarray, levels: int | None = None, vectors: bool = True):
-    """Dense MRRR (LAPACK ``syevr``), the reference solver: the lowest
+    """Dense MRRR (LAPACK ``syevr``), the reference solver and the route of
+    every dense solve but a small multi-level one (``_stacks``): the lowest
     ``levels`` eigenvalues of a real symmetric matrix (all of them when
     None), ascending; with ``vectors``, (eigenvalues, eigenvectors as
     columns).  A LAPACK failure raises EigendecompositionError."""
@@ -212,6 +232,43 @@ def _mrrr(h: np.ndarray, levels: int | None = None, vectors: bool = True):
         return solve(h, driver="evr", subset_by_index=subset)
     except scipy.linalg.LinAlgError as err:
         raise EigendecompositionError(f"eigensolver failed on dim {h.shape[0]}: {err}") from err
+
+
+def _stacks(pair: HamiltonianPair, levels: int | None, vectors: bool) -> bool:
+    """Whether a solve of the lowest ``levels`` of ``pair`` takes the NumPy
+    route (``_syevd``): more than two but fewer than all levels, with
+    eigenvectors, at d < ``_SYEVD_MAX_DIM``.  The rest stay MRRR: NumPy
+    solves two levels no faster (54 against 48 us at d=20), a values-only
+    solve needs no vectors, and NumPy's full decompositions read the
+    projection identities close to their 1e-8 bound (3.9e-9 against
+    2.1e-10 on toy1 over the 21 points of ``mingap verify``)."""
+    return vectors and levels is not None and 2 < levels < pair.dim < _SYEVD_MAX_DIM
+
+
+def _syevd(pair: HamiltonianPair, s, levels: int):
+    """NumPy's eigh (LAPACK ``syevd``) of H(s) at a point ``s``, or at every
+    point of a 1-D array ``s`` in one stacked call: the lowest ``levels``
+    eigenvalues, ascending, and their eigenvectors as columns, with a
+    leading axis over the points of an array.  Every level is computed.  A
+    matrix gets the same bits alone or in a stack, and each equals
+    ``interpolate``'s bit for bit.  A non-finite H(s) raises ValueError,
+    as SciPy's input check does; a LAPACK failure raises
+    EigendecompositionError naming the point, found by solving a failed
+    stack's points one at a time."""
+    ss = np.atleast_1d(np.asarray(s, dtype=float))
+    h = (1.0 - ss)[:, None, None] * pair.h0
+    h.reshape(len(ss), -1)[:, :: pair.dim + 1] += ss[:, None] * pair.h1_diag
+    try:
+        w, v = np.linalg.eigh(np.asarray_chkfinite(h))
+    except np.linalg.LinAlgError as err:
+        if np.ndim(s):
+            for x in ss:
+                _syevd(pair, x, levels)
+        raise EigendecompositionError(
+            f"at s={s}: eigensolver failed on dim {pair.dim}: {err}"
+        ) from err
+    w, v = w[:, :levels], v[:, :, :levels]
+    return (w, v) if np.ndim(s) else (w[0], v[0])
 
 
 def _lanczos(pair: HamiltonianPair, s: float, levels: int, vectors: bool = True):
@@ -235,7 +292,7 @@ def _lanczos(pair: HamiltonianPair, s: float, levels: int, vectors: bool = True)
 
 def _eigensolve(
     pair: HamiltonianPair,
-    s: float,
+    s: float | np.ndarray,
     levels: int | None = None,
     vectors: bool = True,
     lanczos: bool = False,
@@ -246,13 +303,17 @@ def _eigensolve(
     caller has no reason to expect E1 - E0 at the round-off of H(s) at s:
     s belongs to a grid laid out before any gap was read, or the gap there
     is at least a minimum already found above ``resolution_floor``.
-    Lanczos for one or two levels at such a point when d >= LANCZOS_MIN_DIM,
-    s < 1, the mixer is connected and the final ground level is simple;
-    dense MRRR otherwise, and where ARPACK fails (see the module
-    docstring).  Below ``_BLAS_THREADS_MIN_DIM`` the solve runs on one
-    OpenBLAS thread.  A failure of the dense solver raises
-    EigendecompositionError."""
+    NumPy's eigh for a small multi-level solve (``_stacks``), where ``s``
+    may also be a 1-D array of points solved in one stacked call (the
+    results then carry a leading axis over the points); Lanczos for one or
+    two levels at a point as above when d >= LANCZOS_MIN_DIM, s < 1, the
+    mixer is connected and the final ground level is simple; dense MRRR
+    otherwise, and where ARPACK fails (see the module docstring).  Below
+    ``_BLAS_THREADS_MIN_DIM`` the solve runs on one OpenBLAS thread.  A
+    failure of a dense solver raises EigendecompositionError."""
     with _blas_threads(pair):
+        if _stacks(pair, levels, vectors):
+            return _syevd(pair, s, levels)
         if (
             lanczos
             and levels is not None
@@ -408,10 +469,12 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     T*d*m*8 bytes of vectors.  Every point is a grid point of
     ``_eigensolve``: for m = 2 at d >= LANCZOS_MIN_DIM, a connected mixer
     and a simple final ground level each point but s = 1 is a Lanczos
-    solve; otherwise each is an MRRR subset solve.  The gauge is then
-    threaded in one pass over the stacked arrays (``_thread_gauge``),
-    through the kept columns alone, so inside a degenerate cluster that
-    level m cuts it is arbitrary."""
+    solve; for 2 < m < d below ``_SYEVD_MAX_DIM`` the grid is solved by
+    NumPy's eigh in stacked calls of ``_STACK_LENGTH`` points; otherwise
+    each point is an MRRR solve.  The gauge is then threaded in one pass
+    over the stacked arrays (``_thread_gauge``), through the kept columns
+    alone, so inside a degenerate cluster that level m cuts it is
+    arbitrary."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must hold at least two s values")
@@ -427,11 +490,16 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     vectors = np.empty((len(grid), d, keep or d))
     # one scope for the loop: the solves inside it only nest
     with _blas_threads(pair):
-        for t, s in enumerate(grid):
-            try:
-                energies[t], vectors[t] = _eigensolve(pair, s, levels=keep, lanczos=True)
-            except EigendecompositionError as err:
-                raise EigendecompositionError(f"at s={s}: {err}") from err
+        if _stacks(pair, keep, vectors=True):
+            for t in range(0, len(grid), _STACK_LENGTH):
+                part = slice(t, t + _STACK_LENGTH)
+                energies[part], vectors[part] = _eigensolve(pair, grid[part], levels=keep)
+        else:
+            for t, s in enumerate(grid):
+                try:
+                    energies[t], vectors[t] = _eigensolve(pair, s, levels=keep, lanczos=True)
+                except EigendecompositionError as err:
+                    raise EigendecompositionError(f"at s={s}: {err}") from err
     _thread_gauge(energies, vectors)
     return SpectralSweep(grid=grid, energies=energies, vectors=vectors, pair=pair)
 

@@ -213,11 +213,12 @@ def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
         main, ["verify", "--fixture", "toy1", "--grid", "201", "--checks", "derivatives"]
     )
     assert result.exit_code == 0, result.output
-    # 10 samples, each decomposed in full at s, and the ground level alone
-    # solved at s +- 1e-5 (with vectors), s, s +- 5e-4 and s +- 1e-3
+    # 10 samples, each decomposed in full at s, which also gives E0(s), and
+    # the ground level alone solved at s +- 1e-5 (with vectors), s +- 5e-4
+    # and s +- 1e-3
     assert len(calls) == 10
     assert len({args[1] for args in calls}) == 10
-    assert len(one_level) == 7 * 10
+    assert len(one_level) == 6 * 10
     assert len(set(one_level)) == len(one_level)
 
 
@@ -278,6 +279,22 @@ def test_verify_holds_one_full_decomposition_at_a_time(runner, tmp_path):
         tracemalloc.stop()
     assert result.exit_code in (0, 1), result.output
     assert peak < 8e6
+
+
+def test_verify_reports_a_failing_gap_identity_instead_of_raising(runner, tmp_path):
+    # d=126: at s=0.9 the ratio difference at the solution state reads
+    # 6.014123e-02 against Delta/(1-s) = 6.014125e-02, a gap-identity
+    # residual past 1e-8; the run ends in its JSON report, with that check
+    # failed, not in a traceback
+    graph = random_instance(9, 4, 0.5, 0.5, 1.5, seed=0, alpha=0.3).graph
+    path = tmp_path / "d126.json"
+    path.write_text(json.dumps(instance_document(CliqueInstance(graph=graph, description="d126"))))
+    result = runner.invoke(main, ["verify", "--instance", str(path), "--checks", "identities"])
+    assert result.exit_code == 1, result.output
+    checks = {c["name"]: c for c in json.loads(result.output)["runs"][0]["checks"]}
+    assert checks["gap_identity"]["status"] == "fail"
+    assert checks["failure_condition"]["status"] == "report"
+    assert checks["failure_condition"]["value"] == pytest.approx(6.014122696751e-02, rel=1e-9)
 
 
 def test_verify_degenerate_skips_solution_checks(runner):

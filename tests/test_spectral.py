@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import json
 import sys
@@ -5,6 +6,7 @@ import threading
 from dataclasses import replace
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -986,17 +988,19 @@ def test_every_spectrum_comes_from_one_function(monkeypatch):
         min_gap(pair, sweep=swp)
         wilkinson_fit(swp, report.s_star, window=report.wilkinson.window)
     min_gap(clique_pair(toy_example_1(0.5).graph))
+    build_report(clique_pair(toy_example_2(0.2).graph), grid_points=201, levels=6)
     result = CliRunner().invoke(main, ["verify", "--fixture", "toy1", "--grid", "101"])
     assert result.exit_code == 0, result.output
-    # LAPACK is called from _mrrr only, ARPACK from _lanczos only, and
-    # both only on behalf of _eigensolve
-    assert {caller for caller, _ in callers} == {"_mrrr", "_lanczos"}
+    # SciPy's LAPACK is called from _mrrr only, NumPy's from _syevd only
+    # (the six-level sweep), ARPACK from _lanczos only, and all of them
+    # only on behalf of _eigensolve
+    assert {caller for caller, _ in callers} == {"_mrrr", "_syevd", "_lanczos"}
     assert {route for _, route in callers} == {"_eigensolve"}
 
 
 def _recording_routes(monkeypatch):
     routes = []
-    for name in ("_mrrr", "_lanczos"):
+    for name in ("_mrrr", "_syevd", "_lanczos"):
         original = getattr(spectral, name)
 
         def recording(*args, _name=name, _original=original, **kwargs):
@@ -1025,6 +1029,116 @@ def test_lanczos_runs_where_it_is_exact_and_mrrr_elsewhere(monkeypatch):
         routes.clear()
         spectral._eigensolve(pair, s, levels=levels, vectors=False, lanczos=lanczos)
         assert routes == [route], (pair.dim, s, levels, lanczos)
+    # more than two but fewer than all levels with vectors, below the cut,
+    # is NumPy's eigh; one or two levels, values only, all levels and the
+    # lowest few from the cut on stay MRRR
+    middle = clique_pair(random_instance(8, 3, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    assert small.dim < spectral._SYEVD_MAX_DIM <= middle.dim
+    cases = [
+        ((small, 0.5, 6, True), "_syevd"),
+        ((small, 1.0, 3, True), "_syevd"),
+        ((small, 0.5, small.dim - 1, True), "_syevd"),
+        ((small, 0.5, 6, False), "_mrrr"),
+        ((small, 0.5, 2, True), "_mrrr"),
+        ((small, 0.5, small.dim, True), "_mrrr"),
+        ((small, 0.5, None, True), "_mrrr"),
+        ((middle, 0.5, 6, True), "_mrrr"),
+    ]
+    for (pair, s, levels, vectors), route in cases:
+        routes.clear()
+        spectral._eigensolve(pair, s, levels=levels, vectors=vectors, lanczos=True)
+        assert routes == [route], (pair.dim, s, levels, vectors)
+
+
+# ---------------------------------------------------------------------------
+# NumPy's eigh for small multi-level solves, stacked over a sweep's grid
+
+
+@pytest.mark.parametrize("points", [2, 63, 64, 65, 1001])
+def test_stacked_sweep_equals_per_point_solves(monkeypatch, points):
+    # chunk boundaries at 64 points: each matrix gets the same bits in a
+    # stack as alone, and those are NumPy's eigh of interpolate's H(s)
+    pair = clique_pair(toy_example_1(0.5).graph)
+    grid = np.linspace(0.0, 1.0, points)
+    routes = _recording_routes(monkeypatch)
+    assert_sweep_matches_gauge_oracle(pair, grid, 6)
+    chunks = -(-points // spectral._STACK_LENGTH)
+    assert routes == ["_syevd"] * (chunks + points)
+    stacked = np.empty((points, pair.dim, 6))
+    energies = np.empty((points, 6))
+    for t in range(0, points, spectral._STACK_LENGTH):
+        part = slice(t, t + spectral._STACK_LENGTH)
+        energies[part], stacked[part] = spectral._eigensolve(pair, grid[part], levels=6)
+    for t, s in enumerate(grid):
+        w, v = np.linalg.eigh(interpolate(pair, s))
+        assert np.array_equal(energies[t], w[:6]) and np.array_equal(stacked[t], v[:, :6]), s
+
+
+def _isolated(w: np.ndarray, m: int, separation: float) -> np.ndarray:
+    """Which of the lowest m of the levels ``w`` lie at least
+    ``separation`` from every other level."""
+    distance = np.abs(w[:m, None] - w[None, :])
+    np.fill_diagonal(distance, np.inf)
+    return distance.min(axis=1) >= separation
+
+
+@pytest.mark.parametrize("levels", [3, 6])
+@pytest.mark.parametrize("name", ["toy1", "toy2"])
+def test_stacked_route_agrees_with_mrrr_on_the_alpha_ladder(name, levels):
+    # energies to 8 eps ||H||, and the overlap families of every level at
+    # least 1e-3 from the others to 1e-12 (a weight's round-off grows as
+    # eps ||H|| over the distance to the nearest level)
+    builder = {"toy1": toy_example_1, "toy2": toy_example_2}[name]
+    eps = np.finfo(float).eps
+    for alpha in TOY_LADDER:
+        pair = clique_pair(builder(alpha).graph)
+        grid = np.linspace(0.0, 1.0, 101)
+        swp = sweep(pair, grid, levels=levels)
+        got = anticrossing._overlap_families(swp.vectors, pair.final_levels)
+        for t, s in enumerate(grid):
+            h = interpolate(pair, s)
+            w, v = _mrrr(h, levels)
+            norm = np.max(np.sum(np.abs(h), axis=1))
+            assert np.max(np.abs(np.sort(swp.energies[t]) - w)) <= 8 * eps * norm, (alpha, s)
+            keep = _isolated(_mrrr(h, vectors=False), levels, 1e-3)
+            want = anticrossing._overlap_families(v, pair.final_levels)
+            compared = [(got[0][t], want[0], keep[0]), (got[1][t], want[1], keep[1])]
+            if want[2] is not None:
+                compared.append((got[2][t][keep], want[2][keep], True))
+            for a, b, isolated in compared:
+                if isolated:
+                    assert np.max(np.abs(a - b), initial=0.0) <= 1e-12, (alpha, s)
+
+
+def test_a_numpy_failure_inside_a_stack_names_its_point(monkeypatch):
+    pair = clique_pair(toy_example_1(0.5).graph)
+    grid = np.linspace(0.0, 1.0, 101)
+    bad = interpolate(pair, grid[70])  # in the second stack
+    eigh = np.linalg.eigh
+
+    def failing(a, *args, **kwargs):
+        if any(np.array_equal(h, bad) for h in a.reshape(-1, *bad.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(EigendecompositionError, match=f"at s={grid[70]}: "):
+        sweep(pair, grid, levels=6)
+    with pytest.raises(EigendecompositionError, match=f"at s={grid[70]}: "):
+        spectral._eigensolve(pair, grid[70], levels=6)
+
+
+def test_stacked_route_rejects_a_nan_as_mrrr_does():
+    # HamiltonianPair accepts a NaN in h1_diag; the solve refuses it
+    pair = clique_pair(toy_example_1(0.5).graph)
+    h1 = pair.h1_diag.copy()
+    h1[3] = np.nan
+    broken = HamiltonianPair(basis=pair.basis, h0=pair.h0, h1_diag=h1)
+    for levels in (6, 2):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral._eigensolve(broken, 0.5, levels=levels)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sweep(broken, np.linspace(0.0, 1.0, 11), levels=6)
 
 
 def test_lanczos_is_arpack_on_the_csr_matrix():
@@ -1323,7 +1437,7 @@ def _recording_thread_counts(monkeypatch, controls, fail=False):
     """Wrap both solver routes to record the OpenBLAS thread counts each
     solve runs under (and, with ``fail``, to raise after recording)."""
     seen = []
-    for name in ("_mrrr", "_lanczos"):
+    for name in ("_mrrr", "_syevd", "_lanczos"):
         original = getattr(spectral, name)
 
         def recording(*args, _original=original, **kwargs):
@@ -1345,6 +1459,7 @@ def test_solves_below_the_cut_run_on_one_thread_and_restore_the_count(monkeypatc
         seen.clear()
         spectral._eigensolve(pair, 0.5, levels=2)
         sweep(pair, np.linspace(0.0, 1.0, 11))
+        sweep(pair, np.linspace(0.0, 1.0, 101), levels=6)
         min_gap(pair, coarse_points=51)
         assert seen and set(seen) == {(1,) * len(blas_threads)}
         assert _thread_counts(blas_threads) == [count] * len(blas_threads)
@@ -1370,6 +1485,35 @@ def test_nested_scopes_pin_once_and_restore_at_the_outermost_exit(blas_threads):
             spectral._eigensolve(pair, 0.5, levels=2)
         assert _thread_counts(blas_threads) == one
     assert _thread_counts(blas_threads) == two
+
+
+def _numpy_openblas_threads():
+    """The thread-count getter of the OpenBLAS that NumPy loaded (found by
+    path under NumPy's install, as ``spectral`` finds every one), or None."""
+    root = str(Path(np.__file__).resolve().parent.parent)
+    with open("/proc/self/maps") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    for path in sorted(p for p in paths if p.startswith(root) and "numpy" in p):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.restype, get.argtypes = ctypes.c_int, ()
+                return get
+    return None
+
+
+def test_numpys_openblas_runs_on_one_thread_inside_the_scope(blas_threads):
+    # the stacked route calls NumPy's LAPACK, which links its own OpenBLAS
+    get = _numpy_openblas_threads()
+    if get is None:
+        pytest.skip("NumPy's OpenBLAS is not found by path here")
+    assert get() == 2
+    with spectral._ONE_BLAS_THREAD:
+        assert get() == 1
+    assert get() == 2
 
 
 def test_python_threads_sweeping_at_once_restore_the_count(monkeypatch, blas_threads):
