@@ -52,7 +52,6 @@ from .anticrossing import (
     WilkinsonFit,
     build_report,
     compute_overlaps,
-    epsilon_bound_margin,
     gap_decomposition_residual,
     measure_choi,
     measure_solution_swap,
@@ -85,7 +84,7 @@ __all__ = [
     "OverlapSeries",
     "RotationResult",
     "SolutionDerivativeResult", "StationarityError", "StepSizeError", "SwapMeasurement",
-    "WilkinsonFit", "build_report", "compute_overlaps", "epsilon_bound_margin",
+    "WilkinsonFit", "build_report", "compute_overlaps",
     "gap_decomposition_residual", "measure_choi", "measure_solution_swap", "min_gap_bounds",
     "partition_final_levels", "rotation_residuals", "solution_derivative_residuals",
     "wilkinson_fit",

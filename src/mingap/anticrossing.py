@@ -30,6 +30,7 @@ from .spectral import (
     decompose_interpolated,
     min_gap,
     sweep as spectral_sweep,
+    _align_signs,
     _central_solves,
     _eigensolve,
     _gap_at,
@@ -178,10 +179,9 @@ class WilkinsonFit:
     valid: bool
 
 
-def _edge_gap(pair: HamiltonianPair, s_star: float, x: float) -> float:
-    """The larger gap at s* - x and at s* + x, probed in that order, on the
-    Lanczos route: the callers' resolved minimum at s* bounds both below."""
-    return max(_gap_at(pair, s_star - x, lanczos=True), _gap_at(pair, s_star + x, lanczos=True))
+def _edge_gap(solves) -> float:
+    """The larger gap of the two solves at s* +- x (``_central_solves``)."""
+    return max(float(w[1] - w[0]) for w, _ in solves)
 
 
 def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> tuple[float, float]:
@@ -209,7 +209,9 @@ def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> t
     target = 3.0 * delta_min
 
     def passes(n: int) -> bool:
-        return n == len(rungs) - 1 or _edge_gap(pair, s_star, rungs[n]) <= target
+        if n == len(rungs) - 1:
+            return True
+        return _edge_gap(_central_solves(pair, s_star, rungs[n], 2, lanczos=True)) <= target
 
     grid = sweep.grid
     around = np.clip(
@@ -263,7 +265,7 @@ def wilkinson_fit(
     if not (0.0 <= lo < s_star < hi <= 1.0):
         raise ValueError(f"window {window} must bracket s*={s_star} inside [0, 1]")
     ss = np.linspace(lo, hi, samples)
-    e0, e1 = np.array([_eigensolve(pair, s, levels=2, vectors=False, lanczos=resolved) for s in ss]).T
+    e0, e1 = np.array([_eigensolve(pair, s, levels=2, lanczos=resolved)[0] for s in ss]).T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0
@@ -411,10 +413,11 @@ def measure_solution_swap(
 # finite differences at the gap minimum
 
 
-def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: float | None) -> float:
+def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: float | None):
     """Central-difference step around the gap minimum ``s_star``: ``h``
     when given and inside the anti-crossing width, otherwise one chosen
-    from that width.  ``delta_min`` is resolved (above
+    from that width; returned with its two-level solves at s* + step and
+    s* - step (``_central_solves``).  ``delta_min`` is resolved (above
     ``resolution_floor``), and every gap probed here is at least that
     minimum, so the probes may take the Lanczos route of ``_eigensolve``."""
     cap = 0.9 * min(s_star, 1.0 - s_star)
@@ -425,22 +428,24 @@ def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: floa
             raise ValueError(f"step must lie in (0, 1e-4], got {h}")
         if h >= cap:
             raise StepSizeError(f"step {h} leaves [0, 1] around s*={s_star}")
-        edge = _edge_gap(pair, s_star, h)
+        solves = _central_solves(pair, s_star, h, 2, lanczos=True)
+        edge = _edge_gap(solves)
         if edge > 2.0 * delta_min:
             raise StepSizeError(
                 f"gap grows to {edge:.3e} at s*+-{h:.1e} (over twice the minimum); shrink h"
             )
-        return h
+        return h, solves
     probe = min(1e-3, cap)
-    edge = _edge_gap(pair, s_star, probe)
+    edge = _edge_gap(_central_solves(pair, s_star, probe, 2, lanczos=True))
     slope_diff = np.sqrt(max(edge**2 - delta_min**2, 0.0)) / probe
     if slope_diff > 0:
         h = min(1e-4, cap / 2.0, 0.02 * delta_min / slope_diff)
     else:
         h = min(1e-4, cap / 2.0)
     while h > 1e-12:
-        if _edge_gap(pair, s_star, h) <= 2.0 * delta_min:
-            return h
+        solves = _central_solves(pair, s_star, h, 2, lanczos=True)
+        if _edge_gap(solves) <= 2.0 * delta_min:
+            return h, solves
         h /= 2.0
     raise StepSizeError("could not find a step inside the anti-crossing width")
 
@@ -457,9 +462,9 @@ def _central_differences(point: AntiCrossingPoint, h: float | None):
     coupling = float(point.v[:, 0] @ _hdot_apply(pair, point.v[:, 1]))
     if abs(coupling) < 1e-300:
         raise ValueError("no anti-crossing coupling between the two lowest levels")
-    h = _select_step(pair, point.s, point.delta, h)
-    (_, vp), (_, vm) = _central_solves(pair, point.s, h, point.v[:, :2], lanczos=True)
-    return coupling / point.delta, h, vp, vm
+    h, ((_, vp), (_, vm)) = _select_step(pair, point.s, point.delta, h)
+    reference = point.v[:, :2]
+    return coupling / point.delta, h, _align_signs(reference, vp), _align_signs(reference, vm)
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +528,14 @@ def min_gap_bounds(point: AntiCrossingPoint, i: int) -> GapBounds | None:
     )
 
 
-def epsilon_bound_margin(report: "AntiCrossingReport", partition: FinalLevelPartition) -> float | None:
-    """Margin of the bound Delta_min <= K * epsilon with
-    K = 2 (E_0 + E_1 + 2M) on energies shifted so the lowest is zero
-    (M is the shifted maximum).  Only applies when the four-quantity
-    measurement is satisfied; returns None otherwise."""
-    return _epsilon_margin(report.choi, report.delta_min, partition)
-
-
 def _epsilon_margin(
     choi: SwapMeasurement | None, delta_min: float, partition: FinalLevelPartition
 ) -> float | None:
-    """``epsilon_bound_margin`` of a report with ``choi`` and ``delta_min``."""
+    """Margin of the bound Delta_min <= K * epsilon with
+    K = 2 (E_0 + E_1 + 2M) on energies shifted so the lowest is zero
+    (M is the shifted maximum): a report's ``epsilon_bound_margin``.  Only
+    applies when the four-quantity measurement ``choi`` is satisfied;
+    returns None otherwise."""
     if choi is None or not choi.satisfied or partition.level_count < 2:
         return None
     energies = np.array(partition.energies) - partition.energies[0]

@@ -32,8 +32,8 @@ from .anticrossing import AntiCrossingPoint, AntiCrossingReport, build_report, m
 from .clique import CliqueInstance, brute_force, toy_example_1, toy_example_2
 from .hamiltonian import HamiltonianPair, ProblemGraph, clique_pair
 from .spectral import (
+    _align_signs,
     _central_solves,
-    _eigensolve,
     decompose_interpolated,
     eigenvalue_derivative,
     eigenvalue_second_derivative,
@@ -249,30 +249,31 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
 
 def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
     """Perturbation-theory derivatives of the ground level at every s of
-    ``points`` against finite differences of one-level solves.  Each point
-    is decomposed in full once, since the perturbation sums read every
-    level, and the second differences read E0 at s from it.  First
-    derivatives take central differences with h=1e-5 (the vectors
-    sign-aligned with the one at s).  The second derivative takes
-    the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of second central
-    differences D with h=1e-3, whose truncation error is O(h^4): near a
-    higher anti-crossing E0'' reaches tens (-34 at one d=252 sample),
-    where D(1e-4) alone is off by 1.5e-5."""
+    ``points`` against finite differences of one-level solves at s +- h
+    (``_central_solves``).  Each point is decomposed in full once, since
+    the perturbation sums read every level, and the second differences
+    read E0 at s from it.  First derivatives take central differences with
+    h=1e-5 (the vectors sign-aligned with the one at s).  The second
+    derivative takes the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of
+    second central differences D with h=1e-3, whose truncation error is
+    O(h^4): near a higher anti-crossing E0'' reaches tens (-34 at one
+    d=252 sample), where D(1e-4) alone is off by 1.5e-5."""
     h = 1e-5
     worst1 = worst2 = worstv = 0.0
-
-    def ground(x):
-        return float(_eigensolve(pair, x, levels=1, vectors=False)[0])
-
     for s in points:
         dec = decompose_interpolated(pair, s)
-        (wp, vp), (wm, vm) = _central_solves(pair, s, h, dec[1][:, :1])
+        (wp, vp), (wm, vm) = _central_solves(pair, s, h, 1)
+        reference = dec[1][:, :1]
+        vp, vm = _align_signs(reference, vp), _align_signs(reference, vm)
         d1 = eigenvalue_derivative(pair, s, 0, decomposition=dec)
         worst1 = max(worst1, abs(d1 - (wp[0] - wm[0]) / (2 * h)))
         dv = eigenvector_derivative(pair, s, 0, decomposition=dec)
         worstv = max(worstv, float(np.linalg.norm(dv - (vp[:, 0] - vm[:, 0]) / (2 * h))))
         e0 = float(dec[0][0])
-        wide, narrow = ((ground(s + k) + ground(s - k) - 2 * e0) / k**2 for k in (1e-3, 5e-4))
+        wide, narrow = (
+            (sum(float(w[0]) for w, _ in _central_solves(pair, s, k, 1)) - 2 * e0) / k**2
+            for k in (1e-3, 5e-4)
+        )
         d2 = eigenvalue_second_derivative(pair, s, 0, decomposition=dec)
         worst2 = max(worst2, abs(d2 - (4 * narrow - wide) / 3))
     return [

@@ -255,12 +255,14 @@ def build_diagonal_target(energies, basis: BasisSet) -> np.ndarray:
     return arr.copy()
 
 
-def interpolate(pair: HamiltonianPair, s: float) -> np.ndarray:
-    """H(s) = (1-s) * h0 + s * diag(h1)."""
-    if not 0.0 <= s <= 1.0:
+def interpolate(pair: HamiltonianPair, s) -> np.ndarray:
+    """H(s) = (1-s) * h0 + s * diag(h1) at a point ``s``, or the (T, d, d)
+    stack of H at every point of a 1-D array ``s``."""
+    ss = np.asarray(s, dtype=float)
+    if not np.all((0.0 <= ss) & (ss <= 1.0)):
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    h = (1.0 - s) * pair.h0
-    h.reshape(-1)[:: pair.dim + 1] += s * pair.h1_diag
+    h = np.multiply.outer(1.0 - ss, pair.h0)
+    h.reshape(*ss.shape, -1)[..., :: pair.dim + 1] += np.multiply.outer(ss, pair.h1_diag)
     return h
 
 

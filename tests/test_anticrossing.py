@@ -25,7 +25,6 @@ from mingap.anticrossing import (
     SwapMeasurement,
     build_report,
     compute_overlaps,
-    epsilon_bound_margin,
     gap_decomposition_residual,
     measure_choi,
     measure_solution_swap,
@@ -233,12 +232,12 @@ def _assert_window_of_the_ladder(monkeypatch, pair, swp):
         return False
     probes = []
 
-    def counting(pair, s, lanczos=False):
-        probes.append(s)
-        return spectral._gap_at(pair, s, lanczos)
+    def counting(pair, s, h, levels, lanczos=False):
+        probes.extend([s + h, s - h])
+        return spectral._central_solves(pair, s, h, levels, lanczos)
 
     with monkeypatch.context() as patch:
-        patch.setattr(anticrossing, "_gap_at", counting)
+        patch.setattr(anticrossing, "_central_solves", counting)
         window = anticrossing._auto_fit_window(swp, mg.s_star, mg.delta_min)
     assert window == _linear_ladder_window(pair, mg.s_star, mg.delta_min)
     assert len(probes) <= 8
@@ -474,7 +473,7 @@ def test_epsilon_bound_margin_on_fixture(bundles):
     b = bundles("toy1", 0.0)
     report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
     assert report.choi.satisfied
-    margin = epsilon_bound_margin(report, b.partition)
+    margin = report.epsilon_bound_margin
     assert margin is not None and margin >= 0
     # K = 2 (E0 + E1 + 2M) on shifted energies = 2 (0 + 1 + 2*3) = 14
     assert margin == pytest.approx(14 * report.choi.epsilon - report.delta_min, abs=1e-12)
@@ -484,7 +483,6 @@ def test_epsilon_bound_not_applicable(bundles):
     b = bundles("toy1", 0.5)
     report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
     assert not report.choi.satisfied
-    assert epsilon_bound_margin(report, b.partition) is None
     assert report.epsilon_bound_margin is None
 
 
@@ -640,25 +638,25 @@ def test_report_json_round_trip(bundles):
     assert parsed["rotation"]["beta"] == report.rotation.beta
 
 
-def _recording(inputs, solver):
-    def wrapper(a, *args, **kwargs):
-        inputs.append(np.array(a, copy=True))
-        return solver(a, *args, **kwargs)
-
-    return wrapper
-
-
 def test_report_decomposes_s_star_once(bundles, monkeypatch):
     b = bundles("toy1", 0.0)  # the sweep is built before the solvers are recorded
-    eigh_inputs, eigvalsh_inputs = [], []
-    monkeypatch.setattr(scipy.linalg, "eigh", _recording(eigh_inputs, scipy.linalg.eigh))
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", _recording(eigvalsh_inputs, scipy.linalg.eigvalsh))
+    solves = []
+    eigh = scipy.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        solves.append((np.array(a, copy=True), kwargs.get("subset_by_index")))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
     report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
     h_star = interpolate(b.pair, report.s_star)
-    assert sum(np.array_equal(h, h_star) for h in eigh_inputs) == 1
-    # min_gap's refinement, the hyperbola fit's samples, the step search
-    # and s*, s* +- h
-    assert len(eigh_inputs) + len(eigvalsh_inputs) <= 600
+    # one full decomposition, at s*; every other solve is of two levels
+    full = [h for h, subset in solves if subset is None]
+    assert len(full) == 1 and np.array_equal(full[0], h_star)
+    assert all(subset == [0, 1] for _, subset in solves if subset is not None)
+    # min_gap's refinement, the hyperbola fit's window and samples, the
+    # step search (whose last pair is s* +- h) and s*
+    assert len(solves) <= 600
 
 
 def test_a_point_is_solved_once(bundles, monkeypatch):
@@ -666,23 +664,27 @@ def test_a_point_is_solved_once(bundles, monkeypatch):
     calls = []
     original = spectral._eigensolve
 
-    def recording(pair, s, levels=None, vectors=True, lanczos=False):
-        calls.append((s, levels, vectors))
-        return original(pair, s, levels=levels, vectors=vectors, lanczos=lanczos)
+    def recording(pair, s, levels=None, lanczos=False):
+        calls.append((s, levels))
+        return original(pair, s, levels=levels, lanczos=lanczos)
 
     monkeypatch.setattr(spectral, "_eigensolve", recording)
     point = b.series.at(b.mg.s_star)
     assert isinstance(point, AntiCrossingPoint)
-    assert calls == [(b.mg.s_star, None, True)]  # the one full decomposition
+    assert calls == [(b.mg.s_star, None)]  # the one full decomposition
     measure_choi(point)
     measure_solution_swap(point)
     gap_decomposition_residual(point)
     assert len(calls) == 1
     rot = rotation_residuals(point)
     searched = calls[1:]
-    assert searched and all(levels is not None for _, levels, _ in searched)
-    # gap probes of the step search, then one pair of vector solves at s* +- step
-    assert [s for s, _, vectors in searched if vectors] == [point.s + rot.step, point.s - rot.step]
+    assert searched and all(levels == 2 for _, levels in searched)
+    # the step search probes s* + x, then s* - x; its last pair, at the
+    # accepted step, is the pair the central differences read
+    assert len(searched) % 2 == 0
+    for (above, _), (below, _) in zip(searched[::2], searched[1::2]):
+        assert below < point.s < above and above - point.s == pytest.approx(point.s - below)
+    assert [s for s, _ in searched[-2:]] == [point.s + rot.step, point.s - rot.step]
     sd = solution_derivative_residuals(point)
     assert len(calls) == 1 + len(searched)
     assert (sd.beta, sd.step) == (rot.beta, rot.step)

@@ -202,20 +202,18 @@ def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
     one_level = []
     original = spectral._eigensolve
 
-    def recording(pair, s, levels=None, vectors=True, lanczos=False):
+    def recording(pair, s, levels=None, lanczos=False):
         if levels == 1:
             one_level.append(s)
-        return original(pair, s, levels=levels, vectors=vectors, lanczos=lanczos)
+        return original(pair, s, levels=levels, lanczos=lanczos)
 
-    for module in (cli, spectral):
-        monkeypatch.setattr(module, "_eigensolve", recording)
+    monkeypatch.setattr(spectral, "_eigensolve", recording)
     result = runner.invoke(
         main, ["verify", "--fixture", "toy1", "--grid", "201", "--checks", "derivatives"]
     )
     assert result.exit_code == 0, result.output
     # 10 samples, each decomposed in full at s, which also gives E0(s), and
-    # the ground level alone solved at s +- 1e-5 (with vectors), s +- 5e-4
-    # and s +- 1e-3
+    # the ground level alone solved at s +- 1e-5, s +- 1e-3 and s +- 5e-4
     assert len(calls) == 10
     assert len({args[1] for args in calls}) == 10
     assert len(one_level) == 6 * 10

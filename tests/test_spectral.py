@@ -334,11 +334,11 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     calls, lanczos_calls = [], []
     original = spectral._eigensolve
 
-    def counting(pair, s, levels=None, vectors=True, lanczos=False):
-        calls.append((levels, vectors))
+    def counting(pair, s, levels=None, lanczos=False):
+        calls.append(levels)
         if lanczos:
             lanczos_calls.append(s)
-        return original(pair, s, levels=levels, vectors=vectors, lanczos=lanczos)
+        return original(pair, s, levels=levels, lanczos=lanczos)
 
     for module in (spectral, anticrossing):
         monkeypatch.setattr(module, "_eigensolve", counting)
@@ -347,18 +347,19 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     assert report.rotation is not None and report.solution_derivative is not None
     assert swp.vectors.shape == (201, pair.dim, 2)
     assert point.series.solution.shape == (201, 2)
-    # s* alone is decomposed in full; every other solve asks for two levels:
-    # the 201 sweep points and s* +- h with vectors, the gap probes without
-    assert calls.count((None, True)) == 1
-    assert {levels for levels, _ in calls} == {None, 2}
-    assert calls.count((2, True)) == 201 + 2
+    # s* alone is decomposed in full; every other solve asks for two levels
+    assert calls.count(None) == 1
+    assert set(calls) == {None, 2}
     # the Lanczos route is open to the sweep points and, the gap minimum
     # being resolved, to the probes placed after it: 4 fit-window probes,
-    # 25 fit samples, 4 step probes and s* +- h; min_gap's refinement
-    # probes and s* stay dense
+    # 25 fit samples and 4 step probes, the last two at s* +- h, which the
+    # central differences read; min_gap's refinement probes and s* stay
+    # dense
     assert report.delta_min > spectral.resolution_floor(pair, report.s_star)
     assert np.array_equal(lanczos_calls[:201], swp.grid)
-    assert len(lanczos_calls) == 201 + 4 + 25 + 4 + 2
+    assert len(lanczos_calls) == 201 + 4 + 25 + 4
+    step = report.rotation.step
+    assert lanczos_calls[-2:] == [report.s_star + step, report.s_star - step]
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +541,23 @@ def test_min_gap_reads_the_sweep_in_place():
     finally:
         tracemalloc.stop()
     assert peak < swp.vectors.nbytes / 4
+
+
+def test_min_gap_probes_each_point_once(monkeypatch):
+    # on the d=462 instance of the benchmark's report workload, Brent's
+    # closing vertex lands on its smallest probe; it is not solved again
+    pair = clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    swp = sweep(pair, np.linspace(0.0, 1.0, 201), levels=2)
+    probes = []
+
+    def recording(pair, s):
+        probes.append(s)
+        return _gap_at(pair, s)
+
+    monkeypatch.setattr(spectral, "_gap_at", recording)
+    res = min_gap(pair, sweep=swp)
+    assert res.s_star in probes
+    assert len(set(probes)) == len(probes)
 
 
 @st.composite
@@ -904,6 +922,21 @@ def test_failure_condition_shrinks_with_alpha():
     assert min_abs(0.66) < min_abs(0.0)
 
 
+def test_failure_condition_is_the_gap_identity_row_of_the_solution_state():
+    # d=126 at s=0.9: the gap identity's residual at the solution state is
+    # 1.3e-5, so the ratio difference reads 6.014123e-02 against
+    # Delta/(1-s) = 6.014125e-02; the ``gap_identity`` check of ``mingap
+    # verify`` owns that bound, and the call returns the difference
+    pair = clique_pair(random_instance(9, 4, 0.5, 0.5, 1.5, seed=0, alpha=0.3).graph)
+    s = 0.9
+    r = failure_condition_residual(pair, s)
+    assert r == pytest.approx(6.01412e-02, abs=1e-7)
+    w, v = decompose_interpolated(pair, s)
+    gs = pair.final_levels.unique_ground_index
+    row = gap_identity_residuals(pair, s, decomposition=(w, v))[gs]
+    assert abs(r - (w[1] - w[0] - row) / (1.0 - s)) <= 1e-12
+
+
 def test_failure_condition_rejects_degenerate_ground():
     from fractions import Fraction
 
@@ -1027,27 +1060,26 @@ def test_lanczos_runs_where_it_is_exact_and_mrrr_elsewhere(monkeypatch):
     ]
     for (pair, s, levels, lanczos), route in cases:
         routes.clear()
-        spectral._eigensolve(pair, s, levels=levels, vectors=False, lanczos=lanczos)
+        spectral._eigensolve(pair, s, levels=levels, lanczos=lanczos)
         assert routes == [route], (pair.dim, s, levels, lanczos)
-    # more than two but fewer than all levels with vectors, below the cut,
-    # is NumPy's eigh; one or two levels, values only, all levels and the
-    # lowest few from the cut on stay MRRR
+    # more than two but fewer than all levels, below the cut, is NumPy's
+    # eigh; one or two levels, all levels and the lowest few from the cut
+    # on stay MRRR
     middle = clique_pair(random_instance(8, 3, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
     assert small.dim < spectral._SYEVD_MAX_DIM <= middle.dim
     cases = [
-        ((small, 0.5, 6, True), "_syevd"),
-        ((small, 1.0, 3, True), "_syevd"),
-        ((small, 0.5, small.dim - 1, True), "_syevd"),
-        ((small, 0.5, 6, False), "_mrrr"),
-        ((small, 0.5, 2, True), "_mrrr"),
-        ((small, 0.5, small.dim, True), "_mrrr"),
-        ((small, 0.5, None, True), "_mrrr"),
-        ((middle, 0.5, 6, True), "_mrrr"),
+        ((small, 0.5, 6), "_syevd"),
+        ((small, 1.0, 3), "_syevd"),
+        ((small, 0.5, small.dim - 1), "_syevd"),
+        ((small, 0.5, 2), "_mrrr"),
+        ((small, 0.5, small.dim), "_mrrr"),
+        ((small, 0.5, None), "_mrrr"),
+        ((middle, 0.5, 6), "_mrrr"),
     ]
-    for (pair, s, levels, vectors), route in cases:
+    for (pair, s, levels), route in cases:
         routes.clear()
-        spectral._eigensolve(pair, s, levels=levels, vectors=vectors, lanczos=True)
-        assert routes == [route], (pair.dim, s, levels, vectors)
+        spectral._eigensolve(pair, s, levels=levels, lanczos=True)
+        assert routes == [route], (pair.dim, s, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,7 +1132,7 @@ def test_stacked_route_agrees_with_mrrr_on_the_alpha_ladder(name, levels):
             w, v = _mrrr(h, levels)
             norm = np.max(np.sum(np.abs(h), axis=1))
             assert np.max(np.abs(np.sort(swp.energies[t]) - w)) <= 8 * eps * norm, (alpha, s)
-            keep = _isolated(_mrrr(h, vectors=False), levels, 1e-3)
+            keep = _isolated(_mrrr(h)[0], levels, 1e-3)
             want = anticrossing._overlap_families(v, pair.final_levels)
             compared = [(got[0][t], want[0], keep[0]), (got[1][t], want[1], keep[1])]
             if want[2] is not None:
@@ -1178,8 +1210,8 @@ def test_more_than_two_levels_stay_dense_at_a_degenerate_level():
     # may drop copies of the sixth
     pair = clique_pair(random_instance(9, 4, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph, "transverse_field")
     assert pair.dim >= LANCZOS_MIN_DIM
-    two = spectral._eigensolve(pair, 0.0, levels=2, vectors=False, lanczos=True)
-    six = spectral._eigensolve(pair, 0.0, levels=6, vectors=False, lanczos=True)
+    two, _ = spectral._eigensolve(pair, 0.0, levels=2, lanczos=True)
+    six, _ = spectral._eigensolve(pair, 0.0, levels=6, lanczos=True)
     assert np.max(np.abs(two - [-9.0, -7.0])) <= 1e-12
     assert np.max(np.abs(six - [-9.0, -7.0, -7.0, -7.0, -7.0, -7.0])) <= 1e-12
 
@@ -1255,7 +1287,7 @@ def test_narrow_minimum_above_the_cut_matches_a_dense_run(monkeypatch, name):
     assert abs(res.delta_min - ref.delta_min) <= floor
     # a grid point on the minimum itself: Lanczos reads the two lowest
     # levels there, not E0 and E2
-    w = spectral._lanczos(pair, ref.s_star, 2, vectors=False)
+    w, _ = spectral._lanczos(pair, ref.s_star, 2)
     w_ref = scipy.linalg.eigvalsh(interpolate(pair, ref.s_star), subset_by_index=[0, 1])
     assert np.max(np.abs(w - w_ref)) <= 1e-12
     assert abs((w[1] - w[0]) - (w_ref[1] - w_ref[0])) <= floor
@@ -1336,13 +1368,80 @@ def test_lanczos_matches_mrrr_on_random_small_instances(n, data, seed, alpha, mi
     w, v = spectral._lanczos(pair, s, levels)
     w_ref, v_ref = scipy.linalg.eigh(interpolate(pair, s), driver="evr")
     assert np.max(np.abs(w - w_ref[:levels])) <= 1e-12
-    assert np.array_equal(spectral._lanczos(pair, s, levels, vectors=False), w)
     for c in range(levels):
         # a vector is determined up to sign where its level is isolated
         separation = np.min(np.abs(np.delete(w_ref, c) - w_ref[c]))
         if separation > 1e-3:
             u = v[:, c] * np.sign(v[:, c] @ v_ref[:, c])
             assert np.max(np.abs(u - v_ref[:, c])) <= 1e-10
+
+
+def _probe_matches_values_only_mrrr(pair, s, levels):
+    """The eigenvalues of an MRRR eigenpair solve of ``levels`` < d at s
+    are those of the values-only solve, bit for bit (both on one thread
+    below the cut)."""
+    w, _ = spectral._eigensolve(pair, s, levels)
+    with spectral._blas_threads(pair):
+        h = interpolate(pair, s)
+        want = scipy.linalg.eigvalsh(h, driver="evr", subset_by_index=[0, levels - 1])
+    assert np.array_equal(w, want), (pair.dim, s, levels)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.integers(3, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    s=st.floats(0.0, 1.0),
+    levels=st.sampled_from([1, 2]),
+)
+def test_probe_eigenvalues_match_values_only_mrrr_on_random_small_instances(
+    n, data, seed, alpha, mixer, s, levels
+):
+    # a subset MRRR solve finds its eigenvalues by bisection with or
+    # without vectors, so a probe that reads only the gap loses no bits
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    assume(levels < pair.dim)
+    _probe_matches_values_only_mrrr(pair, s, levels)
+
+
+def test_probe_eigenvalues_match_values_only_mrrr_at_the_verify_points():
+    # the d=252 instance of the benchmark's verify workload, at the 21
+    # points of ``mingap verify``
+    pair = clique_pair(random_instance(10, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    for s in np.linspace(0.0, 1.0, 21):
+        for levels in (1, 2):
+            _probe_matches_values_only_mrrr(pair, s, levels)
+
+
+def test_a_failing_probe_names_its_point(monkeypatch):
+    # the sweep first, then MRRR fails: min_gap's first solve is Brent's
+    # first probe, at the cubic's minimum inside a grid cell
+    pair = clique_pair(toy_example_1(0.5).graph)
+    grid = np.linspace(0.0, 1.0, 201)
+    swp = sweep(pair, grid, levels=2)
+    probed = []
+
+    def recording(pair, s):
+        probed.append(s)
+        return interpolate(pair, s)
+
+    def failing(h, levels=None):
+        raise EigendecompositionError(f"eigensolver failed on dim {h.shape[0]}: no convergence")
+
+    monkeypatch.setattr(spectral, "interpolate", recording)
+    monkeypatch.setattr(spectral, "_mrrr", failing)
+    with pytest.raises(EigendecompositionError) as err:
+        min_gap(pair, sweep=swp)
+    assert len(probed) == 1 and 0.0 < probed[0] < 1.0 and probed[0] not in grid
+    assert str(err.value) == f"at s={probed[0]}: eigensolver failed on dim 20: no convergence"
+    # a sweep's failing point is named once
+    with pytest.raises(EigendecompositionError) as err:
+        sweep(pair, grid, levels=2)
+    assert str(err.value) == "at s=0.0: eigensolver failed on dim 20: no convergence"
 
 
 def _failing_solver(*args, **kwargs):
@@ -1356,11 +1455,11 @@ def _arpack_not_converging(*args, **kwargs):
 _FAILING_BACKENDS = {
     # (pair, the solvers whose failure it meets, the failure of each)
     "lapack": (lambda: clique_pair(toy_example_1(0.0).graph),
-               [(scipy.linalg, "eigh", _failing_solver), (scipy.linalg, "eigvalsh", _failing_solver)]),
+               [(scipy.linalg, "eigh", _failing_solver)]),
     # ARPACK falls back to MRRR, so the dense solve must fail as well
     "arpack": (_above_the_cut,
                [(scipy.sparse.linalg, "eigsh", _arpack_not_converging),
-                (scipy.linalg, "eigh", _failing_solver), (scipy.linalg, "eigvalsh", _failing_solver)]),
+                (scipy.linalg, "eigh", _failing_solver)]),
 }
 _FAILING_CALLS = {
     "gap_at": lambda swp: _gap_at(swp.pair, 0.5),
