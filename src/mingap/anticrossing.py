@@ -34,9 +34,9 @@ from .spectral import (
     _central_solves,
     _eigensolve,
     _gap_at,
-    _gap_slopes,
     _hdot_apply,
     _neighbour_ratios,
+    _slopes,
     resolution_floor,
 )
 
@@ -481,7 +481,7 @@ def gap_decomposition_residual(point: AntiCrossingPoint) -> float:
     (computed via Hellmann-Feynman) is too large for the identity's error
     to stay within its contract."""
     pair, s, delta = point.pair, point.s, point.delta
-    slope = float(_gap_slopes(pair, point.v[None, :, :2])[0])
+    slope = float(np.diff(_slopes(pair, point.v[None, :, :2])[0])[0])
     threshold = 1e-6 * (1.0 + delta) / max(1.0 - s, 1e-12)
     if abs(slope) > threshold:
         unresolved = delta <= resolution_floor(pair, s)
@@ -663,15 +663,14 @@ class AntiCrossingReport:
 def build_report(
     pair: HamiltonianPair,
     grid_points: int = 1001,
-    refine_tol: float = 1e-10,
     precomputed_sweep: SpectralSweep | None = None,
     levels: int = 2,
 ) -> tuple[AntiCrossingReport, SpectralSweep, AntiCrossingPoint | None]:
     """Run the full analysis pipeline for one interpolation: a sweep of the
     lowest ``levels`` eigenpairs (at least two) on ``grid_points`` evenly
     spaced s (unless ``precomputed_sweep`` is given), the gap minimum
-    bracketed on that sweep's grid and refined to ``refine_tol``, and every
-    measurement at s* read from one decomposition there.
+    searched from that sweep's grid (``min_gap``), and every measurement at
+    s* read from one decomposition there.
 
     The report itself reads only the two lowest levels, so the default
     sweep keeps two columns; ask for more to export more levels (the
@@ -686,7 +685,7 @@ def build_report(
     grid = np.linspace(0.0, 1.0, grid_points)
     swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid, levels=levels)
     partition = pair.final_levels
-    mg: MinGapResult = min_gap(pair, tol=refine_tol, sweep=swp)
+    mg: MinGapResult = min_gap(pair, sweep=swp)
 
     warnings: list[str] = []
     ground_degenerate = partition.unique_ground_index is None

@@ -64,7 +64,6 @@ class RunConfig:
     mixer: str
     alphas: tuple[tuple[str, float], ...]
     grid_points: int
-    refine_tol: float
     levels: int | None = None
     out_dir: str | None = None
     checks: tuple[str, ...] | None = None
@@ -72,8 +71,6 @@ class RunConfig:
     def __post_init__(self):
         if self.grid_points < 51:
             raise AppError(f"grid must have at least 51 points, got {self.grid_points}")
-        if self.refine_tol <= 0:
-            raise AppError(f"refinement tolerance must be positive, got {self.refine_tol}")
         if self.levels is not None and self.levels < 1:
             raise AppError(f"levels must be positive, got {self.levels}")
 
@@ -420,7 +417,7 @@ CHECK_NAMES = tuple(CHECKS)
 
 def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
     pair = clique_pair(graph, mixer)
-    report, _, point = build_report(pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol)
+    report, _, point = build_report(pair, grid_points=cfg.grid_points)
     run = _Run(graph, pair, report, point, cfg.checks)
     results = [c for name, group in CHECKS.items() if name in cfg.checks for c in group(run)]
     # the two swap measurements follow whatever groups ran
@@ -448,8 +445,6 @@ _common = [
                  help="Comma-separated weight-importance values (overrides the file value)."),
     click.option("--grid", "grid_points", type=int, default=1001, show_default=True,
                  help="Number of sweep grid points."),
-    click.option("--refine", "refine_tol", type=float, default=1e-10, show_default=True,
-                 help="s-uncertainty of the gap-minimum refinement."),
 ]
 
 
@@ -462,7 +457,7 @@ def _apply_options(*extra):
     return decorate
 
 
-def _build_config(instance, fixture, alpha_text, grid_points, refine_tol, **options):
+def _build_config(instance, fixture, alpha_text, grid_points, **options):
     """The run configuration from the common options and the command's own
     ``options`` (RunConfig fields)."""
     source, graph, mixer = _resolve_source(instance, fixture)
@@ -472,8 +467,7 @@ def _build_config(instance, fixture, alpha_text, grid_points, refine_tol, **opti
             _with_alpha(graph, alpha)
         except ValueError as err:
             raise AppError(f"bad alpha value {token!r}: {err}") from err
-    cfg = RunConfig(source=source, mixer=mixer, alphas=alphas, grid_points=grid_points,
-                    refine_tol=refine_tol, **options)
+    cfg = RunConfig(source=source, mixer=mixer, alphas=alphas, grid_points=grid_points, **options)
     return cfg, graph, mixer
 
 
@@ -493,20 +487,17 @@ def _parse_checks(text: str | None) -> tuple[str, ...]:
                  help="How many levels/columns to sweep and export."),
     click.option("--out", "out_dir", type=click.Path(), default="mingap_out", show_default=True),
 )
-def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir):
+def scan(instance, fixture, alpha_text, grid_points, levels, out_dir):
     """Sweep the interpolation and emit per-alpha CSV series and a report."""
     try:
         cfg, graph, mixer = _build_config(
-            instance, fixture, alpha_text, grid_points, refine_tol,
-            levels=levels, out_dir=str(out_dir),
+            instance, fixture, alpha_text, grid_points, levels=levels, out_dir=str(out_dir),
         )
         base = Path(cfg.out_dir)
         base.mkdir(parents=True, exist_ok=True)
         for token, alpha in cfg.alphas:
             pair = clique_pair(_with_alpha(graph, alpha), mixer)
-            report, swp, point = build_report(
-                pair, grid_points=cfg.grid_points, refine_tol=cfg.refine_tol, levels=cfg.levels
-            )
+            report, swp, point = build_report(pair, grid_points=cfg.grid_points, levels=cfg.levels)
             adir = base / f"alpha_{token}"
             adir.mkdir(parents=True, exist_ok=True)
             m = min(cfg.levels, pair.dim)
@@ -538,12 +529,11 @@ def scan(instance, fixture, alpha_text, grid_points, refine_tol, levels, out_dir
     click.option("--checks", "checks_text", default=None,
                  help=f"Comma-separated subset of {','.join(CHECK_NAMES)}."),
 )
-def verify(instance, fixture, alpha_text, grid_points, refine_tol, checks_text):
+def verify(instance, fixture, alpha_text, grid_points, checks_text):
     """Run the identity and invariant suite; exit 1 on any failed check."""
     try:
         cfg, graph, mixer = _build_config(
-            instance, fixture, alpha_text, grid_points, refine_tol,
-            checks=_parse_checks(checks_text),
+            instance, fixture, alpha_text, grid_points, checks=_parse_checks(checks_text),
         )
         summary = {"version": __version__, "config": cfg.to_dict(), "runs": []}
         failed = False

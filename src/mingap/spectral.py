@@ -38,8 +38,8 @@ vectors anyway.  The route rule, which the solver docstrings point to:
   a stack.
 * Dense MRRR (LAPACK ``syevr``), the reference, in every other case: all
   levels, one or two, or the lowest few above the cut; every point that
-  closes in on the gap minimum before it is known (the Brent and
-  bisection probes of ``min_gap``), every probe after a minimum below the
+  closes in on the gap minimum before it is known (the probes of
+  ``min_gap``'s branch-and-bound), every probe after a minimum below the
   resolution floor, and the central differences of the derivative
   checks.  Near the minimum E1 - E0 can be as small as the round-off of
   H(s), and the dense solve reads the gap whatever its size.
@@ -57,11 +57,9 @@ the caller's count.
 
 On it rest the full eigendecomposition of H(s), gauge-continuous sweeps
 over an s-grid (of every level, or of the lowest few only), min-gap
-location (Brent refinement on Delta^2 of the brackets a coarse grid
-gives: every cell where the cubic Hermite interpolant of the grid gaps
-and Hellmann-Feynman gap slopes has a minimum, and every cell across
-which the ground vector swaps character; the grid is a sweep's own when
-one is at hand), perturbation-theory derivatives of
+location (branch-and-bound from a coarse grid, a sweep's own when one is
+at hand, on a lower bound of the gap per cell that the concavity of E0
+and E0 + E1 gives), perturbation-theory derivatives of
 eigenvalues and eigenvectors, and the residuals of the projection
 identities that relate any eigenpair to the mixer neighborhood of a
 basis state.  Every product with the mixer H0 (the schedule derivative
@@ -79,6 +77,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import heapq
 import itertools
 import os
 import threading
@@ -136,12 +135,6 @@ _SYEVD_MAX_DIM = 36
 _STACK_LENGTH = 64
 # Round-off allowance, in eps ||H||, of a gap probed at s < 1.
 _PROBE_ROUNDOFF = 8
-# The ground vector swaps character across a grid cell when its overlap
-# across the cell is below this (it turns by more than 45 degrees).
-_SWAP_OVERLAP = np.sqrt(0.5)
-
-# Golden-section step of Brent's method, as a fraction of the longer side.
-_GOLDEN_STEP = (3.0 - np.sqrt(5.0)) / 2.0
 
 
 class EigendecompositionError(RuntimeError):
@@ -523,149 +516,44 @@ def _gap_at(pair: HamiltonianPair, s: float) -> float:
     return float(w[1] - w[0])
 
 
-def _brent(
-    pair: HamiltonianPair,
-    a: float,
-    b: float,
-    fa: float,
-    fb: float,
-    tol: float,
-    start: float | None = None,
-) -> tuple[float, float]:
-    """Brent's minimization of Delta^2 on [a, b] (gaps ``fa``, ``fb`` at the
-    ends), from a first probe at ``start`` (the golden-section point when
-    None), down to an s-uncertainty of ``tol``, then one probe at the vertex
-    of the parabola through the smallest Delta^2 probed inside and its
-    neighbours among the probes and the ends.
-
-    Near an anti-crossing the gap is the hyperbola
-    Delta^2 = Delta_min^2 + c^2 (s - s*)^2, a parabola in s, which the
-    parabolic steps fit exactly; a golden-section step is taken whenever a
-    parabolic one is not acceptable (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5).  The closing vertex is
-    s* up to round-off also when the anti-crossing is narrower than ``tol``
-    and the probes alone would leave up to c*tol in Delta; it is not probed
-    again when it is already among the probes.  Returns (s, gap) of the
-    first smallest probe inside the bracket."""
-    probes = {a: fa, b: fb}
-
-    def square(s: float) -> float:
-        probes[s] = _gap_at(pair, s)
-        return probes[s] ** 2
-
-    x = w = v = a + _GOLDEN_STEP * (b - a) if start is None else float(start)
-    fx = fw = fv = square(x)
-    step = last = 0.0
-    small = 0.5 * tol
-    while max(x - a, b - x) > tol:
-        mid = 0.5 * (a + b)
-        golden = True
-        if abs(last) > small:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
-                # parabolic step, kept at least ``small`` inside the bracket
-                last, step, golden = step, p / q, False
-                if x + step - a < tol or b - (x + step) < tol:
-                    step = small if mid >= x else -small
-        if golden:
-            last = (a if x >= mid else b) - x
-            step = _GOLDEN_STEP * last
-        u = x + (step if abs(step) >= small else (small if step > 0 else -small))
-        fu = square(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    ss = sorted(probes)  # the ends first and last
-    k = min(range(1, len(ss) - 1), key=lambda j: probes[ss[j]])
-    lo, mid, hi = ss[k - 1 : k + 2]
-    glo, gmid, ghi = (probes[t] ** 2 for t in (lo, mid, hi))
-    p = (mid - lo) ** 2 * (gmid - ghi) - (mid - hi) ** 2 * (gmid - glo)
-    q = 2.0 * ((mid - lo) * (gmid - ghi) - (mid - hi) * (gmid - glo))
-    if q != 0 and lo < mid - p / q < hi and mid - p / q not in probes:
-        square(mid - p / q)
-    return min(list(probes.items())[2:], key=lambda probe: probe[1])  # past the two ends
+def _slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
+    """dE_k/ds = <v_k|H1-H0|v_k> (Hellmann-Feynman) of every column k of
+    ``vectors`` (T, d, m) at every point, (T, m), in one batched product."""
+    return np.einsum("tik,tik->tk", vectors, _hdot_apply(pair, vectors))
 
 
-def _bisect_swap(
-    pair: HamiltonianPair,
-    a: float,
-    b: float,
-    ua: np.ndarray,
-    ub: np.ndarray,
-    fa: float,
-    fb: float,
-    tol: float,
-) -> tuple[float, float, float, float]:
-    """Narrow a cell [a, b] across which the ground vector swaps character
-    (ground vectors ``ua``, ``ub``, gaps ``fa``, ``fb``) to the swap point.
-
-    Bisection keeps the half across which the ground vector turns more,
-    until neither half turns it by 45 degrees or the cell is narrower than
-    ``tol``.  That cell spans the anti-crossing at the scale of its own
-    width, where the gap is the unimodal hyperbola; the wider one may hold
-    a local maximum of the gap besides.  Returns (a, b, fa, fb) of it."""
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        w, v = _eigensolve(pair, m, levels=2)
-        um, fm = v[:, 0], float(w[1] - w[0])
-        left, right = abs(float(ua @ um)), abs(float(um @ ub))
-        if min(left, right) >= _SWAP_OVERLAP:
-            break
-        if left < right:
-            b, ub, fb = m, um, fm
-        else:
-            a, ua, fa = m, um, fm
-    return a, b, fa, fb
+def _probe(pair: HamiltonianPair, s: float) -> np.ndarray:
+    """(E0, E1, E0') of a dense (MRRR) two-level solve at s, the one solve
+    of ``min_gap``'s search; E0' = <v0|H1-H0|v0> (Hellmann-Feynman)."""
+    w, v = _eigensolve(pair, s, levels=2)
+    return np.array([w[0], w[1], _slopes(pair, v[None, :, :1])[0, 0]])
 
 
-def _gap_slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
-    """dDelta/ds = <v1|H1-H0|v1> - <v0|H1-H0|v0> (Hellmann-Feynman) at
-    every grid point, from ``vectors[t, :, :2]``, in one batched product."""
-    dots = np.einsum("tik,tik->tk", vectors, _hdot_apply(pair, vectors))
-    return dots[:, 1] - dots[:, 0]
+def _cell_bounds(ss: np.ndarray, points: np.ndarray, norm: float):
+    """A lower bound of E1 - E0 on each cell between consecutive points
+    ``ss`` (ascending), and the point to split the cell at, from the rows
+    (E0, E1, E0') of ``points`` at its ends; ``norm`` bounds ||H1 - H0||.
 
-
-def _cell_minima(grid: np.ndarray, gaps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """The s of the interior local minimum in each of the T-1 grid cells
-    of the cubic Hermite interpolant of ``gaps`` and their s-derivatives
-    ``slopes`` (Fritsch and Carlson, SIAM J. Numer. Anal. 17, 1980); NaN
-    where a cell's cubic has none.  With the end slopes m0, m1 scaled by
-    the cell width, p'(tau) = m0 + b tau + a tau^2 turns from negative to
-    positive inside (0, 1) iff m0 < 0 < m1, or the vertex -b/(2a) lies
-    inside and p' there is > 0 where m0 < 0 and m1 <= 0, < 0 where m0 >= 0
-    and m1 > 0.  The turn is the root at which p'' = sqrt(b^2 - 4 a m0),
-    in a form free of cancellation."""
-    h = np.diff(grid)
-    f0, f1 = gaps[:-1], gaps[1:]
-    m0, m1 = slopes[:-1] * h, slopes[1:] * h
-    b = 2.0 * (3.0 * (f1 - f0) - 2.0 * m0 - m1)
-    a = 3.0 * (2.0 * (f0 - f1) + m0 + m1)
-    root = np.sqrt(np.maximum(b * b - 4.0 * a * m0, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0: no vertex
-        vertex, at_vertex = -b / (2.0 * a), m0 - b * b / (4.0 * a)
-        turn = np.where(b > 0, -2.0 * m0 / (b + root), (root - b) / (2.0 * a))
-    peak = (m0 < 0) & (m1 <= 0) & (at_vertex > 0)
-    dip = (m0 >= 0) & (m1 > 0) & (at_vertex < 0)
-    flagged = (m0 < 0) & (m1 > 0) | (vertex > 0) & (vertex < 1) & (peak | dip)
-    return np.where(flagged, grid[:-1] + h * np.clip(turn, 0.0, 1.0), np.nan)
+    H(s) is affine in s, so E0 and E0 + E1 are concave (Ky Fan, PNAS 35,
+    1949): on [a, b] E0 lies below its tangents at a and b, and E0 + E1
+    above its chord.  So E1 - E0 >= chord - 2 min(tangents), a convex
+    piecewise-linear bound whose minimum lies at a cell end or at x, where
+    the tangents cross; x is read only where it lies inside the cell.
+    Weyl's inequality bounds the gap besides by min(Delta_a, Delta_b) -
+    norm (b - a), and E1 >= E0 by 0; the largest bound is returned.  A
+    cell splits at x, kept within its middle 80%, or at its midpoint when x
+    is outside."""
+    a, b = ss[:-1], ss[1:]
+    (e0a, e1a, g0a), (e0b, e1b, g0b) = points[:-1].T, points[1:].T
+    width, ends = b - a, np.minimum(e1a - e0a, e1b - e0b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (e0b - e0a - g0b * width) / (g0a - g0b)  # x - a
+        at_x = e1a - e0a + t * ((e0b + e1b - e0a - e1a) / width - 2.0 * g0a)
+    inside = (t > 0) & (t < width)
+    concave = np.where(inside, np.minimum(ends, at_x), ends)
+    bound = np.maximum(np.maximum(concave, ends - norm * width), 0.0)
+    split = a + np.where(inside, np.clip(t, 0.1 * width, 0.9 * width), 0.5 * width)
+    return bound, split
 
 
 def _coarse_sweep(pair: HamiltonianPair, points: int) -> SpectralSweep:
@@ -676,43 +564,39 @@ def _coarse_sweep(pair: HamiltonianPair, points: int) -> SpectralSweep:
 def min_gap(
     pair: HamiltonianPair,
     coarse_points: int = 501,
-    tol: float = 1e-10,
     sweep: SpectralSweep | None = None,
 ) -> MinGapResult:
-    """Locate the global gap minimum and refine it to an s-uncertainty of
-    ``tol``.
+    """Locate the global gap minimum by branch-and-bound on a concavity
+    bound (Horst and Tuy, Global Optimization, 1996).
 
     The coarse data are the two lowest eigenpairs on a grid: those of
     ``sweep`` when given (its grid must run from 0 to 1), otherwise those
-    of a two-level sweep on ``coarse_points`` evenly spaced s.  Brent's
-    minimization of Delta^2, closed by one probe at the vertex of the
-    parabola through the smallest probed Delta^2 and its neighbours, runs
-    on two kinds of bracket, and the smallest gap wins (the smallest grid
-    gap when no probe is below it):
+    of a two-level sweep on ``coarse_points`` evenly spaced s.  Each point
+    holds (E0, E1, E0'), the grid's slopes from one batched product.  A
+    heap holds the cells whose lower bound (``_cell_bounds``) lies below
+    the best gap read so far less the resolution floor, the larger of
+    ``resolution_floor`` at s=0 and s=1.  The lowest cell is split, the
+    split point probed by a dense two-level solve (``_probe``) and both
+    halves pushed back, until no cell remains.  So no cell hides a gap
+    more than the floor below the result, up to the round-off of the
+    points read and provided each read E1 is the second level (a Lanczos
+    grid point can hold E2 where E1 - E0 is at round-off).  The Weyl term
+    of the bound closes any cell narrower than about d^2 eps, so the loop
+    ends without a width limit.  One probe at the vertex of the parabola
+    through the smallest Delta^2 read and its two neighbours closes the
+    search, unless that point is already read.
 
-    * every cell where the cubic Hermite interpolant of the grid gaps and
-      Hellmann-Feynman gap slopes has an interior local minimum, from a
-      first probe there (``_cell_minima``).  In exact arithmetic these
-      are all the cells the grid data point to: the one a nonzero slope
-      at an interior smallest grid gap points into (its cubic starts
-      falling, or ends rising, with the other end no lower), every cell
-      where the slope turns from negative to positive, and an end cell
-      into which the gap falls from a smallest grid gap at s=0 or s=1 (it
-      may hold a maximum and then a dip toward the end).
-    * every cell across which the ground vector swaps character,
-      |<v0(t)|v0(t+1)>| < 1/sqrt(2).  The gap need not be unimodal on
-      such a cell: a wider local minimum, or a maximum, may sit beside a
-      narrow minimum that the end data do not show.  So the cell is
-      first narrowed to the swap point by bisection on that overlap.
+    Where Delta is far flatter than E0 across a wide minimum, the bound
+    stays loose and the search takes many probes: on
+    ``random_instance(5, 2, 0.5, 0.5, 1.5, seed=131, alpha=2**-23)`` from
+    51 points it takes 1334, where a narrow anti-crossing takes tens.
 
-    The gap at s=1 is exact (H(1) is diagonal), so a candidate inside the
+    The gap at s=1 is exact (H(1) is diagonal), so a point inside the
     interval must beat it by more than a probe's round-off.  An s=1 result
     is flagged ``degenerate_at_end`` when its gap is below the degeneracy
     tolerance."""
     if coarse_points < 50:
         raise ValueError(f"need at least 50 coarse points, got {coarse_points}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if pair.dim < 2:
         raise ValueError("gap undefined for a one-dimensional space")
     if sweep is None:
@@ -728,26 +612,45 @@ def min_gap(
     i = int(np.argmin(gaps))
     if np.max(gaps) <= deg_tol:
         return MinGapResult(float(ss[i]), float(gaps[i]), all_degenerate=True)
-    slopes = _gap_slopes(pair, vectors)
-    minima = _cell_minima(ss, gaps, slopes)
-    candidates = [(float(ss[i]), float(gaps[i]))] + [
-        _brent(pair, float(ss[j]), float(ss[j + 1]), gaps[j], gaps[j + 1], tol, minima[j])
-        for j in np.flatnonzero(~np.isnan(minima))
-    ]
-    # Every swap cell is refined once more, also one inside a bracket above:
-    # the search over a bracket assumes a unimodal gap, which a swap cell
-    # need not have.
-    overlaps = np.abs(np.einsum("ti,ti->t", vectors[:-1, :, 0], vectors[1:, :, 0]))
-    for j in np.flatnonzero(overlaps < _SWAP_OVERLAP):
-        cell = _bisect_swap(
-            pair, float(ss[j]), float(ss[j + 1]), vectors[j, :, 0], vectors[j + 1, :, 0],
-            gaps[j], gaps[j + 1], tol,
-        )
-        candidates.append(_brent(pair, *cell, tol))
-    s_star, delta = min(candidates, key=lambda candidate: candidate[1])  # the first smallest
+    norm = _h0_norm(pair) + float(np.max(np.abs(pair.h1_diag)))
+    floor = max(resolution_floor(pair, 0.0), resolution_floor(pair, 1.0))
+    read = dict(zip(ss.tolist(), gaps.tolist()))
+    best = float(gaps[i])
+    heap = []
+
+    def probe(s):
+        point = _probe(pair, s)
+        read[s] = float(point[1] - point[0])
+        return point
+
+    def push(cells_ss, cells_points):
+        bounds, splits = _cell_bounds(cells_ss, cells_points, norm)
+        for j in np.flatnonzero(bounds < best - floor):
+            heapq.heappush(heap, (bounds[j], float(splits[j]), cells_ss[j], cells_ss[j + 1],
+                                  cells_points[j], cells_points[j + 1]))
+
+    push(ss, np.column_stack([energies, _slopes(pair, vectors[:, :, :1])]))
+    while heap and heap[0][0] < best - floor:
+        _, m, a, b, pa, pb = heapq.heappop(heap)
+        if not a < m < b:  # a cell at the spacing of float64
+            continue
+        pm = probe(m)
+        best = min(best, read[m])
+        push(np.array([a, m, b]), np.array([pa, pm, pb]))
+    # the vertex of the Delta^2 parabola through the smallest gap read and
+    # its neighbours; near an anti-crossing Delta^2 is that parabola
+    ordered = sorted(read)
+    k = min(range(len(ordered)), key=lambda j: read[ordered[j]])
+    if 0 < k < len(ordered) - 1:
+        lo, mid, hi = ordered[k - 1 : k + 2]
+        glo, gmid, ghi = (read[t] ** 2 for t in (lo, mid, hi))
+        p = (mid - lo) ** 2 * (gmid - ghi) - (mid - hi) ** 2 * (gmid - glo)
+        q = 2.0 * ((mid - lo) * (gmid - ghi) - (mid - hi) * (gmid - glo))
+        if q != 0 and lo < mid - p / q < hi and mid - p / q not in read:
+            probe(mid - p / q)
+    s_star, delta = min(read.items(), key=lambda item: item[1])  # the first smallest
     # H(1) is diagonal, so the gap read there is exact; a probe inside the
     # interval beats it only by more than the probe's own round-off
-    norm = _h0_norm(pair) + float(np.max(np.abs(pair.h1_diag)))
     if gaps[-1] <= delta + _PROBE_ROUNDOFF * np.finfo(float).eps * norm:
         s_star, delta = 1.0, float(gaps[-1])
     return MinGapResult(

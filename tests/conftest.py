@@ -56,7 +56,7 @@ def bundles():
                 partition=partition,
                 sweep=swp,
                 series=series,
-                mg=min_gap(pair, tol=1e-10),
+                mg=min_gap(pair),
             )
         return cache[key]
 

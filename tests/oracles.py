@@ -256,10 +256,11 @@ def dense_gap(h0, h1_diag, s: float) -> float:
     return float(w[1] - w[0])
 
 
-def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
-    """Gap minimum from ``numpy.linalg.eigvalsh`` gaps on ``points`` evenly
-    spaced s and on 1000 more s = 1 - u with u log-spaced from 1e-12 up to
-    the even spacing, refined by bounded scalar minimization on the
+def fine_scan_min_gap(h0, h1_diag, points: int = 4001, cell=(0.0, 1.0)) -> tuple[float, float]:
+    """Gap minimum on ``cell`` (all of [0, 1] by default) from
+    ``numpy.linalg.eigvalsh`` gaps on ``points`` evenly spaced s and on 1000
+    more s = end - u with u log-spaced from 1e-12 up to the even spacing,
+    refined by bounded scalar minimization on the
     cells either side of every local minimum of that grid: the smallest
     gap, and every other one that lies below both neighbours by more than
     the round-off d^2 eps ||H||.  An endpoint wins when nothing inside is
@@ -274,10 +275,10 @@ def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
     def gap(s):
         return dense_gap(h0, h1_diag, s)
 
-    spacing = 1.0 / (points - 1)
-    ss = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, points), 1.0 - np.geomspace(1e-12, spacing, 1000, endpoint=False)
-    ]))
+    start, end = cell
+    spacing = (end - start) / (points - 1)
+    tail = end - np.geomspace(1e-12, spacing, 1000, endpoint=False)
+    ss = np.unique(np.concatenate([np.linspace(start, end, points), tail[tail > start]]))
     gaps = np.array([gap(s) for s in ss])
     norm = np.max(np.abs(h0).sum(axis=1)) + np.max(np.abs(h1_diag))
     floor = len(h1_diag) ** 2 * np.finfo(float).eps * norm
@@ -296,32 +297,6 @@ def fine_scan_min_gap(h0, h1_diag, points: int = 4001) -> tuple[float, float]:
         if res.fun < best_g:
             best_s, best_g = float(ss[i] + res.x), float(res.fun)
     return best_s, best_g
-
-
-def hermite_cell_minima(grid, gaps, slopes, intervals: int = 2048):
-    """For each grid cell, the s of the interior local minimum of the cubic
-    Hermite interpolant of ``gaps`` and their derivatives ``slopes`` at its
-    ends, NaN where it has none, read from the cubic sampled at
-    ``intervals`` + 1 evenly spaced points of the cell: the first sample
-    after a fall at which the samples rise again.  The cubic is summed from
-    the Hermite basis functions, not from its power form.  For small dyadic
-    data (integers, cell widths a power of 2) and ``intervals`` a power of 2
-    every sample is exact."""
-    tau = np.arange(intervals + 1) / intervals
-    h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
-    h10 = tau * (1.0 - tau) ** 2
-    h01 = tau**2 * (3.0 - 2.0 * tau)
-    h11 = tau**2 * (tau - 1.0)
-    minima = np.full(len(grid) - 1, np.nan)
-    for t in range(len(grid) - 1):
-        h = grid[t + 1] - grid[t]
-        p = gaps[t] * h00 + h * slopes[t] * h10 + gaps[t + 1] * h01 + h * slopes[t + 1] * h11
-        steps = np.sign(np.diff(p))
-        falls = np.flatnonzero(steps < 0)
-        rises = np.flatnonzero(steps[falls[0]:] > 0) if falls.size else []
-        if len(rises):
-            minima[t] = grid[t] + h * tau[falls[0] + rises[0]]
-    return minima
 
 
 def threaded_gauge(solves):

@@ -176,7 +176,7 @@ def test_compute_overlaps_degenerate_ground_omits_the_solution():
 def test_wilkinson_recovers_exact_hyperbola():
     pair = symmetric_two_level()
     oracle = TwoLevelOracle(0.0, 1.0, 1.0).hyperbola()
-    mg = min_gap(pair, tol=1e-12)
+    mg = min_gap(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     fit = wilkinson_fit(swp, mg.s_star)
     assert fit.valid
@@ -317,7 +317,7 @@ def test_solution_swap_rejects_intermediate_crossing(bundles):
 
 def test_sharp_two_level_measures_near_zero():
     pair = sharp_two_level()
-    mg = min_gap(pair, tol=1e-12)
+    mg = min_gap(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 1001))
     point = point_at(pair, swp, mg.s_star)
     for measure in (measure_choi, measure_solution_swap):
@@ -459,7 +459,7 @@ def test_gap_decomposition_two_level():
     # exact identity; numerically limited by how well the flat minimum can
     # be located, which is what the contract tolerance accounts for
     pair = sharp_two_level()
-    mg = min_gap(pair, tol=1e-12)
+    mg = min_gap(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     residual = gap_decomposition_residual(point_at(pair, swp, mg.s_star))
     assert residual <= 1e-6 * (1.0 + mg.delta_min)
@@ -492,7 +492,7 @@ def test_epsilon_bound_not_applicable(bundles):
 
 def test_rotation_two_level_second_order():
     pair = sharp_two_level()
-    mg = min_gap(pair, tol=1e-12)
+    mg = min_gap(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     point = point_at(pair, swp, mg.s_star)
     coarse = rotation_residuals(point, h=2e-5)
@@ -506,7 +506,7 @@ def test_rotation_two_level_second_order():
 
 def test_rotation_step_too_large_raises():
     pair = sharp_two_level(coupling=1e-5)  # crossing much narrower than 1e-4
-    mg = min_gap(pair, tol=1e-12)
+    mg = min_gap(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     point = point_at(pair, swp, mg.s_star)
     with pytest.raises(StepSizeError):
@@ -532,7 +532,7 @@ def test_beta_invariant_under_psd_shift(bundles):
         h1_diag=b.pair.h1_diag - np.min(b.pair.h1_diag),
     )
     swp = spectral_sweep(shifted, np.linspace(0.0, 1.0, 101))
-    mg = min_gap(shifted, tol=1e-10)
+    mg = min_gap(shifted)
     assert mg.s_star == pytest.approx(b.mg.s_star, abs=1e-8)
     rot_ref = rotation_residuals(b.series.at(b.mg.s_star))
     rot_shift = rotation_residuals(point_at(shifted, swp, mg.s_star))
@@ -554,7 +554,7 @@ def test_rotation_reasonable_on_fixture(bundles):
 
 def test_solution_derivative_two_level_limit():
     pair = sharp_two_level()
-    mg = min_gap(pair, tol=1e-12)
+    mg = min_gap(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     point = point_at(pair, swp, mg.s_star)
     coarse = solution_derivative_residuals(point, h=2e-5)
@@ -654,7 +654,7 @@ def test_report_decomposes_s_star_once(bundles, monkeypatch):
     full = [h for h, subset in solves if subset is None]
     assert len(full) == 1 and np.array_equal(full[0], h_star)
     assert all(subset == [0, 1] for _, subset in solves if subset is not None)
-    # min_gap's refinement, the hyperbola fit's window and samples, the
+    # min_gap's probes, the hyperbola fit's window and samples, the
     # step search (whose last pair is s* +- h) and s*
     assert len(solves) <= 600
 
@@ -707,12 +707,12 @@ def test_report_brackets_the_gap_minimum_on_its_sweep(bundles, monkeypatch):
         calls.append(s)
         return original(pair, s)
 
-    original = spectral._gap_at
-    monkeypatch.setattr(spectral, "_gap_at", counting)
+    original = spectral._probe
+    monkeypatch.setattr(spectral, "_probe", counting)
     report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
-    # Brent's search on the two cells around the smallest sweep gap, and
-    # its closing vertex probe; no scan (the golden section made 38)
-    assert len(calls) <= 15
+    # the branch-and-bound from the sweep's grid and its closing vertex
+    # probe; no scan (a golden section over the grid's cells made 38)
+    assert 0 < len(calls) <= 15
     assert report.s_star == pytest.approx(b.mg.s_star, abs=1e-7)
 
 

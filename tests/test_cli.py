@@ -18,8 +18,8 @@ def runner():
 
 
 # config keys both scan and verify record
-SOURCE_CONFIG = ("source", "mixer", "alphas", "grid_points", "refine_tol")
-SOURCE_OPTIONS = {"--instance", "--fixture", "--alpha", "--grid", "--refine", "--help"}
+SOURCE_CONFIG = ("source", "mixer", "alphas", "grid_points")
+SOURCE_OPTIONS = {"--instance", "--fixture", "--alpha", "--grid", "--help"}
 
 
 COMMAND_OPTIONS = {

@@ -40,9 +40,11 @@ from mingap.spectral import (
     LANCZOS_MIN_DIM,
     DegeneracyError,
     EigendecompositionError,
-    _cell_minima,
+    _cell_bounds,
     _gap_at,
+    _h0_norm,
     _mrrr,
+    _probe,
     decompose_interpolated,
     eigenvalue_derivative,
     eigenvalue_second_derivative,
@@ -53,6 +55,7 @@ from mingap.spectral import (
     gap_identity_residual,
     gap_identity_residuals,
     min_gap,
+    resolution_floor,
     sweep,
 )
 
@@ -60,7 +63,6 @@ from oracles import (
     TwoLevelOracle,
     dense_gap,
     fine_scan_min_gap,
-    hermite_cell_minima,
     jacobi_eigh,
     projection_identity_entries,
     threaded_gauge,
@@ -381,7 +383,7 @@ def test_min_gap_zero_target_flagged_degenerate():
 
 def test_min_gap_regression_constants():
     pair = clique_pair(toy_example_1(0.0).graph)
-    res = min_gap(pair, tol=1e-10)
+    res = min_gap(pair)
     s_star, delta = res.s_star, res.delta_min
     assert s_star == pytest.approx(TOY1_ALPHA0_S_STAR, abs=1e-7)
     assert delta == pytest.approx(TOY1_ALPHA0_DELTA_MIN, rel=1e-9)
@@ -391,7 +393,7 @@ def test_min_gap_regression_constants():
 def test_min_gap_two_level_closed_form():
     oracle = TwoLevelOracle(0.0, 1.0, 1.0)
     pair = two_level_pair(0.0, 1.0, 1.0)
-    res = min_gap(pair, tol=1e-12)
+    res = min_gap(pair)
     hyp = oracle.hyperbola()
     # s locatable only to the flat-minimum noise floor sqrt(eps Delta / Delta'')
     assert res.s_star == pytest.approx(hyp["s_star"], abs=1e-7)
@@ -403,14 +405,14 @@ def test_min_gap_two_level_closed_form():
 def test_min_gap_resolves_a_minimum_narrower_than_tol(coupling, start):
     # H(s) = (1-s) [[start, -c], [-c, 0]] + s diag(0, 1): the gap is
     # sqrt((start - (1 + start) s)^2 + 4 c^2 (1-s)^2), a V of slope
-    # 1 + start far wider than its apex, Delta_min / slope << tol
+    # 1 + start far wider than its apex, Delta_min / slope << 1e-10
     basis = enumerate_basis(1)
     h0 = np.array([[start, -coupling], [-coupling, 0.0]])
     pair = HamiltonianPair(basis=basis, h0=h0, h1_diag=build_diagonal_target([0.0, 1.0], basis))
     slope = 1.0 + start
     s_star = (slope * start + 4 * coupling**2) / (slope**2 + 4 * coupling**2)
     delta = np.hypot(start - slope * s_star, 2 * coupling * (1.0 - s_star))
-    res = min_gap(pair, tol=1e-10)
+    res = min_gap(pair)
     assert res.s_star == pytest.approx(s_star, abs=1e-14)
     assert abs(res.delta_min - delta) <= 4 * np.finfo(float).eps * slope
 
@@ -427,8 +429,6 @@ def test_min_gap_validation():
     pair = clique_pair(toy_example_1(0.5).graph)
     with pytest.raises(ValueError):
         min_gap(pair, coarse_points=10)
-    with pytest.raises(ValueError):
-        min_gap(pair, tol=0.0)
 
 
 def test_min_gap_needs_a_sweep_over_the_whole_interval():
@@ -479,6 +479,11 @@ def test_min_gap_refines_a_minimum_inside_the_last_cell(seed, alpha):
 # the last cell: the gap peaks inside it, then dips 2.5e-7 below the gap
 # at s=1 at s~0.99996, with no swap of the ground vector across the cell
 @example(n=8, seed=362, alpha=0.1875, grid_points=51)
+# the smallest grid gap at s=1, the oracle's minimum 8.9e-14 at s=1-2.9e-11,
+# within a few resolution floors (2.2e-14 at s=1) of zero
+@example(n=5, seed=118365489, alpha=2**-33, grid_points=51)
+# a dip to 2.5416e-11 just before s=1, 5e-13 below the gap at s=1
+@example(n=6, seed=226482830, alpha=2**-32, grid_points=51)
 def test_min_gap_on_a_sweep_matches_fine_scan(n, seed, alpha, grid_points):
     pair = clique_pair(random_instance(n, n // 2, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
     res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, grid_points)))
@@ -544,79 +549,95 @@ def test_min_gap_reads_the_sweep_in_place():
 
 
 def test_min_gap_probes_each_point_once(monkeypatch):
-    # on the d=462 instance of the benchmark's report workload, Brent's
-    # closing vertex lands on its smallest probe; it is not solved again
+    # on the d=462 instance of the benchmark's report workload the search
+    # makes at most 11 solves, every one of them a probe of a new point
     pair = clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
     swp = sweep(pair, np.linspace(0.0, 1.0, 201), levels=2)
-    probes = []
+    probes, solves = [], []
+    probe, eigensolve = spectral._probe, spectral._eigensolve
 
-    def recording(pair, s):
+    def probing(pair, s):
         probes.append(s)
-        return _gap_at(pair, s)
+        return probe(pair, s)
 
-    monkeypatch.setattr(spectral, "_gap_at", recording)
+    def solving(pair, s, levels=None, lanczos=False):
+        solves.append(s)
+        return eigensolve(pair, s, levels=levels, lanczos=lanczos)
+
+    monkeypatch.setattr(spectral, "_probe", probing)
+    monkeypatch.setattr(spectral, "_eigensolve", solving)
     res = min_gap(pair, sweep=swp)
+    assert solves == probes and len(probes) <= 11
+    assert len(set(probes)) == len(probes) and not set(probes) & set(swp.grid)
     assert res.s_star in probes
-    assert len(set(probes)) == len(probes)
 
 
-@st.composite
-def dyadic_cells(draw):
-    """(grid, gaps, slopes) on 2-8 points: integer gaps and slopes, cell
-    widths 1/2, 1 or 2.  On such data the predicate's signs and the
-    oracle's samples are exact in float64, and every turn of the cubic
-    lies several samples from the next turn and from the cell ends."""
-    t = draw(st.integers(2, 8))
-    widths = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=t - 1, max_size=t - 1))
-    gaps = draw(st.lists(st.integers(0, 8), min_size=t, max_size=t))
-    slopes = draw(st.lists(st.integers(-5, 5), min_size=t, max_size=t))
-    return np.concatenate([[0.0], np.cumsum(widths)]), np.array(gaps, float), np.array(slopes, float)
+def test_min_gap_probes_nothing_once_the_gap_at_s1_reads_zero(monkeypatch):
+    # a fourfold final ground level: the gap at s=1 is exactly 0 and no gap
+    # lies below 0, so no cell is searched
+    pair = clique_pair(random_instance(8, 4, 0.5, 0.5, 1.5, seed=3535840493, alpha=0.0).graph)
+    swp = sweep(pair, np.linspace(0.0, 1.0, 51), levels=2)
+    probes, probe = [], spectral._probe
+
+    def probing(pair, s):
+        probes.append(s)
+        return probe(pair, s)
+
+    monkeypatch.setattr(spectral, "_probe", probing)
+    res = min_gap(pair, sweep=swp)
+    assert (res.s_star, res.delta_min, res.degenerate_at_end, probes) == (1.0, 0.0, True, [])
 
 
-def _cells(gaps, slopes, widths=None):
-    grid = np.concatenate([[0.0], np.cumsum(widths or [1.0] * (len(gaps) - 1))])
-    return grid, np.array(gaps, float), np.array(slopes, float)
+def _cell_bound(pair, a, b, ends):
+    """The bound of ``_cell_bounds`` on the one cell [a, b] from the rows
+    (E0, E1, E0') ``ends`` at a and b."""
+    norm = _h0_norm(pair) + float(np.max(np.abs(pair.h1_diag)))
+    return float(_cell_bounds(np.array([a, b]), np.array(ends), norm)[0][0])
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(cells=dyadic_cells())
-@example(cells=_cells([1, 2], [0, 0]))  # zero slopes: a rising cubic
-@example(cells=_cells([2, 2, 2], [-1, -1, 0]))  # equal ends, m1 <= 0: a dip in each cell
-@example(cells=_cells([0, 1], [1, 1]))  # a = b = 0: a straight line
-@example(cells=_cells([0, 0], [-1, 1], [0.5]))  # a = 0: p' linear, turning inside
-@example(cells=_cells([3, 0, 4], [4, 0, 0]))  # p' = 0 at a cell end: no interior minimum
-def test_cell_minima_match_a_sampled_cubic(cells):
-    got, sampled = _cell_minima(*cells), hermite_cell_minima(*cells)
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(sampled))
-    # within two of the oracle's 2048 sample spacings of the widest cell
-    np.testing.assert_allclose(got, sampled, rtol=0, atol=2.0 * 2.0 / 2048)
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    n=st.integers(5, 8),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    at_minimum=st.booleans(),
+    start=st.floats(0.0, 1.0),
+    width=st.floats(-8.0, 0.0),
+)
+def test_cell_bound_lies_below_the_fine_scan_minimum_of_random_cells(
+    n, seed, alpha, at_minimum, start, width
+):
+    # a cell of width 10**width anywhere, or around min_gap's s* from 51
+    # points (``start`` then places s* inside it), where the bound is tight
+    pair = clique_pair(random_instance(n, n // 2, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
+    width = 10.0**width
+    if at_minimum:
+        s_star = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51), levels=2)).s_star
+        start = s_star - start * width
+    a, b = max(start, 0.0), min(start + width, 1.0)
+    assume(a < b)
+    bound = _cell_bound(pair, a, b, [_probe(pair, a), _probe(pair, b)])
+    _, delta = fine_scan_min_gap(pair.h0, pair.h1_diag, points=201, cell=(a, b))
+    assert bound <= delta + max(resolution_floor(pair, 0.0), resolution_floor(pair, 1.0))
 
 
-def _earlier_brackets(gaps, slopes):
-    """The cells each bracket of min_gap's earlier grid rules spanned: the
-    two around an interior smallest grid gap, every cell where the slope
-    turns from negative to positive, and an end cell into which the slope
-    at a smallest grid gap at an end points, when it does not turn there.
-    The first rule is kept where the slope at the smallest gap is
-    nonzero, which the argument that a cubic there has a minimum needs."""
-    i, last = int(np.argmin(gaps)), len(gaps) - 1
-    turns = (slopes[:-1] < 0) & (slopes[1:] > 0)
-    brackets = [[j] for j in np.flatnonzero(turns)]
-    if 0 < i < last and slopes[i] != 0:
-        brackets.append([i - 1, i])
-    end = min(i, last - 1)
-    if (i == 0 and slopes[0] < 0 or i == last and slopes[-1] > 0) and not turns[end]:
-        brackets.append([end])
-    return brackets
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(cells=dyadic_cells())
-def test_cell_minima_flag_a_cell_of_every_earlier_bracket(cells):
-    grid, gaps, slopes = cells
-    flagged = ~np.isnan(_cell_minima(grid, gaps, slopes))
-    for bracket in _earlier_brackets(gaps, slopes):
-        assert flagged[bracket].any(), bracket
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    e1=st.floats(0.01, 10.0),
+    coupling=st.floats(1e-6, 10.0),
+    start=st.floats(0.0, 1.0),
+    width=st.floats(-8.0, 0.0),
+)
+def test_cell_bound_lies_below_the_two_level_gap(e1, coupling, start, width):
+    # exact end data; the gap, the norm of an affine map of s, is convex,
+    # so its minimum on the cell is at s* clipped to the cell
+    oracle, pair = TwoLevelOracle(0.0, e1, coupling), two_level_pair(0.0, e1, coupling)
+    a, b = start, min(start + 10.0**width, 1.0)
+    assume(a < b)
+    ends = [[*oracle.values(s), oracle.value_derivatives(s)[0]] for s in (a, b)]
+    lowest = np.diff(oracle.values(np.clip(oracle.hyperbola()["s_star"], a, b)))[0]
+    # up to the round-off of the 2x2 arithmetic
+    assert _cell_bound(pair, a, b, ends) <= lowest + 8 * np.finfo(float).eps * (e1 + coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +852,7 @@ def test_identity_arrays_match_scalars_on_random_instances(n, data, seed, alpha,
 
 def assert_h0_products_match_dense(pair, s):
     """The products with H0 on its CSR form against the dense ones, on a
-    vector, on matrix columns, on the (T, d, m) stack ``_gap_slopes``
+    vector, on matrix columns, on the (T, d, m) stack ``_slopes``
     passes, and in the neighbour ratios: the same guarded entries, and every
     other entry within 1e-14 ||H0||_inf ||v|| of the dense product (||v|| of
     the column the entry belongs to)."""
@@ -876,12 +897,12 @@ def test_h0_products_on_csr_match_dense(name):
     v = decompose_interpolated(pair, 0.3)[1]
     stack = v[None, :, :2]
     before = (spectral._hdot_apply(pair, v), spectral._neighbour_ratios(pair, v),
-              spectral._gap_slopes(pair, stack), spectral.resolution_floor(pair, 0.3))
+              spectral._slopes(pair, stack), spectral.resolution_floor(pair, 0.3))
     spoilt = replace(pair)
     object.__setattr__(spoilt, "h0", np.full_like(pair.h0, np.nan))
     object.__setattr__(spoilt, "csr_terms", pair.csr_terms)
     after = (spectral._hdot_apply(spoilt, v), spectral._neighbour_ratios(spoilt, v),
-             spectral._gap_slopes(spoilt, stack), spectral.resolution_floor(spoilt, 0.3))
+             spectral._slopes(spoilt, stack), spectral.resolution_floor(spoilt, 0.3))
     for x, y in zip(before, after):
         assert np.array_equal(x, y, equal_nan=True)
 
@@ -969,7 +990,7 @@ def test_bounds_two_level_closed_form():
     bound is genuinely violated while the lower one holds)."""
     oracle = TwoLevelOracle(0.0, 1.0, 1.0)
     pair = two_level_pair(0.0, 1.0, 1.0)
-    res = min_gap(pair, tol=1e-12)
+    res = min_gap(pair)
     gb = min_gap_bounds(point_on_sweep(pair, res.s_star), 0)
     v = oracle.vectors(res.s_star)
     # ratios <neigh(x_0)|v_k> / <x_0|v_k> with neigh(x_0) = c * x_1
