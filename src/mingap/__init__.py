@@ -47,7 +47,6 @@ from .anticrossing import (
     RotationResult,
     SolutionDerivativeResult,
     StationarityError,
-    StepSizeError,
     SwapMeasurement,
     WilkinsonFit,
     build_report,
@@ -83,7 +82,7 @@ __all__ = [
     "AntiCrossingPoint", "AntiCrossingReport", "FinalLevelPartition", "GapBounds",
     "OverlapSeries",
     "RotationResult",
-    "SolutionDerivativeResult", "StationarityError", "StepSizeError", "SwapMeasurement",
+    "SolutionDerivativeResult", "StationarityError", "SwapMeasurement",
     "WilkinsonFit", "build_report", "compute_overlaps",
     "gap_decomposition_residual", "measure_choi", "measure_solution_swap", "min_gap_bounds",
     "partition_final_levels", "rotation_residuals", "solution_derivative_residuals",

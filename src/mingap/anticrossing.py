@@ -15,7 +15,6 @@ never thresholded here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -30,7 +29,6 @@ from .spectral import (
     decompose_interpolated,
     min_gap,
     sweep as spectral_sweep,
-    _align_signs,
     _central_solves,
     _eigensolve,
     _gap_at,
@@ -43,10 +41,6 @@ from .spectral import (
 
 class StationarityError(ValueError):
     """The supplied point is not a stationary point of the gap."""
-
-
-class StepSizeError(ValueError):
-    """Finite-difference step too large for the anti-crossing width."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class OverlapSeries:
         if v[gs, 1] > 0 if gs is not None else float(v[:, 0] @ _hdot_apply(pair, v[:, 1])) < 0:
             v[:, 1] = -v[:, 1]
         families = _overlap_families(v, self.partition)
-        return AntiCrossingPoint(self, s, float(w[1] - w[0]), v, *families)
+        return AntiCrossingPoint(self, s, float(w[1] - w[0]), w, v, *families)
 
 
 def _overlap_families(vectors: np.ndarray, partition: FinalLevelPartition):
@@ -122,8 +116,9 @@ def compute_overlaps(sweep: SpectralSweep) -> OverlapSeries:
 @dataclass(frozen=True)
 class AntiCrossingPoint:
     """One full decomposition of H(s) at one point (s* in a report), read
-    by every measurement there: the gap ``delta``, the gauged eigenvectors
-    ``v`` (see ``OverlapSeries.at``) and the overlap families at s.
+    by every measurement there: the gap ``delta``, the eigenvalues ``w``,
+    the gauged eigenvectors ``v`` (see ``OverlapSeries.at``) and the
+    overlap families at s.
     ``in_ground`` and ``in_excited`` hold one weight per final level, like
     a row of the series; ``solution`` holds the solution state's weight in
     every one of the d levels at s, where the series keeps only the m levels
@@ -132,6 +127,7 @@ class AntiCrossingPoint:
     series: OverlapSeries = field(repr=False)
     s: float
     delta: float
+    w: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     in_ground: np.ndarray
     in_excited: np.ndarray
@@ -141,17 +137,9 @@ class AntiCrossingPoint:
     def pair(self) -> HamiltonianPair:
         return self.series.sweep.pair
 
-    def differences(self, h: float | None = None):
-        """Rotation rate beta = <v_0|H1-H0|v_1>/Delta at s, the step (``h``,
-        or one selected from the anti-crossing width when it is None) and
-        the two lowest eigenvectors at s + step and s - step, sign-aligned
-        with s.  The auto-selected step is searched and solved once per
-        point."""
-        return self._auto_differences if h is None else _central_differences(self, h)
 
-    @cached_property
-    def _auto_differences(self):
-        return _central_differences(self, None)
+def _unresolved(s_star: float, delta: float) -> str:
+    return f"the gap at s*={s_star} is not resolved in float64 (it reads {delta:.3e})"
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +165,6 @@ class WilkinsonFit:
     rms_residual: float
     window: tuple[float, float]
     valid: bool
-
-
-def _edge_gap(solves) -> float:
-    """The larger gap of the two solves at s* +- x (``_central_solves``)."""
-    return max(float(w[1] - w[0]) for w, _ in solves)
 
 
 def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> tuple[float, float]:
@@ -211,7 +194,8 @@ def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> t
     def passes(n: int) -> bool:
         if n == len(rungs) - 1:
             return True
-        return _edge_gap(_central_solves(pair, s_star, rungs[n], 2, lanczos=True)) <= target
+        solves = _central_solves(pair, s_star, rungs[n], 2, lanczos=True)
+        return max(float(w[1] - w[0]) for w, _ in solves) <= target
 
     grid = sweep.grid
     around = np.clip(
@@ -410,64 +394,6 @@ def measure_solution_swap(
 
 
 # ---------------------------------------------------------------------------
-# finite differences at the gap minimum
-
-
-def _select_step(pair: HamiltonianPair, s_star: float, delta_min: float, h: float | None):
-    """Central-difference step around the gap minimum ``s_star``: ``h``
-    when given and inside the anti-crossing width, otherwise one chosen
-    from that width; returned with its two-level solves at s* + step and
-    s* - step (``_central_solves``).  ``delta_min`` is resolved (above
-    ``resolution_floor``), and every gap probed here is at least that
-    minimum, so the probes may take the Lanczos route of ``_eigensolve``."""
-    cap = 0.9 * min(s_star, 1.0 - s_star)
-    if cap <= 0:
-        raise StepSizeError("gap minimum sits at the boundary")
-    if h is not None:
-        if not 0 < h <= 1e-4:
-            raise ValueError(f"step must lie in (0, 1e-4], got {h}")
-        if h >= cap:
-            raise StepSizeError(f"step {h} leaves [0, 1] around s*={s_star}")
-        solves = _central_solves(pair, s_star, h, 2, lanczos=True)
-        edge = _edge_gap(solves)
-        if edge > 2.0 * delta_min:
-            raise StepSizeError(
-                f"gap grows to {edge:.3e} at s*+-{h:.1e} (over twice the minimum); shrink h"
-            )
-        return h, solves
-    probe = min(1e-3, cap)
-    edge = _edge_gap(_central_solves(pair, s_star, probe, 2, lanczos=True))
-    slope_diff = np.sqrt(max(edge**2 - delta_min**2, 0.0)) / probe
-    if slope_diff > 0:
-        h = min(1e-4, cap / 2.0, 0.02 * delta_min / slope_diff)
-    else:
-        h = min(1e-4, cap / 2.0)
-    while h > 1e-12:
-        solves = _central_solves(pair, s_star, h, 2, lanczos=True)
-        if _edge_gap(solves) <= 2.0 * delta_min:
-            return h, solves
-        h /= 2.0
-    raise StepSizeError("could not find a step inside the anti-crossing width")
-
-
-def _unresolved(s_star: float, delta: float) -> str:
-    return f"the gap at s*={s_star} is not resolved in float64 (it reads {delta:.3e})"
-
-
-def _central_differences(point: AntiCrossingPoint, h: float | None):
-    """``AntiCrossingPoint.differences``, computed afresh."""
-    pair = point.pair
-    if point.delta <= resolution_floor(pair, point.s):
-        raise ValueError(_unresolved(point.s, point.delta))
-    coupling = float(point.v[:, 0] @ _hdot_apply(pair, point.v[:, 1]))
-    if abs(coupling) < 1e-300:
-        raise ValueError("no anti-crossing coupling between the two lowest levels")
-    h, ((_, vp), (_, vm)) = _select_step(pair, point.s, point.delta, h)
-    reference = point.v[:, :2]
-    return coupling / point.delta, h, _align_signs(reference, vp), _align_signs(reference, vm)
-
-
-# ---------------------------------------------------------------------------
 # identities at the gap minimum
 
 
@@ -551,8 +477,9 @@ def _epsilon_margin(
 @dataclass(frozen=True)
 class RotationResult:
     """How closely the two lowest eigenvectors rotate purely into each
-    other at the gap minimum: finite-difference derivatives are compared
-    against -beta v_1 and +beta v_0, relative to |beta|.
+    other at the gap minimum: the first-order derivatives d|v_0>/ds and
+    d|v_1>/ds are compared against -beta v_1 and +beta v_0, relative to
+    |beta|; the residuals are the norms of their higher-level parts.
 
     ``coupling_above_max`` is the largest schedule-derivative matrix
     element between the two lowest vectors and any higher level; the
@@ -562,13 +489,12 @@ class RotationResult:
     residual_excited: float
     coupling_above_max: float
     beta: float
-    step: float
 
 
 @dataclass(frozen=True)
 class SolutionDerivativeResult:
-    """Finite-difference check of the solution-weight derivatives at s*:
-    their sum vanishes and their difference equals 4 g01 beta with
+    """First-order check of the solution-weight derivatives at s*: their
+    sum vanishes and their difference equals 4 g01 beta with
     g01 = (g_0 + g_1)/2.  Residuals are relative to |beta|."""
 
     sum_residual: float
@@ -576,51 +502,59 @@ class SolutionDerivativeResult:
     g0_prime: float
     g1_prime: float
     beta: float
-    step: float
 
 
-def rotation_residuals(point: AntiCrossingPoint, h: float | None = None) -> RotationResult:
+def _first_order(point: AntiCrossingPoint):
+    """First-order perturbation theory at ``point``, read off its full
+    decomposition:
+
+        dv_n/ds = -+beta v_(1-n) + sum_(j>=2) <v_j|H1-H0|v_n> / (E_n - E_j) v_j
+
+    for n = 0, 1.  Returns beta = <v_0|H1-H0|v_1>/Delta, the couplings
+    ``upper[n, j-2]`` = <v_n|H1-H0|v_j> and the higher-level coefficients
+    ``parts[n, j-2]`` = upper[n, j-2] / (E_n - E_j).  Raises ValueError
+    where Delta is at or below ``resolution_floor`` or the coupling
+    vanishes."""
+    pair, w, v = point.pair, point.w, point.v
+    if point.delta <= resolution_floor(pair, point.s):
+        raise ValueError(_unresolved(point.s, point.delta))
+    coupling = float(v[:, 0] @ _hdot_apply(pair, v[:, 1]))
+    if abs(coupling) < 1e-300:
+        raise ValueError("no anti-crossing coupling between the two lowest levels")
+    upper = v[:, :2].T @ _hdot_apply(pair, v[:, 2:])
+    return coupling / point.delta, upper, upper / (w[:2, None] - w[None, 2:])
+
+
+def rotation_residuals(point: AntiCrossingPoint) -> RotationResult:
     """Check d|v_0>/ds = -beta |v_1> and d|v_1>/ds = +beta |v_0> at the gap
-    minimum ``point`` with gauge-aligned central differences (step
-    auto-selected from the anti-crossing width when ``h`` is None)."""
-    beta, h, vp, vm = point.differences(h)
-    v = point.v
-    d0 = (vp[:, 0] - vm[:, 0]) / (2.0 * h)
-    d1 = (vp[:, 1] - vm[:, 1]) / (2.0 * h)
-    res0 = float(np.linalg.norm(d0 + beta * v[:, 1])) / abs(beta)
-    res1 = float(np.linalg.norm(d1 - beta * v[:, 0])) / abs(beta)
-    upper = np.abs(v[:, :2].T @ _hdot_apply(point.pair, v[:, 2:]))
-    coupling_above = float(np.max(upper)) if upper.size else 0.0
+    minimum ``point`` by first-order perturbation theory; makes no solve."""
+    beta, upper, parts = _first_order(point)
     return RotationResult(
-        residual_ground=res0,
-        residual_excited=res1,
-        coupling_above_max=coupling_above,
+        residual_ground=float(np.linalg.norm(parts[0])) / abs(beta),
+        residual_excited=float(np.linalg.norm(parts[1])) / abs(beta),
+        coupling_above_max=float(np.max(np.abs(upper))) if upper.size else 0.0,
         beta=beta,
-        step=h,
     )
 
 
-def solution_derivative_residuals(
-    point: AntiCrossingPoint, h: float | None = None
-) -> SolutionDerivativeResult:
-    """Central-difference derivatives of the solution weights g_0, g_1 at
-    the gap minimum ``point``, checked against the rotation rate beta (the
-    auto-selected step and its solves are shared with
-    ``rotation_residuals``)."""
+def solution_derivative_residuals(point: AntiCrossingPoint) -> SolutionDerivativeResult:
+    """First-order derivatives of the solution weights g_n = v_n[gs]^2 at
+    the gap minimum ``point``, checked against the rotation rate beta;
+    makes no solve."""
     gs = point.pair.final_levels.unique_ground_index
     if gs is None:
         raise DegeneracyError("needs a unique final ground state")
-    beta, h, vp, vm = point.differences(h)
-    g0_prime = float(vp[gs, 0] ** 2 - vm[gs, 0] ** 2) / (2.0 * h)
-    g1_prime = float(vp[gs, 1] ** 2 - vm[gs, 1] ** 2) / (2.0 * h)
-    g01 = float(point.v[gs, 0] ** 2 + point.v[gs, 1] ** 2) / 2.0
+    beta, _, parts = _first_order(point)
+    v = point.v
+    g0_prime = float(2.0 * v[gs, 0] * (-beta * v[gs, 1] + v[gs, 2:] @ parts[0]))
+    g1_prime = float(2.0 * v[gs, 1] * (beta * v[gs, 0] + v[gs, 2:] @ parts[1]))
+    g01 = float(v[gs, 0] ** 2 + v[gs, 1] ** 2) / 2.0
     return SolutionDerivativeResult(
         sum_residual=abs(g0_prime + g1_prime) / abs(beta),
         diff_residual=abs(g0_prime - g1_prime - 4.0 * g01 * beta) / abs(beta),
         g0_prime=g0_prime,
         g1_prime=g1_prime,
         beta=beta,
-        step=h,
     )
 
 

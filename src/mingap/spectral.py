@@ -12,10 +12,9 @@ vectors anyway.  The route rule, which the solver docstrings point to:
   H(s): at a point of a grid laid out before any gap was read (a sweep,
   the coarse scan of ``min_gap``), and at a point placed after a gap
   minimum above ``resolution_floor`` was found, whose gap is at least
-  that minimum (the window and samples of the hyperbola fit, the step
-  search around s* and the solves at s* +- h).  It also needs
-  d >= ``LANCZOS_MIN_DIM``, s < 1, a connected mixer graph and a simple
-  final ground level.  H(s) of a swap mixer has 5-7 nonzeros per row;
+  that minimum (the window and samples of the hyperbola fit).  It also
+  needs d >= ``LANCZOS_MIN_DIM``, s < 1, a connected mixer graph and a
+  simple final ground level.  H(s) of a swap mixer has 5-7 nonzeros per row;
   above the cut this beats the dense reduction to tridiagonal form.  A
   Krylov space grown from one vector holds one combination of each
   eigenspace.  So the solve can miss copies of a degenerate level, and
@@ -40,13 +39,14 @@ vectors anyway.  The route rule, which the solver docstrings point to:
   levels, one or two, or the lowest few above the cut; every point that
   closes in on the gap minimum before it is known (the probes of
   ``min_gap``'s branch-and-bound), every probe after a minimum below the
-  resolution floor, and the central differences of the derivative
-  checks.  Near the minimum E1 - E0 can be as small as the round-off of
+  resolution floor, and the central differences of ``mingap verify``'s
+  derivative checks.  Near the minimum E1 - E0 can be as small as the round-off of
   H(s), and the dense solve reads the gap whatever its size.
 
 A failure of a dense solver raises EigendecompositionError naming the
-point.  The solves at s + h and s - h around a point, for a gap edge or a
-central difference, all go through ``_central_solves``.
+point.  The solves at s + h and s - h around a point, for a gap edge of
+the fit window or a central difference of the derivative checks, all go
+through ``_central_solves``.
 
 Below ``_BLAS_THREADS_MIN_DIM`` every solve of a pair, on every route,
 runs on one OpenBLAS thread, and a sweep holds that one scope over its
@@ -441,8 +441,10 @@ def _align_signs(reference: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _central_solves(pair: HamiltonianPair, s: float, h: float, levels: int, lanczos: bool = False):
     """The one probe of H at s +- h: the solves (w, v) of the lowest
     ``levels`` at s + h and at s - h, in that order, as ``_eigensolve``
-    returns them (a caller that reads the vectors aligns their signs with
-    ``_align_signs``); ``lanczos`` as for ``_eigensolve``."""
+    returns them; ``lanczos`` as for ``_eigensolve``.  Read by the fit
+    window's gap edges and by the central differences of ``mingap
+    verify``'s derivative checks (which align the vectors' signs with
+    ``_align_signs``)."""
     return [_eigensolve(pair, x, levels=levels, lanczos=lanczos) for x in (s + h, s - h)]
 
 

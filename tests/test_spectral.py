@@ -33,6 +33,7 @@ from mingap.hamiltonian import (
     build_swap_mixer,
     build_transverse_field,
     clique_pair,
+    degeneracy_tolerance,
     interpolate,
     interpolate_csr,
 )
@@ -202,16 +203,37 @@ def zero_target_pair():
     )
 
 
+def _cut_cluster_start(pair, s, keep):
+    """First column of the degenerate cluster of H(s) that level ``keep``
+    cuts (consecutive levels within the sweep's ``degeneracy_tolerance``
+    of the kept ones), or ``keep`` when it cuts none."""
+    w = np.linalg.eigvalsh(interpolate(pair, s))
+    if keep == len(w):
+        return keep
+    tol = degeneracy_tolerance(w[:keep])
+    lo = keep
+    while lo > 0 and w[lo] - w[lo - 1] <= tol:
+        lo -= 1
+    return lo
+
+
 def assert_sweep_matches_gauge_oracle(pair, grid, levels):
     """``sweep`` equals, bit for bit, the gauge threaded point by point
-    (``oracles.threaded_gauge``) over the same solves of every grid point."""
+    (``oracles.threaded_gauge``) over the same solves of every grid point.
+    The gauge of the columns of a degenerate cluster that the last kept
+    level cuts is arbitrary (the overlaps that thread it can be round-off),
+    so there the two need only span the same subspace."""
     keep = None if levels is None else min(max(levels, 2), pair.dim)
     swp = sweep(pair, grid, levels=levels)
     energies, vectors = threaded_gauge(
         spectral._eigensolve(pair, s, levels=keep, lanczos=True) for s in swp.grid
     )
     assert np.array_equal(swp.energies, energies)
-    assert np.array_equal(swp.vectors, vectors)
+    for s, ours, theirs in zip(swp.grid, swp.vectors, vectors):
+        lo = _cut_cluster_start(pair, s, ours.shape[1])
+        assert np.array_equal(ours[:, :lo], theirs[:, :lo])
+        a, b = ours[:, lo:], theirs[:, lo:]
+        assert np.max(np.abs(a @ a.T - b @ b.T), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("levels", [2, 6, None])
@@ -242,16 +264,17 @@ def test_sweep_gauge_matches_oracle_on_degenerate_and_large_cases(case, levels):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(
-    n=st.integers(3, 7),
-    data=st.data(),
+    nk=st.integers(3, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
     seed=st.integers(0, 2**32 - 1),
     alpha=st.floats(0.0, 1.0),
     mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
     levels=st.sampled_from([1, 2, 6, None]),
     points=st.integers(2, 61),
 )
-def test_sweep_gauge_matches_oracle_on_random_instances(n, data, seed, alpha, mixer, levels, points):
-    k = data.draw(st.integers(1, n - 1))
+# level 6 cuts a twofold level from the seventh point on
+@example(nk=(7, 1), seed=0, alpha=0.0, mixer="swap_cycle", levels=6, points=9)
+def test_sweep_gauge_matches_oracle_on_random_instances(nk, seed, alpha, mixer, levels, points):
+    n, k = nk
     pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
     assume(pair.dim <= 70)
     assert_sweep_matches_gauge_oracle(pair, np.linspace(0.0, 1.0, points), levels)
@@ -353,15 +376,12 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     assert calls.count(None) == 1
     assert set(calls) == {None, 2}
     # the Lanczos route is open to the sweep points and, the gap minimum
-    # being resolved, to the probes placed after it: 4 fit-window probes,
-    # 25 fit samples and 4 step probes, the last two at s* +- h, which the
-    # central differences read; min_gap's refinement probes and s* stay
-    # dense
+    # being resolved, to the probes placed after it: 4 fit-window probes
+    # and 25 fit samples; min_gap's refinement probes and s* stay dense,
+    # and the rotation checks make no solve
     assert report.delta_min > spectral.resolution_floor(pair, report.s_star)
     assert np.array_equal(lanczos_calls[:201], swp.grid)
-    assert len(lanczos_calls) == 201 + 4 + 25 + 4
-    step = report.rotation.step
-    assert lanczos_calls[-2:] == [report.s_star + step, report.s_star - step]
+    assert len(lanczos_calls) == 201 + 4 + 25
 
 
 # ---------------------------------------------------------------------------
@@ -1340,9 +1360,9 @@ def test_probes_after_a_resolved_gap_minimum_run_lanczos(monkeypatch):
     assert report.delta_min > spectral.resolution_floor(pair, report.s_star)
     assert report.wilkinson is not None and report.rotation is not None
     assert refinement and set(refinement) == {"_mrrr"}
-    # s* in full, then the fit window and samples, the step probes, s* +- h
+    # s* in full, then the fit window and samples
     assert after[0] == "_mrrr" and set(after[1:]) == {"_lanczos"}
-    assert len(after) >= 1 + 2 + 25 + 2 + 2
+    assert len(after) >= 1 + 2 + 25
 
 
 @pytest.mark.parametrize("name", sorted(_NARROW_MINIMA))
