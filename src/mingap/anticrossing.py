@@ -31,7 +31,6 @@ from .spectral import (
     sweep as spectral_sweep,
     _central_solves,
     _eigensolve,
-    _gap_at,
     _hdot_apply,
     _neighbour_ratios,
     _slopes,
@@ -137,6 +136,12 @@ class AntiCrossingPoint:
     def pair(self) -> HamiltonianPair:
         return self.series.sweep.pair
 
+    @property
+    def coupling(self) -> float:
+        """<v0|H1-H0|v1> in the point's gauge; the two-level slope
+        difference is twice its magnitude."""
+        return float(self.v[:, 0] @ _hdot_apply(self.pair, self.v[:, 1]))
+
 
 def _unresolved(s_star: float, delta: float) -> str:
     return f"the gap at s*={s_star} is not resolved in float64 (it reads {delta:.3e})"
@@ -167,29 +172,29 @@ class WilkinsonFit:
     valid: bool
 
 
-def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> tuple[float, float]:
-    """Largest symmetric window on the ladder of half-widths
-    cap * 0.999 / 1.3^n, n = 0 .. 199 (cap: the distance from s* to the
-    nearer end of [0, 1]), on which the gap stays at most 3x its minimum;
-    rung 200 when none does.
+def _auto_fit_window(point: AntiCrossingPoint) -> tuple[float, float]:
+    """Largest symmetric window around the gap minimum ``point`` on the
+    ladder of half-widths cap * 0.999 / 1.3^n, n = 0 .. 199 (cap: the
+    distance from s* to the nearer end of [0, 1]), on which the gap stays
+    at most 3x its value Delta at the point; rung 200 when none does.
 
     The search starts at the rung the hyperbola
-    Delta^2 = Delta_min^2 + a^2 (s - s*)^2 predicts, the first one within
-    the half-width sqrt(8) Delta_min / a where it reaches 3 Delta_min, with
-    the slope difference a read from the sweep's gaps at the grid points
-    either side of s*.  From there it walks up while the next wider rung
-    passes, or down to the first rung that passes; where the gap grows
-    away from s* this is the first passing rung from the top.  ``delta_min``
-    is above ``resolution_floor`` and every gap probed is at least that
-    minimum, so the probes may take the Lanczos route of ``_eigensolve``."""
-    pair = sweep.pair
+    Delta(s)^2 = Delta^2 + a^2 (s - s*)^2 predicts, the first one within
+    the half-width sqrt(8) Delta / a where it reaches 3 Delta, with the
+    slope difference a = 2 |<v0|H1-H0|v1>| read off the point.  From there
+    it walks up while the next wider rung passes, or down to the first
+    rung that passes; where the gap grows away from s* this is the first
+    passing rung from the top.  Delta is above ``resolution_floor`` and
+    every gap probed is at least Delta, so the probes may take the Lanczos
+    route of ``_eigensolve``."""
+    pair, s_star, delta = point.pair, point.s, point.delta
     cap = min(s_star, 1.0 - s_star)
     if cap <= 0:
         raise ValueError("gap minimum sits at the boundary; no fit window")
     rungs = [cap * 0.999]
     for _ in range(200):
         rungs.append(rungs[-1] / 1.3)
-    target = 3.0 * delta_min
+    target = 3.0 * delta
 
     def passes(n: int) -> bool:
         if n == len(rungs) - 1:
@@ -197,16 +202,9 @@ def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> t
         solves = _central_solves(pair, s_star, rungs[n], 2, lanczos=True)
         return max(float(w[1] - w[0]) for w, _ in solves) <= target
 
-    grid = sweep.grid
-    around = np.clip(
-        [np.searchsorted(grid, s_star, side="left") - 1, np.searchsorted(grid, s_star, side="right")],
-        0, len(grid) - 1,
-    )
-    edge = sweep.gaps()[around]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.sqrt(np.maximum(edge**2 - delta_min**2, 0.0)) / np.abs(grid[around] - s_star)
-        predicted = np.sqrt(8.0) * delta_min / np.max(slope)
-    # a NaN prediction (no slope read) starts at the widest rung
+    # an uncoupled pair (a = 0, straight levels) starts at the widest rung
+    with np.errstate(divide="ignore"):
+        predicted = np.sqrt(8.0) * delta / (2.0 * abs(point.coupling))
     n = min(int(np.count_nonzero(np.array(rungs) > predicted)), len(rungs) - 1)
     if passes(n):
         while n > 0 and passes(n - 1):
@@ -218,45 +216,28 @@ def _auto_fit_window(sweep: SpectralSweep, s_star: float, delta_min: float) -> t
     return (s_star - rungs[n], s_star + rungs[n])
 
 
-def wilkinson_fit(
-    sweep: SpectralSweep,
-    s_star: float,
-    window: tuple[float, float] | None = None,
-    samples: int = 25,
-    delta_min: float | None = None,
-) -> WilkinsonFit:
+def wilkinson_fit(point: AntiCrossingPoint) -> WilkinsonFit:
     """Least-squares fit of the two lowest levels to the hyperbola branches
-    around the gap minimum ``s_star``.  The window defaults to the region
-    where the gap is at most three times its minimum; it is resampled at
-    ``samples`` points so sharp anti-crossings are resolved below the sweep
-    grid spacing.  ``delta_min`` is the gap at s*, read there when not
-    given.  Every gap the fit reads is at least that minimum, so above
-    ``resolution_floor`` the window probes and the samples may take the
-    Lanczos route of ``_eigensolve``; at or below it the default window
-    is not sought (the fit is skipped with the unresolved-gap cause), and a
-    given window is sampled densely."""
-    if samples < 7:
-        raise ValueError(f"need at least 7 sample points, got {samples}")
-    pair = sweep.pair
-    if delta_min is None:
-        delta_min = _gap_at(pair, s_star)
-    resolved = bool(delta_min > resolution_floor(pair, s_star))
-    if window is None:
-        if not resolved:
-            raise ValueError(_unresolved(s_star, delta_min))
-        window = _auto_fit_window(sweep, s_star, delta_min)
-    lo, hi = window
-    if not (0.0 <= lo < s_star < hi <= 1.0):
-        raise ValueError(f"window {window} must bracket s*={s_star} inside [0, 1]")
-    ss = np.linspace(lo, hi, samples)
-    e0, e1 = np.array([_eigensolve(pair, s, levels=2, lanczos=resolved)[0] for s in ss]).T
+    around the gap minimum ``point``, on the window where the gap is at
+    most three times its value Delta at the point (``_auto_fit_window``),
+    resampled at 25 points so sharp anti-crossings are resolved below the
+    sweep grid spacing.  Every gap the fit reads is at least Delta, so the
+    window probes and the samples may take the Lanczos route of
+    ``_eigensolve``.  A Delta at or below ``resolution_floor`` raises
+    ValueError with the unresolved-gap cause: no window is sought."""
+    pair, s_star, delta = point.pair, point.s, point.delta
+    if delta <= resolution_floor(pair, s_star):
+        raise ValueError(_unresolved(s_star, delta))
+    lo, hi = _auto_fit_window(point)
+    ss = np.linspace(lo, hi, 25)
+    e0, e1 = np.array([_eigensolve(pair, s, levels=2, lanczos=True)[0] for s in ss]).T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0
     slope0 = (mid_hi - mid_lo) / (ss[-1] - ss[0])
     edge_gap = max(e1[-1] - e0[-1], e1[0] - e0[0])
     half_width = max(hi - s_star, s_star - lo)
-    a0 = np.sqrt(max(edge_gap**2 - delta_min**2, 0.0)) / half_width
+    a0 = np.sqrt(max(edge_gap**2 - delta**2, 0.0)) / half_width
     center0 = (np.interp(s_star, ss, e0) + np.interp(s_star, ss, e1)) / 2.0
 
     def residuals(x):
@@ -267,19 +248,18 @@ def wilkinson_fit(
 
     out = scipy.optimize.least_squares(
         residuals,
-        x0=[a0, slope0, center0, delta_min],
+        x0=[a0, slope0, center0, delta],
         bounds=([0.0, -np.inf, -np.inf, 0.0], [np.inf, np.inf, np.inf, np.inf]),
     )
     a_fit, b_fit, center_fit, gap_fit = (float(x) for x in out.x)
     rms = float(np.sqrt(np.mean(out.fun**2)))
-    scale = max(delta_min, 1e-300)
     # bend test: the asymptote term must actually matter inside the window,
     # which rejects straight non-crossing levels (they fit with A ~ 0)
     valid = bool(
         out.success
-        and abs(gap_fit - delta_min) <= 0.05 * scale + 1e-12
-        and rms <= 0.05 * scale + 1e-12
-        and a_fit * half_width >= 0.2 * delta_min
+        and abs(gap_fit - delta) <= 0.05 * delta + 1e-12
+        and rms <= 0.05 * delta + 1e-12
+        and a_fit * half_width >= 0.2 * delta
     )
     return WilkinsonFit(
         slope_difference=a_fit,
@@ -513,14 +493,16 @@ def _first_order(point: AntiCrossingPoint):
     for n = 0, 1.  Returns beta = <v_0|H1-H0|v_1>/Delta, the couplings
     ``upper[n, j-2]`` = <v_n|H1-H0|v_j> and the higher-level coefficients
     ``parts[n, j-2]`` = upper[n, j-2] / (E_n - E_j).  Raises ValueError
-    where Delta is at or below ``resolution_floor`` or the coupling
-    vanishes."""
+    where Delta or the coupling is at or below ``resolution_floor``."""
     pair, w, v = point.pair, point.w, point.v
-    if point.delta <= resolution_floor(pair, point.s):
+    floor = resolution_floor(pair, point.s)
+    if point.delta <= floor:
         raise ValueError(_unresolved(point.s, point.delta))
-    coupling = float(v[:, 0] @ _hdot_apply(pair, v[:, 1]))
-    if abs(coupling) < 1e-300:
-        raise ValueError("no anti-crossing coupling between the two lowest levels")
+    coupling = point.coupling
+    if abs(coupling) <= floor:
+        raise ValueError(
+            f"no anti-crossing coupling between the two lowest levels (it reads {coupling:.3e})"
+        )
     upper = v[:, :2].T @ _hdot_apply(pair, v[:, 2:])
     return coupling / point.delta, upper, upper / (w[:2, None] - w[None, 2:])
 
@@ -619,7 +601,7 @@ def build_report(
     grid = np.linspace(0.0, 1.0, grid_points)
     swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid, levels=levels)
     partition = pair.final_levels
-    mg: MinGapResult = min_gap(pair, sweep=swp)
+    mg: MinGapResult = min_gap(swp)
 
     warnings: list[str] = []
     ground_degenerate = partition.unique_ground_index is None
@@ -638,7 +620,7 @@ def build_report(
     else:
         point = compute_overlaps(swp).at(mg.s_star)
         try:
-            wilk = wilkinson_fit(swp, mg.s_star, delta_min=mg.delta_min)
+            wilk = wilkinson_fit(point)
         except ValueError as err:
             warnings.append(f"hyperbola fit skipped: {err}")
         if partition.level_count < 2:

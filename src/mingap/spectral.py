@@ -9,16 +9,15 @@ vectors anyway.  The route rule, which the solver docstrings point to:
 * Lanczos (ARPACK ``eigsh`` from a fixed seeded start vector, to machine
   precision) on the CSR form of H(s), for the lowest one or two levels
   where the caller has no reason to expect E1 - E0 at the round-off of
-  H(s): at a point of a grid laid out before any gap was read (a sweep,
-  the coarse scan of ``min_gap``), and at a point placed after a gap
-  minimum above ``resolution_floor`` was found, whose gap is at least
-  that minimum (the window and samples of the hyperbola fit).  It also
-  needs d >= ``LANCZOS_MIN_DIM``, s < 1, a connected mixer graph and a
-  simple final ground level.  H(s) of a swap mixer has 5-7 nonzeros per row;
-  above the cut this beats the dense reduction to tridiagonal form.  A
-  Krylov space grown from one vector holds one combination of each
-  eigenspace.  So the solve can miss copies of a degenerate level, and
-  more than two levels stay dense.  It can also return E2 for E1 where
+  H(s): at a point of a sweep's grid, laid out before any gap was read,
+  and at a point placed after a gap minimum above ``resolution_floor``
+  was found, whose gap is at least that minimum (the window and samples
+  of the hyperbola fit).  It also needs d >= ``LANCZOS_MIN_DIM``, s < 1,
+  a connected mixer graph and a simple final ground level.  H(s) of a
+  swap mixer has 5-7 nonzeros per row; above the cut this beats the
+  dense reduction to tridiagonal form.  A Krylov space grown from one
+  vector holds one combination of each eigenspace.  So the solve can
+  miss copies of a degenerate level, and more than two levels stay dense.  It can also return E2 for E1 where
   E1 - E0 is at the round-off of H(s), where the dense solve reads about
   0.  A connected mixer keeps E0 simple for s < 1 (Perron-Frobenius), but
   E1 - E0 still closes to round-off as s -> 1 when the final ground level
@@ -38,10 +37,11 @@ vectors anyway.  The route rule, which the solver docstrings point to:
 * Dense MRRR (LAPACK ``syevr``), the reference, in every other case: all
   levels, one or two, or the lowest few above the cut; every point that
   closes in on the gap minimum before it is known (the probes of
-  ``min_gap``'s branch-and-bound), every probe after a minimum below the
-  resolution floor, and the central differences of ``mingap verify``'s
-  derivative checks.  Near the minimum E1 - E0 can be as small as the round-off of
-  H(s), and the dense solve reads the gap whatever its size.
+  ``min_gap``'s branch-and-bound) and the central differences of
+  ``mingap verify``'s derivative checks.  Near the minimum E1 - E0 can be
+  as small as the round-off of H(s), and the dense solve reads the gap
+  whatever its size.  After a minimum below the resolution floor nothing
+  is probed: the hyperbola fit is skipped.
 
 A failure of a dense solver raises EigendecompositionError naming the
 point.  The solves at s + h and s - h around a point, for a gap edge of
@@ -57,10 +57,9 @@ the caller's count.
 
 On it rest the full eigendecomposition of H(s), gauge-continuous sweeps
 over an s-grid (of every level, or of the lowest few only), min-gap
-location (branch-and-bound from a coarse grid, a sweep's own when one is
-at hand, on a lower bound of the gap per cell that the concavity of E0
-and E0 + E1 gives), perturbation-theory derivatives of
-eigenvalues and eigenvectors, and the residuals of the projection
+location (branch-and-bound from a sweep's grid, on a lower bound of the
+gap per cell that the concavity of E0 and E0 + E1 gives),
+perturbation-theory derivatives of eigenvalues and eigenvectors, and the residuals of the projection
 identities that relate any eigenpair to the mixer neighborhood of a
 basis state.  Every product with the mixer H0 (the schedule derivative
 H1 - H0, the neighbour sums of the identities, ||H0||_inf) runs on its
@@ -512,12 +511,6 @@ def resolution_floor(pair: HamiltonianPair, s: float) -> float:
     return pair.dim**2 * float(np.finfo(float).eps) * norm
 
 
-def _gap_at(pair: HamiltonianPair, s: float) -> float:
-    """E1 - E0 of a dense (MRRR) two-level solve at s."""
-    w, _ = _eigensolve(pair, s, levels=2)
-    return float(w[1] - w[0])
-
-
 def _slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
     """dE_k/ds = <v_k|H1-H0|v_k> (Hellmann-Feynman) of every column k of
     ``vectors`` (T, d, m) at every point, (T, m), in one batched product."""
@@ -558,23 +551,13 @@ def _cell_bounds(ss: np.ndarray, points: np.ndarray, norm: float):
     return bound, split
 
 
-def _coarse_sweep(pair: HamiltonianPair, points: int) -> SpectralSweep:
-    # min_gap's ``sweep`` argument hides the function
-    return sweep(pair, np.linspace(0.0, 1.0, points), levels=2)
+def min_gap(sweep: SpectralSweep) -> MinGapResult:
+    """Locate the global gap minimum of the sweep's pair by branch-and-bound
+    on a concavity bound (Horst and Tuy, Global Optimization, 1996).
 
-
-def min_gap(
-    pair: HamiltonianPair,
-    coarse_points: int = 501,
-    sweep: SpectralSweep | None = None,
-) -> MinGapResult:
-    """Locate the global gap minimum by branch-and-bound on a concavity
-    bound (Horst and Tuy, Global Optimization, 1996).
-
-    The coarse data are the two lowest eigenpairs on a grid: those of
-    ``sweep`` when given (its grid must run from 0 to 1), otherwise those
-    of a two-level sweep on ``coarse_points`` evenly spaced s.  Each point
-    holds (E0, E1, E0'), the grid's slopes from one batched product.  A
+    The search starts from the two lowest eigenpairs on the grid of
+    ``sweep``, which must run from 0 to 1.  Each point holds (E0, E1,
+    E0'), the grid's slopes from one batched product.  A
     heap holds the cells whose lower bound (``_cell_bounds``) lies below
     the best gap read so far less the resolution floor, the larger of
     ``resolution_floor`` at s=0 and s=1.  The lowest cell is split, the
@@ -597,12 +580,9 @@ def min_gap(
     interval must beat it by more than a probe's round-off.  An s=1 result
     is flagged ``degenerate_at_end`` when its gap is below the degeneracy
     tolerance."""
-    if coarse_points < 50:
-        raise ValueError(f"need at least 50 coarse points, got {coarse_points}")
+    pair = sweep.pair
     if pair.dim < 2:
         raise ValueError("gap undefined for a one-dimensional space")
-    if sweep is None:
-        sweep = _coarse_sweep(pair, coarse_points)
     ss = sweep.grid
     if ss[0] != 0.0 or ss[-1] != 1.0:
         raise ValueError(f"sweep grid must run from 0 to 1, got [{ss[0]}, {ss[-1]}]")

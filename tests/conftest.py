@@ -23,6 +23,11 @@ _BUILDERS = {"toy1": toy_example_1, "toy2": toy_example_2}
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 
+def min_gap_of(pair, points: int = 501):
+    """``min_gap`` on a two-level sweep of ``points`` evenly spaced s."""
+    return min_gap(sweep(pair, np.linspace(0.0, 1.0, points), levels=2))
+
+
 def record_criterion(number: int, passed: bool, detail: str) -> None:
     _ACCEPTANCE_LINES.append(
         (number, f"CRITERION {number}: {'PASS' if passed else 'FAIL'} - {detail}")
@@ -56,7 +61,7 @@ def bundles():
                 partition=partition,
                 sweep=swp,
                 series=series,
-                mg=min_gap(pair),
+                mg=min_gap_of(pair),
             )
         return cache[key]
 

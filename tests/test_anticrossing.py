@@ -1,3 +1,4 @@
+import contextlib
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,6 +35,7 @@ from mingap.anticrossing import (
     wilkinson_fit,
 )
 
+from conftest import min_gap_of
 from oracles import TwoLevelOracle, first_order_rotation, swap_window_scan
 
 
@@ -175,9 +177,9 @@ def test_compute_overlaps_degenerate_ground_omits_the_solution():
 def test_wilkinson_recovers_exact_hyperbola():
     pair = symmetric_two_level()
     oracle = TwoLevelOracle(0.0, 1.0, 1.0).hyperbola()
-    mg = min_gap(pair)
+    mg = min_gap_of(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
-    fit = wilkinson_fit(swp, mg.s_star)
+    fit = wilkinson_fit(point_at(pair, swp, mg.s_star))
     assert fit.valid
     assert fit.slope_difference == pytest.approx(oracle["slope_difference"], abs=1e-6)
     assert fit.slope_mean == pytest.approx(oracle["slope_mean"], abs=1e-6)
@@ -188,7 +190,7 @@ def test_wilkinson_recovers_exact_hyperbola():
 
 def test_wilkinson_valid_on_strong_crossing(bundles):
     b = bundles("toy1", 0.0)
-    fit = wilkinson_fit(b.sweep, b.mg.s_star)
+    fit = wilkinson_fit(b.series.at(b.mg.s_star))
     assert fit.valid
     assert fit.gap_fit == pytest.approx(b.mg.delta_min, rel=0.05)
     assert fit.rms_residual <= 0.05 * b.mg.delta_min
@@ -202,49 +204,56 @@ def test_wilkinson_rejects_straight_levels():
         h1_diag=build_diagonal_target([0.0, 1.0], basis),
     )
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
-    fit = wilkinson_fit(swp, 0.5, window=(0.3, 0.7))
+    fit = wilkinson_fit(point_at(pair, swp, 0.5))
     assert not fit.valid
     assert fit.rms_residual <= 1e-10  # parallel lines fit perfectly, yet no bend
 
 
-def _linear_ladder_window(pair, s_star, delta_min):
+def _linear_ladder_window(pair, s_star, delta):
     """The fit window of a walk down the whole ladder: the first half-width
-    cap * 0.999 / 1.3^n, n = 0 .. 199, on which the dense gap stays at most
-    3 Delta_min, or n = 200."""
+    cap * 0.999 / 1.3^n, n = 0 .. 199, on which the gap of a dense
+    two-level solve stays at most 3 Delta, or n = 200."""
     cap = min(s_star, 1.0 - s_star)
     half = cap * 0.999
     for _ in range(200):
-        edges = (spectral._gap_at(pair, s_star - half), spectral._gap_at(pair, s_star + half))
-        if max(edges) <= 3.0 * delta_min:
+        solves = [spectral._eigensolve(pair, s, levels=2) for s in (s_star - half, s_star + half)]
+        if max(w[1] - w[0] for w, _ in solves) <= 3.0 * delta:
             break
         half /= 1.3
     return (s_star - half, s_star + half)
 
 
-def _assert_window_of_the_ladder(monkeypatch, pair, swp):
-    """The fit window at the sweep's gap minimum is the linear ladder's, in
-    at most four rungs; returns False (and checks nothing) where the gap
-    minimum is not resolved."""
-    mg = min_gap(pair, sweep=swp)
-    resolved = bool(mg.delta_min > resolution_floor(pair, mg.s_star))
-    if not resolved:
-        return False
+@contextlib.contextmanager
+def _window_probes():
+    """A scope in which the fit window's probes of H at s +- h are counted;
+    yields the list of probed points."""
     probes = []
 
     def counting(pair, s, h, levels, lanczos=False):
         probes.extend([s + h, s - h])
         return spectral._central_solves(pair, s, h, levels, lanczos)
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(anticrossing, "_central_solves", counting)
-        window = anticrossing._auto_fit_window(swp, mg.s_star, mg.delta_min)
-    assert window == _linear_ladder_window(pair, mg.s_star, mg.delta_min)
+        yield probes
+
+
+def _assert_window_of_the_ladder(pair, swp):
+    """The fit window at the sweep's gap minimum is the linear ladder's, in
+    at most four rungs; returns False (and checks nothing) where the gap
+    minimum is not resolved."""
+    point = compute_overlaps(swp).at(min_gap(swp).s_star)
+    if point.delta <= resolution_floor(pair, point.s):
+        return False
+    with _window_probes() as probes:
+        window = anticrossing._auto_fit_window(point)
+    assert window == _linear_ladder_window(pair, point.s, point.delta)
     assert len(probes) <= 8
     return True
 
 
 @pytest.mark.parametrize("builder", [toy_example_1, toy_example_2])
-def test_fit_window_is_the_ladder_rung_found_from_the_hyperbola(monkeypatch, builder):
+def test_fit_window_is_the_ladder_rung_found_from_the_hyperbola(builder):
     # the alpha ladder of the benchmark's toy workload; its last rungs fall
     # below the resolution floor on toy2 (and on toy1 at 0.66666)
     alphas = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.63, 0.66, 0.6666, 0.66666)
@@ -252,22 +261,32 @@ def test_fit_window_is_the_ladder_rung_found_from_the_hyperbola(monkeypatch, bui
     for alpha in alphas:
         pair = clique_pair(builder(alpha).graph)
         swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 1001), levels=2)
-        resolved += _assert_window_of_the_ladder(monkeypatch, pair, swp)
+        resolved += _assert_window_of_the_ladder(pair, swp)
     assert resolved >= 9
 
 
-def test_fit_window_is_the_ladder_rung_above_the_lanczos_cut(monkeypatch):
+def test_fit_window_is_the_ladder_rung_above_the_lanczos_cut():
     pair = clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 201), levels=2)
-    assert _assert_window_of_the_ladder(monkeypatch, pair, swp)
+    assert _assert_window_of_the_ladder(pair, swp)
 
 
-def test_wilkinson_window_validation(bundles):
-    b = bundles("toy1", 0.5)
-    with pytest.raises(ValueError):
-        wilkinson_fit(b.sweep, b.mg.s_star, samples=5)
-    with pytest.raises(ValueError):
-        wilkinson_fit(b.sweep, b.mg.s_star, window=(b.mg.s_star + 0.01, 1.0))
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    n=st.integers(3, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+)
+def test_fit_window_is_the_ladder_rung_on_random_instances(n, data, seed, alpha, mixer):
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    with _window_probes() as probes:
+        report, _, point = build_report(pair, grid_points=51)
+    assume(point is not None and point.delta > resolution_floor(pair, point.s))
+    assert report.wilkinson.window == _linear_ladder_window(pair, point.s, point.delta)
+    assert len(probes) <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +335,7 @@ def test_solution_swap_rejects_intermediate_crossing(bundles):
 
 def test_sharp_two_level_measures_near_zero():
     pair = sharp_two_level()
-    mg = min_gap(pair)
+    mg = min_gap_of(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 1001))
     point = point_at(pair, swp, mg.s_star)
     for measure in (measure_choi, measure_solution_swap):
@@ -458,7 +477,7 @@ def test_gap_decomposition_two_level():
     # exact identity; numerically limited by how well the flat minimum can
     # be located, which is what the contract tolerance accounts for
     pair = sharp_two_level()
-    mg = min_gap(pair)
+    mg = min_gap_of(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     residual = gap_decomposition_residual(point_at(pair, swp, mg.s_star))
     assert residual <= 1e-6 * (1.0 + mg.delta_min)
@@ -491,7 +510,7 @@ def test_epsilon_bound_not_applicable(bundles):
 
 def test_rotation_two_level_second_order():
     pair = sharp_two_level()
-    mg = min_gap(pair)
+    mg = min_gap_of(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     point = point_at(pair, swp, mg.s_star)
     rot = rotation_residuals(point)
@@ -515,7 +534,7 @@ def test_beta_invariant_under_psd_shift(bundles):
         h1_diag=b.pair.h1_diag - np.min(b.pair.h1_diag),
     )
     swp = spectral_sweep(shifted, np.linspace(0.0, 1.0, 101))
-    mg = min_gap(shifted)
+    mg = min_gap_of(shifted)
     assert mg.s_star == pytest.approx(b.mg.s_star, abs=1e-8)
     rot_ref = rotation_residuals(b.series.at(b.mg.s_star))
     rot_shift = rotation_residuals(point_at(shifted, swp, mg.s_star))
@@ -563,7 +582,7 @@ def test_rotation_matches_first_order_oracle_on_random_instances(n, data, seed, 
 
 def test_solution_derivative_two_level_limit():
     pair = sharp_two_level()
-    mg = min_gap(pair)
+    mg = min_gap_of(pair)
     swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 101))
     point = point_at(pair, swp, mg.s_star)
     sd = solution_derivative_residuals(point)
@@ -610,28 +629,39 @@ def test_report_names_an_unresolved_gap_as_the_skip_cause():
     pair = clique_pair(toy_example_2(0.66666).graph)
     report, _, star = build_report(pair)
     assert star.delta <= resolution_floor(pair, star.s), "float64 is expected to read no gap at this s*"
-    coupling = float(star.v[:, 0] @ spectral._hdot_apply(pair, star.v[:, 1]))
-    assert abs(coupling) > 1e-9  # the levels do couple; the gap is what is lost
+    assert abs(star.coupling) > 1e-9  # the levels do couple; the gap is what is lost
     skips = [w for w in report.warnings if "skipped" in w]
     assert len(skips) == 4  # hyperbola fit, gap decomposition, rotation, solution derivative
-    assert all("not resolved in float64" in w for w in skips), skips
+    # every stage quotes the one gap it read, the point's
+    cause = anticrossing._unresolved(star.s, star.delta)
+    assert all(w.endswith(cause) for w in skips), skips
     assert not any("coupling" in w or "refine the gap minimum" in w for w in skips)
 
 
 def test_fit_of_an_unresolved_gap_is_skipped_with_that_cause():
-    # the report's Delta_min reads 0.0 here; a search for the default window
-    # would walk down the ladder to a rung narrower than one ulp of s*
+    # the gap reads 0.0 here; a search for the window would walk down the
+    # ladder to a rung narrower than one ulp of s*
     pair = clique_pair(toy_example_2(0.6666).graph)
-    report, swp, _ = build_report(pair)
-    assert report.delta_min <= resolution_floor(pair, report.s_star)
-    cause = anticrossing._unresolved(report.s_star, report.delta_min)
+    report, _, star = build_report(pair)
+    assert star.delta <= resolution_floor(pair, star.s)
+    cause = anticrossing._unresolved(star.s, star.delta)
     assert report.wilkinson is None
     assert f"hyperbola fit skipped: {cause}" in report.warnings
     with pytest.raises(ValueError, match="not resolved in float64"):
-        wilkinson_fit(swp, report.s_star, delta_min=report.delta_min)
-    # a given window is still fitted
-    fit = wilkinson_fit(swp, report.s_star, window=(0.99, 0.995), delta_min=report.delta_min)
-    assert fit.window == (0.99, 0.995)
+        wilkinson_fit(star)
+
+
+def test_report_names_a_coupling_at_round_off_as_the_skip_cause():
+    # Delta 0.889 is resolved, but <v0|H1-H0|v1> reads -6.9e-17 against a
+    # floor of 2.4e-15: taken at face value it gave beta -7.7e-17 and
+    # residual_ground 1.8e16
+    pair = clique_pair(random_instance(3, 2, 0.5, 0.5, 1.5, seed=190, alpha=0.0).graph)
+    report, _, star = build_report(pair, grid_points=51)
+    floor = resolution_floor(pair, star.s)
+    assert star.delta > floor and abs(star.coupling) <= floor
+    assert report.rotation is None and report.solution_derivative is None
+    skips = [w for w in report.warnings if "check skipped" in w]
+    assert len(skips) == 2 and all("no anti-crossing coupling" in w for w in skips), skips
 
 
 def test_report_json_round_trip(bundles):
@@ -721,7 +751,7 @@ def test_report_finds_a_minimum_narrower_than_its_grid(grid_points):
     pair = clique_pair(toy_example_2(0.66666).graph)
     report, swp, _ = build_report(pair, grid_points=grid_points)
     assert np.argmin(swp.gaps()) == grid_points - 1
-    assert report.s_star == pytest.approx(min_gap(pair).s_star, abs=1e-6)
+    assert report.s_star == pytest.approx(min_gap_of(pair).s_star, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed, alpha", [(1, 0.3), (2, 0.3), (2, 0.6)])
@@ -730,7 +760,7 @@ def test_report_refines_a_minimum_inside_the_last_cell(seed, alpha):
     report, _, _ = build_report(pair, grid_points=201)
     assert 0.999 < report.s_star < 1.0
     assert not any("boundary" in w for w in report.warnings)
-    mg = min_gap(pair)  # checked against the fine-scan oracle in test_spectral
+    mg = min_gap_of(pair)  # checked against the fine-scan oracle in test_spectral
     assert report.s_star == pytest.approx(mg.s_star, abs=1e-6)
     assert report.delta_min == pytest.approx(mg.delta_min, rel=1e-9)
 
@@ -740,6 +770,7 @@ def test_report_matches_standalone_measurements(bundles, name, alpha):
     b = bundles(name, alpha)
     report, _, returned = build_report(b.pair, precomputed_sweep=b.sweep)
     point = returned.series.at(report.s_star)  # solved afresh, not the report's cached point
+    assert report.wilkinson == wilkinson_fit(point)
     assert report.choi == measure_choi(point)
     assert report.solution_swap == measure_solution_swap(point)
     assert report.rotation == rotation_residuals(point)

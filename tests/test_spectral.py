@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import gc
 import json
 import sys
@@ -42,7 +43,6 @@ from mingap.spectral import (
     DegeneracyError,
     EigendecompositionError,
     _cell_bounds,
-    _gap_at,
     _h0_norm,
     _mrrr,
     _probe,
@@ -60,6 +60,7 @@ from mingap.spectral import (
     sweep,
 )
 
+from conftest import min_gap_of
 from oracles import (
     TwoLevelOracle,
     dense_gap,
@@ -395,7 +396,7 @@ def test_min_gap_zero_target_flagged_degenerate():
         h0=build_swap_mixer(6, 3),
         h1_diag=build_diagonal_target(np.zeros(20), basis),
     )
-    res = min_gap(pair)
+    res = min_gap_of(pair)
     assert res.s_star == 1.0
     assert res.degenerate_at_end
     assert res.delta_min <= 1e-12
@@ -403,7 +404,7 @@ def test_min_gap_zero_target_flagged_degenerate():
 
 def test_min_gap_regression_constants():
     pair = clique_pair(toy_example_1(0.0).graph)
-    res = min_gap(pair)
+    res = min_gap_of(pair)
     s_star, delta = res.s_star, res.delta_min
     assert s_star == pytest.approx(TOY1_ALPHA0_S_STAR, abs=1e-7)
     assert delta == pytest.approx(TOY1_ALPHA0_DELTA_MIN, rel=1e-9)
@@ -413,7 +414,7 @@ def test_min_gap_regression_constants():
 def test_min_gap_two_level_closed_form():
     oracle = TwoLevelOracle(0.0, 1.0, 1.0)
     pair = two_level_pair(0.0, 1.0, 1.0)
-    res = min_gap(pair)
+    res = min_gap_of(pair)
     hyp = oracle.hyperbola()
     # s locatable only to the flat-minimum noise floor sqrt(eps Delta / Delta'')
     assert res.s_star == pytest.approx(hyp["s_star"], abs=1e-7)
@@ -432,7 +433,7 @@ def test_min_gap_resolves_a_minimum_narrower_than_tol(coupling, start):
     slope = 1.0 + start
     s_star = (slope * start + 4 * coupling**2) / (slope**2 + 4 * coupling**2)
     delta = np.hypot(start - slope * s_star, 2 * coupling * (1.0 - s_star))
-    res = min_gap(pair)
+    res = min_gap_of(pair)
     assert res.s_star == pytest.approx(s_star, abs=1e-14)
     assert abs(res.delta_min - delta) <= 4 * np.finfo(float).eps * slope
 
@@ -441,22 +442,16 @@ def test_min_gap_alpha_trend():
     deltas = []
     for alpha in (0.0, 0.2, 0.4, 0.5, 0.6, 0.66):
         pair = clique_pair(toy_example_1(alpha).graph)
-        deltas.append(min_gap(pair).delta_min)
+        deltas.append(min_gap_of(pair).delta_min)
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
-
-
-def test_min_gap_validation():
-    pair = clique_pair(toy_example_1(0.5).graph)
-    with pytest.raises(ValueError):
-        min_gap(pair, coarse_points=10)
 
 
 def test_min_gap_needs_a_sweep_over_the_whole_interval():
     pair = clique_pair(toy_example_1(0.5).graph)
     with pytest.raises(ValueError):
-        min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 0.9, 91)))
+        min_gap(sweep(pair, np.linspace(0.0, 0.9, 91)))
     with pytest.raises(ValueError):
-        min_gap(pair, sweep=sweep(pair, np.linspace(0.1, 1.0, 91)))
+        min_gap(sweep(pair, np.linspace(0.1, 1.0, 91)))
 
 
 def assert_matches_fine_scan(pair, res):
@@ -479,7 +474,7 @@ def assert_matches_fine_scan(pair, res):
 def test_min_gap_refines_a_minimum_inside_the_last_cell(seed, alpha):
     # the smallest grid gap is at s=1, the true minimum just before it
     pair = clique_pair(random_instance(8, 4, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
-    res = min_gap(pair)
+    res = min_gap_of(pair)
     assert 0.999 < res.s_star < 1.0
     assert not res.degenerate_at_end
     assert_matches_fine_scan(pair, res)
@@ -506,7 +501,7 @@ def test_min_gap_refines_a_minimum_inside_the_last_cell(seed, alpha):
 @example(n=6, seed=226482830, alpha=2**-32, grid_points=51)
 def test_min_gap_on_a_sweep_matches_fine_scan(n, seed, alpha, grid_points):
     pair = clique_pair(random_instance(n, n // 2, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
-    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, grid_points)))
+    res = min_gap(sweep(pair, np.linspace(0.0, 1.0, grid_points)))
     assert_matches_fine_scan(pair, res)
 
 
@@ -518,7 +513,7 @@ def test_min_gap_finds_a_dip_inside_a_cell_the_ground_vector_swaps_across():
     pair = clique_pair(instance.graph)
     swp = sweep(pair, np.linspace(0.0, 1.0, 101))
     assert abs(swp.vectors[-2, :, 0] @ swp.vectors[-1, :, 0]) < 0.01
-    assert_matches_fine_scan(pair, min_gap(pair, sweep=swp))
+    assert_matches_fine_scan(pair, min_gap(swp))
 
 
 def test_min_gap_narrows_a_swap_cell_where_the_gap_slope_turns():
@@ -528,7 +523,7 @@ def test_min_gap_narrows_a_swap_cell_where_the_gap_slope_turns():
     # s~0.98239); a golden section over the whole cell stops in the wide one
     instance = random_instance(8, 4, 0.5, 0.5, 1.5, seed=223765, alpha=0.03125)
     pair = clique_pair(instance.graph)
-    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51)))
+    res = min_gap(sweep(pair, np.linspace(0.0, 1.0, 51)))
     assert res.delta_min < 1e-12
     assert_matches_fine_scan(pair, res)
 
@@ -540,7 +535,7 @@ def test_min_gap_finds_a_dip_beside_the_final_splitting():
     # bounded search of the whole last cell stops on the plateau
     instance = random_instance(8, 4, 0.5, 0.5, 1.5, seed=223765, alpha=1e-8)
     pair = clique_pair(instance.graph)
-    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 101)))
+    res = min_gap(sweep(pair, np.linspace(0.0, 1.0, 101)))
     assert res.delta_min < 1e-13 and 0.0 < 1.0 - res.s_star < 1e-8
     assert_matches_fine_scan(pair, res)
 
@@ -551,7 +546,7 @@ def test_min_gap_keeps_the_exact_gap_at_s1_over_round_off():
     # last cell read 0.0 at s=0.99996, which is round-off
     instance = random_instance(7, 3, 0.5, 0.5, 1.5, seed=1930, alpha=2.5938840776952347e-183)
     pair = clique_pair(instance.graph)
-    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51)))
+    res = min_gap(sweep(pair, np.linspace(0.0, 1.0, 51)))
     assert res.s_star == 1.0 and res.degenerate_at_end
     assert_matches_fine_scan(pair, res)
 
@@ -561,7 +556,7 @@ def test_min_gap_reads_the_sweep_in_place():
     swp = sweep(pair, np.linspace(0.0, 1.0, 201))
     tracemalloc.start()
     try:
-        min_gap(pair, sweep=swp)
+        min_gap(swp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,7 +581,7 @@ def test_min_gap_probes_each_point_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "_probe", probing)
     monkeypatch.setattr(spectral, "_eigensolve", solving)
-    res = min_gap(pair, sweep=swp)
+    res = min_gap(swp)
     assert solves == probes and len(probes) <= 11
     assert len(set(probes)) == len(probes) and not set(probes) & set(swp.grid)
     assert res.s_star in probes
@@ -604,7 +599,7 @@ def test_min_gap_probes_nothing_once_the_gap_at_s1_reads_zero(monkeypatch):
         return probe(pair, s)
 
     monkeypatch.setattr(spectral, "_probe", probing)
-    res = min_gap(pair, sweep=swp)
+    res = min_gap(swp)
     assert (res.s_star, res.delta_min, res.degenerate_at_end, probes) == (1.0, 0.0, True, [])
 
 
@@ -632,7 +627,7 @@ def test_cell_bound_lies_below_the_fine_scan_minimum_of_random_cells(
     pair = clique_pair(random_instance(n, n // 2, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph)
     width = 10.0**width
     if at_minimum:
-        s_star = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51), levels=2)).s_star
+        s_star = min_gap(sweep(pair, np.linspace(0.0, 1.0, 51), levels=2)).s_star
         start = s_star - start * width
     a, b = max(start, 0.0), min(start + width, 1.0)
     assume(a < b)
@@ -685,7 +680,7 @@ def assert_checks_pass(checks):
 
 def test_derivatives_match_finite_differences():
     pair = clique_pair(toy_example_1(0.5).graph)
-    s_star = min_gap(pair).s_star
+    s_star = min_gap_of(pair).s_star
     samples = np.random.default_rng(5).uniform(0.05, 0.95, 40)
     points = [float(s) for s in samples if abs(s - s_star) >= 0.03][:20]
     assert len(points) == 20
@@ -1010,7 +1005,7 @@ def test_bounds_two_level_closed_form():
     bound is genuinely violated while the lower one holds)."""
     oracle = TwoLevelOracle(0.0, 1.0, 1.0)
     pair = two_level_pair(0.0, 1.0, 1.0)
-    res = min_gap(pair)
+    res = min_gap_of(pair)
     gb = min_gap_bounds(point_on_sweep(pair, res.s_star), 0)
     v = oracle.vectors(res.s_star)
     # ratios <neigh(x_0)|v_k> / <x_0|v_k> with neigh(x_0) = c * x_1
@@ -1058,10 +1053,10 @@ def test_every_spectrum_comes_from_one_function(monkeypatch):
 
         monkeypatch.setattr(module, name, recording)
     for pair, grid in ((clique_pair(toy_example_1(0.5).graph), 1001), (_above_the_cut(), 101)):
-        report, swp, _ = build_report(pair, grid_points=grid)
-        min_gap(pair, sweep=swp)
-        wilkinson_fit(swp, report.s_star, window=report.wilkinson.window)
-    min_gap(clique_pair(toy_example_1(0.5).graph))
+        _, swp, point = build_report(pair, grid_points=grid)
+        min_gap(swp)
+        wilkinson_fit(point)
+    min_gap_of(clique_pair(toy_example_1(0.5).graph))
     build_report(clique_pair(toy_example_2(0.2).graph), grid_points=201, levels=6)
     result = CliRunner().invoke(main, ["verify", "--fixture", "toy1", "--grid", "101"])
     assert result.exit_code == 0, result.output
@@ -1282,7 +1277,7 @@ def test_copies_with_a_degenerate_ground_level_read_as_degenerate(link):
     pair = _two_copies_pair(link)
     assert pair.dim >= LANCZOS_MIN_DIM
     assert pair.mixer_connected == (link > 0)
-    res = min_gap(pair, sweep=sweep(pair, np.linspace(0.0, 1.0, 51), levels=2))
+    res = min_gap(sweep(pair, np.linspace(0.0, 1.0, 51), levels=2))
     assert res.all_degenerate and not res.degenerate_at_end
     assert res.delta_min <= 1e-12
 
@@ -1318,9 +1313,9 @@ def test_narrow_minimum_above_the_cut_matches_a_dense_run(monkeypatch, name):
     pair = _NARROW_MINIMA[name]()
     assert pair.dim >= LANCZOS_MIN_DIM and pair.mixer_connected
     grid = np.linspace(0.0, 1.0, 101)
-    res = min_gap(pair, sweep=sweep(pair, grid, levels=2))
+    res = min_gap(sweep(pair, grid, levels=2))
     monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", pair.dim + 1)
-    ref = min_gap(pair, sweep=sweep(pair, grid, levels=2))
+    ref = min_gap(sweep(pair, grid, levels=2))
     assert ref.delta_min < 1e-10
     norm = np.max(np.abs(pair.h0).sum(axis=1)) + np.max(np.abs(pair.h1_diag))
     floor = 4 * np.finfo(float).eps * norm
@@ -1371,16 +1366,10 @@ def test_probes_after_an_unresolved_gap_minimum_stay_dense(monkeypatch, name):
     report, _, after = _report_routes(monkeypatch, pair, 101)
     assert 0.0 < report.s_star < 1.0
     assert report.delta_min <= spectral.resolution_floor(pair, report.s_star)
-    # no fit window is sought at an unresolved minimum, and a given one is
-    # sampled densely
+    # no fit window is sought at an unresolved minimum: s* in full is the
+    # one solve after min_gap
     assert report.wilkinson is None
-    assert after and set(after) == {"_mrrr"}
-    routes = _recording_routes(monkeypatch)
-    half = 0.5 * min(1e-3, report.s_star, 1.0 - report.s_star)
-    window = (report.s_star - half, report.s_star + half)
-    wilkinson_fit(sweep(pair, [0.0, 1.0], levels=2), report.s_star, window=window,
-                  delta_min=report.delta_min)
-    assert len(routes) == 2 + 25 and set(routes[2:]) == {"_mrrr"}
+    assert after == ["_mrrr"]
 
 
 def test_verify_derivative_group_solves_densely(monkeypatch):
@@ -1476,7 +1465,7 @@ def test_a_failing_probe_names_its_point(monkeypatch):
     monkeypatch.setattr(spectral, "interpolate", recording)
     monkeypatch.setattr(spectral, "_mrrr", failing)
     with pytest.raises(EigendecompositionError) as err:
-        min_gap(pair, sweep=swp)
+        min_gap(swp)
     assert len(probed) == 1 and 0.0 < probed[0] < 1.0 and probed[0] not in grid
     assert str(err.value) == f"at s={probed[0]}: eigensolver failed on dim 20: no convergence"
     # a sweep's failing point is named once
@@ -1502,27 +1491,30 @@ _FAILING_BACKENDS = {
                [(scipy.sparse.linalg, "eigsh", _arpack_not_converging),
                 (scipy.linalg, "eigh", _failing_solver)]),
 }
+# Each builds its input from a sweep while the solvers work, and returns
+# the call to make once they fail.
 _FAILING_CALLS = {
-    "gap_at": lambda swp: _gap_at(swp.pair, 0.5),
-    "min_gap": lambda swp: min_gap(swp.pair),
-    "wilkinson_fit": lambda swp: wilkinson_fit(swp, 0.69, window=(0.6, 0.8)),
-    "sweep": lambda swp: sweep(swp.pair, swp.grid, levels=2),
+    "min_gap": lambda swp: functools.partial(min_gap, swp),
+    "wilkinson_fit": lambda swp: functools.partial(
+        wilkinson_fit, compute_overlaps(swp).at(0.69)
+    ),
+    "sweep": lambda swp: functools.partial(sweep, swp.pair, swp.grid, levels=2),
 }
 
 
 @pytest.mark.parametrize(
     "backend, call",
-    [("lapack", c) for c in ("gap_at", "min_gap", "wilkinson_fit")]
+    [("lapack", c) for c in ("min_gap", "wilkinson_fit")]
     + [("arpack", c) for c in ("sweep", "min_gap")],
-    ids=["gap_at", "min_gap", "wilkinson_fit", "arpack-sweep", "arpack-min_gap"],
+    ids=["min_gap", "wilkinson_fit", "arpack-sweep", "arpack-min_gap"],
 )
 def test_solver_failure_raises_eigendecomposition_error(monkeypatch, backend, call):
     build, solvers = _FAILING_BACKENDS[backend]
-    swp = sweep(build(), np.linspace(0.0, 1.0, 51), levels=2)
+    call = _FAILING_CALLS[call](sweep(build(), np.linspace(0.0, 1.0, 51), levels=2))
     for module, name, failure in solvers:
         monkeypatch.setattr(module, name, failure)
     with pytest.raises(EigendecompositionError, match="no convergence"):
-        _FAILING_CALLS[call](swp)
+        call()
 
 
 def test_arpack_failure_falls_back_to_mrrr(monkeypatch):
@@ -1531,7 +1523,7 @@ def test_arpack_failure_falls_back_to_mrrr(monkeypatch):
     pair = _above_the_cut()
     grid = np.linspace(0.0, 1.0, 51)
     monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", pair.dim + 1)
-    dense, dense_gap = sweep(pair, grid, levels=2), min_gap(pair, coarse_points=51)
+    dense, dense_gap = sweep(pair, grid, levels=2), min_gap_of(pair, 51)
     monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", LANCZOS_MIN_DIM)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _arpack_not_converging)
     routes = _recording_routes(monkeypatch)
@@ -1539,7 +1531,7 @@ def test_arpack_failure_falls_back_to_mrrr(monkeypatch):
     assert routes == ["_lanczos", "_mrrr"] * 50 + ["_mrrr"]
     assert np.array_equal(swp.energies, dense.energies)
     assert np.array_equal(swp.vectors, dense.vectors)
-    assert min_gap(pair, coarse_points=51) == dense_gap
+    assert min_gap_of(pair, 51) == dense_gap
 
 
 # ---------------------------------------------------------------------------
@@ -1600,7 +1592,7 @@ def test_solves_below_the_cut_run_on_one_thread_and_restore_the_count(monkeypatc
         spectral._eigensolve(pair, 0.5, levels=2)
         sweep(pair, np.linspace(0.0, 1.0, 11))
         sweep(pair, np.linspace(0.0, 1.0, 101), levels=6)
-        min_gap(pair, coarse_points=51)
+        min_gap_of(pair, 51)
         assert seen and set(seen) == {(1,) * len(blas_threads)}
         assert _thread_counts(blas_threads) == [count] * len(blas_threads)
 
