@@ -29,7 +29,6 @@ from .spectral import (
     decompose_interpolated,
     min_gap,
     sweep as spectral_sweep,
-    _central_solves,
     _eigensolve,
     _hdot_apply,
     _neighbour_ratios,
@@ -199,8 +198,8 @@ def _auto_fit_window(point: AntiCrossingPoint) -> tuple[float, float]:
     def passes(n: int) -> bool:
         if n == len(rungs) - 1:
             return True
-        solves = _central_solves(pair, s_star, rungs[n], 2, lanczos=True)
-        return max(float(w[1] - w[0]) for w, _ in solves) <= target
+        w, _ = _eigensolve(pair, s_star + np.array([rungs[n], -rungs[n]]), 2, lanczos=True)
+        return float(np.max(w[:, 1] - w[:, 0])) <= target
 
     # an uncoupled pair (a = 0, straight levels) starts at the widest rung
     with np.errstate(divide="ignore"):
@@ -230,7 +229,7 @@ def wilkinson_fit(point: AntiCrossingPoint) -> WilkinsonFit:
         raise ValueError(_unresolved(s_star, delta))
     lo, hi = _auto_fit_window(point)
     ss = np.linspace(lo, hi, 25)
-    e0, e1 = np.array([_eigensolve(pair, s, levels=2, lanczos=True)[0] for s in ss]).T
+    e0, e1 = _eigensolve(pair, ss, 2, lanczos=True)[0].T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0

@@ -6,16 +6,18 @@ orderings are used:
 * full mode: all ``2**n`` bitstrings in ascending binary order
   (``000`` first, ``111`` last);
 * weight-k mode: the ``C(n, k)`` bitstrings with exactly ``k`` ones,
-  ordered as combinations of selected positions in lexicographic order
-  (``111000`` first, ``000111`` last for n=6, k=3).
+  ordered as ``itertools.combinations`` yields the positions of the ones,
+  which is descending binary order (``111000`` first, ``000111`` last for
+  n=6, k=3).
 
-Rank and unrank in weight-k mode use the combinatorial number system,
-so no lookup table is stored.
+A state's index is read from a dict over ``states``, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from math import comb
 
 FULL_MODE_MAX_QUBITS = 14
@@ -25,36 +27,6 @@ WEIGHT_MODE_MAX_DIM = 5000
 
 class CapacityError(ValueError):
     """Requested basis exceeds the configured size caps."""
-
-
-def _rank_weight_k(bits: str, n: int, k: int) -> int:
-    """Position of a weight-k bitstring in combination-lexicographic order."""
-    rank = 0
-    remaining = k
-    for j, c in enumerate(bits):
-        if c == "1":
-            remaining -= 1
-        elif remaining > 0:
-            # combinations that place their next one here precede this state
-            rank += comb(n - j - 1, remaining - 1)
-    return rank
-
-
-def _unrank_weight_k(rank: int, n: int, k: int) -> str:
-    out = []
-    remaining = k
-    for j in range(n):
-        if remaining == 0:
-            out.append("0")
-            continue
-        here = comb(n - j - 1, remaining - 1)
-        if rank < here:
-            out.append("1")
-            remaining -= 1
-        else:
-            out.append("0")
-            rank -= here
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -70,18 +42,18 @@ class BasisSet:
     def dim(self) -> int:
         return len(self.states)
 
-    def state(self, i: int) -> str:
-        return self.states[i]
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {bits: i for i, bits in enumerate(self.states)}
 
     def index_of(self, bits: str) -> int:
-        """Rank of a bitstring; inverse of :meth:`state`."""
-        if len(bits) != self.n or any(c not in "01" for c in bits):
-            raise ValueError(f"not an {self.n}-bit string: {bits!r}")
-        if self.k is None:
-            return int(bits, 2)
-        if bits.count("1") != self.k:
-            raise ValueError(f"state {bits!r} does not have weight {self.k}")
-        return _rank_weight_k(bits, self.n, self.k)
+        """Position of a bitstring in ``states``."""
+        try:
+            return self._index[bits]
+        except KeyError:
+            if len(bits) != self.n or any(c not in "01" for c in bits):
+                raise ValueError(f"not an {self.n}-bit string: {bits!r}") from None
+            raise ValueError(f"state {bits!r} does not have weight {self.k}") from None
 
 
 def enumerate_basis(n: int, k: int | None = None) -> BasisSet:
@@ -110,5 +82,7 @@ def enumerate_basis(n: int, k: int | None = None) -> BasisSet:
             f"C({n},{k})={comb(n, k)} exceeds the weight-mode cap of "
             f"{WEIGHT_MODE_MAX_DIM} states"
         )
-    states = tuple(_unrank_weight_k(m, n, k) for m in range(comb(n, k)))
+    states = tuple(
+        "".join("1" if j in ones else "0" for j in range(n)) for ones in combinations(range(n), k)
+    )
     return BasisSet(n=n, k=k, states=states)

@@ -33,7 +33,7 @@ from .clique import CliqueInstance, brute_force, toy_example_1, toy_example_2
 from .hamiltonian import HamiltonianPair, ProblemGraph, clique_pair
 from .spectral import (
     _align_signs,
-    _central_solves,
+    _eigensolve,
     decompose_interpolated,
     eigenvalue_derivative,
     eigenvalue_second_derivative,
@@ -247,9 +247,9 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
 def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
     """Perturbation-theory derivatives of the ground level at every s of
     ``points`` against finite differences of one-level solves at s +- h
-    (``_central_solves``).  Each point is decomposed in full once, since
-    the perturbation sums read every level, and the second differences
-    read E0 at s from it.  First derivatives take central differences with
+    (one ``_eigensolve`` call per pair).  Each point is decomposed in full
+    once, since the perturbation sums read every level, and the second
+    differences read E0 at s from it.  First derivatives take central differences with
     h=1e-5 (the vectors sign-aligned with the one at s).  The second
     derivative takes the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of
     second central differences D with h=1e-3, whose truncation error is
@@ -259,7 +259,7 @@ def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
     worst1 = worst2 = worstv = 0.0
     for s in points:
         dec = decompose_interpolated(pair, s)
-        (wp, vp), (wm, vm) = _central_solves(pair, s, h, 1)
+        (wp, wm), (vp, vm) = _eigensolve(pair, s + np.array([h, -h]), 1)
         reference = dec[1][:, :1]
         vp, vm = _align_signs(reference, vp), _align_signs(reference, vm)
         d1 = eigenvalue_derivative(pair, s, 0, decomposition=dec)
@@ -268,7 +268,7 @@ def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
         worstv = max(worstv, float(np.linalg.norm(dv - (vp[:, 0] - vm[:, 0]) / (2 * h))))
         e0 = float(dec[0][0])
         wide, narrow = (
-            (sum(float(w[0]) for w, _ in _central_solves(pair, s, k, 1)) - 2 * e0) / k**2
+            (float(np.sum(_eigensolve(pair, s + np.array([k, -k]), 1)[0])) - 2 * e0) / k**2
             for k in (1e-3, 5e-4)
         )
         d2 = eigenvalue_second_derivative(pair, s, 0, decomposition=dec)
@@ -475,6 +475,8 @@ def _parse_checks(text: str | None) -> tuple[str, ...]:
     if text is None:
         return CHECK_NAMES
     checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not checks:
+        raise AppError("empty check list")
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise AppError(f"unknown checks: {sorted(unknown)}")
@@ -522,6 +524,8 @@ def scan(instance, fixture, alpha_text, grid_points, levels, out_dir):
                 click.echo(str(adir / name))
     except AppError as err:
         raise _fail(err) from err
+    except OSError as err:  # the instance file maps its own; what is left is the output
+        raise _fail(AppError(f"cannot write output to {out_dir}: {err}", kind="io")) from err
 
 
 @main.command()

@@ -17,23 +17,23 @@ vectors anyway.  The route rule, which the solver docstrings point to:
   swap mixer has 5-7 nonzeros per row; above the cut this beats the
   dense reduction to tridiagonal form.  A Krylov space grown from one
   vector holds one combination of each eigenspace.  So the solve can
-  miss copies of a degenerate level, and more than two levels stay dense.  It can also return E2 for E1 where
-  E1 - E0 is at the round-off of H(s), where the dense solve reads about
-  0.  A connected mixer keeps E0 simple for s < 1 (Perron-Frobenius), but
-  E1 - E0 still closes to round-off as s -> 1 when the final ground level
-  is degenerate; such pairs, disconnected mixers and s = 1 (H diagonal)
-  stay dense.  What remains is a grid point within about
-  eps ||H|| / |dDelta/ds| of a narrow anti-crossing, or a hand-built
-  mixer of weakly linked parts whose ground states stay degenerate over a
-  range of s.  When ARPACK does not converge within ``_LANCZOS_MAXITER``
+  miss copies of a degenerate level, and more than two levels stay
+  dense.  It can also return E2 for E1 where E1 - E0 is at the round-off
+  of H(s), where the dense solve reads about 0.  A connected mixer keeps
+  E0 simple for s < 1 (Perron-Frobenius), but E1 - E0 still closes to
+  round-off as s -> 1 when the final ground level is degenerate; such
+  pairs, disconnected mixers and s = 1 (H diagonal) stay dense.  What
+  remains is a grid point within about eps ||H|| / |dDelta/ds| of a
+  narrow anti-crossing, or a hand-built mixer of weakly linked parts
+  whose ground states stay degenerate over a range of s.  When ARPACK does not converge within ``_LANCZOS_MAXITER``
   restarts the point is solved densely.
 * NumPy's ``eigh`` (LAPACK ``syevd``) of every level, sliced to the
   lowest few, for a solve of more than two but fewer than all levels at
   d < ``_SYEVD_MAX_DIM``: the multi-level sweep of ``mingap scan`` on
-  small instances.  A sweep on this route solves its grid in stacked
-  calls of at most ``_STACK_LENGTH`` matrices, which removes the per-call
-  cost that dominates at such d; a matrix gets the same bits alone or in
-  a stack.
+  small instances.  A point set on this route is solved in stacked calls
+  of at most ``_STACK_LENGTH`` matrices, which removes the per-call cost
+  that dominates at such d; a matrix gets the same bits alone or in a
+  stack.
 * Dense MRRR (LAPACK ``syevr``), the reference, in every other case: all
   levels, one or two, or the lowest few above the cut; every point that
   closes in on the gap minimum before it is known (the probes of
@@ -43,27 +43,27 @@ vectors anyway.  The route rule, which the solver docstrings point to:
   whatever its size.  After a minimum below the resolution floor nothing
   is probed: the hyperbola fit is skipped.
 
-A failure of a dense solver raises EigendecompositionError naming the
-point.  The solves at s + h and s - h around a point, for a gap edge of
-the fit window or a central difference of the derivative checks, all go
-through ``_central_solves``.
+``_eigensolve`` takes one point or a 1-D array of points: a sweep's grid,
+the s + h and s - h of a fit window's gap edge or of a central
+difference, the fit's samples.  A failure of a dense solver raises
+EigendecompositionError naming the point.
 
 Below ``_BLAS_THREADS_MIN_DIM`` every solve of a pair, on every route,
-runs on one OpenBLAS thread, and a sweep holds that one scope over its
-whole loop; the caller's thread count is restored afterwards.  There a
-second thread shortens no solve, and one thread makes every spectrum
-independent of the caller's thread count.  From the cut on a solve keeps
-the caller's count.
+runs on one OpenBLAS thread, in one scope per ``_eigensolve`` call
+however many points it holds; the caller's thread count is restored
+afterwards.  There a second thread shortens no solve, and one thread
+makes every spectrum independent of the caller's thread count.  From
+the cut on a solve keeps the caller's count.
 
 On it rest the full eigendecomposition of H(s), gauge-continuous sweeps
 over an s-grid (of every level, or of the lowest few only), min-gap
 location (branch-and-bound from a sweep's grid, on a lower bound of the
 gap per cell that the concavity of E0 and E0 + E1 gives),
-perturbation-theory derivatives of eigenvalues and eigenvectors, and the residuals of the projection
-identities that relate any eigenpair to the mixer neighborhood of a
-basis state.  Every product with the mixer H0 (the schedule derivative
-H1 - H0, the neighbour sums of the identities, ||H0||_inf) runs on its
-CSR form.
+perturbation-theory derivatives of eigenvalues and eigenvectors, and the
+residuals of the projection identities that relate any eigenpair to
+the mixer neighborhood of a basis state.  Every product with the mixer
+H0 (the schedule derivative H1 - H0, the neighbour sums of the
+identities, ||H0||_inf) runs on its CSR form.
 
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
@@ -212,12 +212,6 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _blas_threads(pair: HamiltonianPair):
-    """The scope every solve of ``pair`` runs in: one OpenBLAS thread below
-    ``_BLAS_THREADS_MIN_DIM``, the caller's thread count from it."""
-    return _ONE_BLAS_THREAD if pair.dim < _BLAS_THREADS_MIN_DIM else contextlib.nullcontext()
-
-
 def _mrrr(h: np.ndarray, levels: int | None = None):
     """Dense MRRR (LAPACK ``syevr``), the reference route of the module
     docstring: the lowest ``levels`` eigenpairs of a real symmetric matrix
@@ -290,34 +284,52 @@ def _eigensolve(
     """The one route to a spectrum of H(s): the lowest ``levels``
     eigenpairs (all of them when None), as (eigenvalues ascending,
     eigenvectors as columns), on the route the module docstring gives.
-    ``lanczos`` says that the caller has no reason to expect E1 - E0 at
-    the round-off of H(s) at s: s belongs to a grid laid out before any
-    gap was read, or the gap there is at least a minimum already found
-    above ``resolution_floor``.  On the NumPy route (``_stacks``) ``s`` may
-    also be a 1-D array of points solved in one stacked call (the results
-    then carry a leading axis over the points).  Below
-    ``_BLAS_THREADS_MIN_DIM`` the solve runs on one OpenBLAS thread.  A
-    failure of a dense solver raises EigendecompositionError naming s."""
-    with _blas_threads(pair):
+    ``s`` is a point, or a 1-D array of points whose solves are returned
+    stacked, (T, m) and (T, d, m).  ``lanczos`` says that the caller has
+    no reason to expect E1 - E0 at the round-off of H(s) at s: s belongs
+    to a grid laid out before any gap was read, or the gap there is at
+    least a minimum already found above ``resolution_floor``.  On the
+    NumPy route (``_stacks``) the points are solved in stacked calls of at
+    most ``_STACK_LENGTH`` matrices, on the others one at a time.  Below
+    ``_BLAS_THREADS_MIN_DIM`` the call runs on one OpenBLAS thread.  A
+    failure of a dense solver raises EigendecompositionError naming the
+    point."""
+    single, points = np.ndim(s) == 0, np.atleast_1d(s)
+    if not single:
+        m = pair.dim if levels is None else levels
+        energies, vectors = np.empty((len(points), m)), np.empty((len(points), pair.dim, m))
+    with _ONE_BLAS_THREAD if pair.dim < _BLAS_THREADS_MIN_DIM else contextlib.nullcontext():
         if _stacks(pair, levels):
-            return _syevd(pair, s, levels)
-        if (
-            lanczos
-            and levels is not None
-            and levels <= 2
-            and pair.dim >= LANCZOS_MIN_DIM
-            and s < 1.0
-            and pair.mixer_connected
-            and pair.final_levels.unique_ground_index is not None
-        ):
-            try:
-                return _lanczos(pair, s, levels)
-            except scipy.sparse.linalg.ArpackError:
-                pass
-        try:
-            return _mrrr(interpolate(pair, s), levels)
-        except EigendecompositionError as err:
-            raise EigendecompositionError(f"at s={s}: {err}") from err
+            if single:
+                return _syevd(pair, s, levels)
+            for t in range(0, len(points), _STACK_LENGTH):
+                part = slice(t, t + _STACK_LENGTH)
+                energies[part], vectors[part] = _syevd(pair, points[part], levels)
+            return energies, vectors
+        for t, x in enumerate(points):
+            solve = None
+            if (
+                lanczos
+                and levels is not None
+                and levels <= 2
+                and pair.dim >= LANCZOS_MIN_DIM
+                and x < 1.0
+                and pair.mixer_connected
+                and pair.final_levels.unique_ground_index is not None
+            ):
+                try:
+                    solve = _lanczos(pair, x, levels)
+                except scipy.sparse.linalg.ArpackError:
+                    pass
+            if solve is None:
+                try:
+                    solve = _mrrr(interpolate(pair, x), levels)
+                except EigendecompositionError as err:
+                    raise EigendecompositionError(f"at s={x}: {err}") from err
+            if single:
+                return solve
+            energies[t], vectors[t] = solve
+    return energies, vectors
 
 
 @dataclass(frozen=True)
@@ -362,24 +374,12 @@ class SpectralSweep:
         return energies[:, 1] - energies[:, 0]
 
 
-def _degenerate_clusters(w: np.ndarray, tol: float):
-    clusters = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > tol:
-            clusters.append(range(start, i))
-            start = i
-    clusters.append(range(start, len(w)))
-    return clusters
-
-
 def _match_clusters(prev: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
     """Permute, in place, the columns of ``v`` and the entries of ``w``
     inside each degenerate cluster of ``w``, so that each column follows
     the column of ``prev`` it overlaps most (greedily by |overlap|)."""
     tol = degeneracy_tolerance(w)
-    for cluster in _degenerate_clusters(w, tol):
-        idx = list(cluster)
+    for idx in np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > tol) + 1):
         if len(idx) < 2:
             continue
         block = np.abs(prev[:, idx].T @ v[:, idx])
@@ -437,16 +437,6 @@ def _align_signs(reference: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _central_solves(pair: HamiltonianPair, s: float, h: float, levels: int, lanczos: bool = False):
-    """The one probe of H at s +- h: the solves (w, v) of the lowest
-    ``levels`` at s + h and at s - h, in that order, as ``_eigensolve``
-    returns them; ``lanczos`` as for ``_eigensolve``.  Read by the fit
-    window's gap edges and by the central differences of ``mingap
-    verify``'s derivative checks (which align the vectors' signs with
-    ``_align_signs``)."""
-    return [_eigensolve(pair, x, levels=levels, lanczos=lanczos) for x in (s + h, s - h)]
-
-
 def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSweep:
     """Decompose H(s) at every grid point and thread a continuous gauge.
 
@@ -454,10 +444,9 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
     dense reference path): ``energies`` has shape (T, d) and ``vectors``
     (T, d, d).  With an integer only the lowest m = min(max(levels, 2), d)
     eigenpairs are computed and kept: shapes (T, m) and (T, d, m),
-    T*d*m*8 bytes of vectors.  Every point is a grid point of
-    ``_eigensolve``, on the route the module docstring gives; on the NumPy
-    route the grid is solved in stacked calls of ``_STACK_LENGTH`` points.
-    The gauge is then threaded in one pass over the stacked arrays
+    T*d*m*8 bytes of vectors.  The grid is one point set of
+    ``_eigensolve``, on the route the module docstring gives.  The gauge
+    is then threaded in one pass over the stacked arrays
     (``_thread_gauge``), through the kept columns alone, so inside a
     degenerate cluster that level m cuts it is arbitrary."""
     grid = np.asarray(grid, dtype=float)
@@ -469,19 +458,8 @@ def sweep(pair: HamiltonianPair, grid, levels: int | None = None) -> SpectralSwe
         raise ValueError("grid must lie within [0, 1]")
     if levels is not None and levels < 1:
         raise ValueError(f"levels must be positive, got {levels}")
-    d = pair.dim
-    keep = None if levels is None else min(max(levels, 2), d)
-    energies = np.empty((len(grid), keep or d))
-    vectors = np.empty((len(grid), d, keep or d))
-    # one scope for the loop: the solves inside it only nest
-    with _blas_threads(pair):
-        if _stacks(pair, keep):
-            for t in range(0, len(grid), _STACK_LENGTH):
-                part = slice(t, t + _STACK_LENGTH)
-                energies[part], vectors[part] = _eigensolve(pair, grid[part], levels=keep)
-        else:
-            for t, s in enumerate(grid):
-                energies[t], vectors[t] = _eigensolve(pair, s, levels=keep, lanczos=True)
+    keep = None if levels is None else min(max(levels, 2), pair.dim)
+    energies, vectors = _eigensolve(pair, grid, levels=keep, lanczos=True)
     _thread_gauge(energies, vectors)
     return SpectralSweep(grid=grid, energies=energies, vectors=vectors, pair=pair)
 

@@ -226,15 +226,20 @@ def _linear_ladder_window(pair, s_star, delta):
 @contextlib.contextmanager
 def _window_probes():
     """A scope in which the fit window's probes of H at s +- h are counted;
-    yields the list of probed points."""
+    yields the list of probed points.  Every solve of the fit is one
+    point-set call: a probe of the window holds s + h and s - h, the
+    samples are one call of 25 points."""
     probes = []
+    eigensolve = anticrossing._eigensolve
 
-    def counting(pair, s, h, levels, lanczos=False):
-        probes.extend([s + h, s - h])
-        return spectral._central_solves(pair, s, h, levels, lanczos)
+    def counting(pair, s, levels=None, lanczos=False):
+        assert len(s) in (2, 25)
+        if len(s) == 2:
+            probes.extend(s.tolist())
+        return eigensolve(pair, s, levels, lanczos)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(anticrossing, "_central_solves", counting)
+        patch.setattr(anticrossing, "_eigensolve", counting)
         yield probes
 
 

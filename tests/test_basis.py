@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from mingap.basis import CapacityError, enumerate_basis
+from mingap.basis import WEIGHT_MODE_MAX_DIM, CapacityError, enumerate_basis
 from mingap.hamiltonian import build_swap_mixer, build_transverse_field
 
 
@@ -45,14 +45,28 @@ def test_rank_unrank_roundtrip(n):
             assert all(bits.count("1") == k for bits in basis.states)
 
 
+def test_weight_k_states_descend_as_binary_numbers():
+    # an order built independently of enumerate_basis: every n-bit number
+    # of weight k, largest first, for every (n, k) under the caps
+    for n in range(2, 17):
+        by_weight = {}
+        for m in range(2**n - 1, -1, -1):
+            by_weight.setdefault(m.bit_count(), []).append(format(m, f"0{n}b"))
+        for k in range(1, n):
+            if comb(n, k) <= WEIGHT_MODE_MAX_DIM:
+                assert enumerate_basis(n, k).states == tuple(by_weight[k]), (n, k)
+
+
 def test_index_of_rejects_bad_strings():
     basis = enumerate_basis(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an 4-bit string: '10'"):
         basis.index_of("10")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state '1110' does not have weight 2"):
         basis.index_of("1110")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an 4-bit string: '10a0'"):
         basis.index_of("10a0")
+    with pytest.raises(ValueError, match="not an 3-bit string: '0111'"):
+        enumerate_basis(3).index_of("0111")
 
 
 def test_enumerate_validation():
@@ -79,7 +93,7 @@ def test_transverse_field_graph_is_hypercube():
     # neighbors differ in exactly one bit
     for i, nbrs in enumerate(adj):
         for j in nbrs:
-            diff = sum(a != b for a, b in zip(basis.state(i), basis.state(j)))
+            diff = sum(a != b for a, b in zip(basis.states[i], basis.states[j]))
             assert diff == 1
 
 

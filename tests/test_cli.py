@@ -200,14 +200,14 @@ def test_verify_identities_evaluate_one_matrix_per_point(runner, monkeypatch):
 def test_verify_derivatives_decompose_each_point_once(runner, monkeypatch):
     calls = count_calls(monkeypatch, ["decompose_interpolated"])
     one_level = []
-    original = spectral._eigensolve
+    original = cli._eigensolve
 
     def recording(pair, s, levels=None, lanczos=False):
         if levels == 1:
-            one_level.append(s)
+            one_level.extend(np.atleast_1d(s).tolist())
         return original(pair, s, levels=levels, lanczos=lanczos)
 
-    monkeypatch.setattr(spectral, "_eigensolve", recording)
+    monkeypatch.setattr(cli, "_eigensolve", recording)
     result = runner.invoke(
         main, ["verify", "--fixture", "toy1", "--grid", "201", "--checks", "derivatives"]
     )
@@ -343,12 +343,27 @@ def test_verify_checks_subset(runner, group):
     assert _verify_names(runner, "--checks", group) == GROUP_CHECKS[group] + MEASUREMENTS
 
 
-def test_verify_unknown_check(runner):
+@pytest.mark.parametrize("checks, message", [
+    ("nonsense", "nonsense"),
+    ("", "empty check list"),
+    (",", "empty check list"),
+], ids=["nonsense", "empty", "comma"])
+def test_verify_unknown_check(runner, checks, message):
     result = runner.invoke(
-        main, ["verify", "--fixture", "toy1", "--checks", "nonsense"]
+        main, ["verify", "--fixture", "toy1", "--checks", checks]
     )
     assert result.exit_code == 2
-    assert "nonsense" in json.loads(result.stderr)["error"]
+    assert message in json.loads(result.stderr)["error"]
+
+
+def test_scan_into_an_existing_file_is_an_io_error(runner, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    result = runner.invoke(main, ["scan", "--fixture", "toy1", "--grid", "51", "--out", str(taken)])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)
+    assert error["kind"] == "io" and str(taken) in error["error"]
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_instance_file_errors(runner, tmp_path):

@@ -363,7 +363,7 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     def counting(pair, s, levels=None, lanczos=False):
         calls.append(levels)
         if lanczos:
-            lanczos_calls.append(s)
+            lanczos_calls.extend(np.atleast_1d(s))
         return original(pair, s, levels=levels, lanczos=lanczos)
 
     for module in (spectral, anticrossing):
@@ -1142,6 +1142,46 @@ def test_stacked_sweep_equals_per_point_solves(monkeypatch, points):
         assert np.array_equal(energies[t], w[:6]) and np.array_equal(stacked[t], v[:, :6]), s
 
 
+def _assert_point_set_equals_per_point_solves(pair, ss, levels, lanczos):
+    """``_eigensolve`` of the point set ``ss`` holds, bit for bit, the
+    solves of its points one at a time, stacked."""
+    energies, vectors = spectral._eigensolve(pair, ss, levels, lanczos)
+    m = pair.dim if levels is None else levels
+    assert energies.shape == (len(ss), m) and vectors.shape == (len(ss), pair.dim, m)
+    for t, s in enumerate(ss):
+        w, v = spectral._eigensolve(pair, s, levels, lanczos)
+        assert np.array_equal(energies[t], w) and np.array_equal(vectors[t], v), (s, levels)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n=st.integers(3, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    points=st.integers(1, 130),
+    lanczos=st.booleans(),
+)
+def test_point_set_solves_equal_per_point_solves_on_random_small_instances(
+    n, data, seed, alpha, mixer, points, lanczos
+):
+    # up to 130 points: the NumPy route's stacks cross the 64-point boundary
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    levels = data.draw(st.one_of(st.integers(1, pair.dim - 1), st.none()))
+    ss = data.draw(st.lists(st.floats(0.0, 1.0), min_size=points, max_size=points))
+    _assert_point_set_equals_per_point_solves(pair, np.array(sorted(ss)), levels, lanczos)
+
+
+def test_point_set_solves_equal_per_point_solves_above_the_lanczos_cut(monkeypatch):
+    # s = 1 leaves the Lanczos route for MRRR inside the same point set
+    routes = _recording_routes(monkeypatch)
+    pair = _above_the_cut()
+    _assert_point_set_equals_per_point_solves(pair, np.linspace(0.0, 1.0, 6), 2, True)
+    assert routes == ["_lanczos"] * 5 + ["_mrrr"] + ["_lanczos"] * 5 + ["_mrrr"]
+
+
 def _isolated(w: np.ndarray, m: int, separation: float) -> np.ndarray:
     """Which of the lowest m of the levels ``w`` lie at least
     ``separation`` from every other level."""
@@ -1408,13 +1448,23 @@ def test_lanczos_matches_mrrr_on_random_small_instances(n, data, seed, alpha, mi
 
 def _probe_matches_values_only_mrrr(pair, s, levels):
     """The eigenvalues of an MRRR eigenpair solve of ``levels`` < d at s
-    are those of the values-only solve, bit for bit (both on one thread
-    below the cut)."""
-    w, _ = spectral._eigensolve(pair, s, levels)
-    with spectral._blas_threads(pair):
-        h = interpolate(pair, s)
-        want = scipy.linalg.eigvalsh(h, driver="evr", subset_by_index=[0, levels - 1])
-    assert np.array_equal(w, want), (pair.dim, s, levels)
+    are those of the values-only solve, bit for bit.  The values-only
+    solve runs inside the route call, so under the same OpenBLAS thread
+    count (one below the cut)."""
+    values_only = []
+    mrrr = spectral._mrrr
+
+    def recording(h, levels=None):
+        values_only.append(scipy.linalg.eigvalsh(
+            interpolate(pair, s), driver="evr", subset_by_index=[0, levels - 1]
+        ))
+        return mrrr(h, levels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_mrrr", recording)
+        w, _ = spectral._eigensolve(pair, s, levels)
+    assert len(values_only) == 1
+    assert np.array_equal(w, values_only[0]), (pair.dim, s, levels)
 
 
 @settings(max_examples=30, deadline=None, database=None)
