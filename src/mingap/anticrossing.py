@@ -15,6 +15,7 @@ never thresholded here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -78,8 +79,10 @@ class OverlapSeries:
         w, v = decompose_interpolated(pair, s)
         # C order: BLAS sums a strided column in another order than a
         # contiguous one, so the layout fixes the last bits of beta and of
-        # the rotation residuals.  The solve's workspace is freed by now, so
-        # the copy raises neither the held memory nor the peak.
+        # the rotation residuals.  The H(s) that the solve overwrote in place
+        # is freed by now and the copy takes its room: the solve held that
+        # matrix and the vectors at once, as the copy does the vectors
+        # twice, so it raises neither the held memory nor the peak.
         v = v.copy()
         if float(np.sum(v[:, 0])) < 0:
             v[:, 0] = -v[:, 0]
@@ -140,6 +143,32 @@ class AntiCrossingPoint:
         """<v0|H1-H0|v1> in the point's gauge; the two-level slope
         difference is twice its magnitude."""
         return float(self.v[:, 0] @ _hdot_apply(self.pair, self.v[:, 1]))
+
+    @cached_property
+    def first_order(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """First-order perturbation theory at the point, read off its full
+        decomposition:
+
+            dv_n/ds = -+beta v_(1-n) + sum_(j>=2) <v_j|H1-H0|v_n> / (E_n - E_j) v_j
+
+        for n = 0, 1.  Returns beta = <v_0|H1-H0|v_1>/Delta, the couplings
+        ``upper[n, j-2]`` = <v_n|H1-H0|v_j>, read as ((H1-H0) V[:, :2])^T
+        V[:, 2:] from one two-column product, and the higher-level
+        coefficients ``parts[n, j-2]`` = upper[n, j-2] / (E_n - E_j).
+        Computed once and kept on the point, for ``rotation_residuals`` and
+        ``solution_derivative_residuals``.  Raises ValueError where Delta or
+        the coupling is at or below ``resolution_floor``."""
+        floor = resolution_floor(self.pair, self.s)
+        if self.delta <= floor:
+            raise ValueError(_unresolved(self.s, self.delta))
+        coupling = self.coupling
+        if abs(coupling) <= floor:
+            raise ValueError(
+                f"no anti-crossing coupling between the two lowest levels (it reads {coupling:.3e})"
+            )
+        w, v = self.w, self.v
+        upper = _hdot_apply(self.pair, v[:, :2]).T @ v[:, 2:]
+        return coupling / self.delta, upper, upper / (w[:2, None] - w[None, 2:])
 
 
 def _unresolved(s_star: float, delta: float) -> str:
@@ -483,33 +512,10 @@ class SolutionDerivativeResult:
     beta: float
 
 
-def _first_order(point: AntiCrossingPoint):
-    """First-order perturbation theory at ``point``, read off its full
-    decomposition:
-
-        dv_n/ds = -+beta v_(1-n) + sum_(j>=2) <v_j|H1-H0|v_n> / (E_n - E_j) v_j
-
-    for n = 0, 1.  Returns beta = <v_0|H1-H0|v_1>/Delta, the couplings
-    ``upper[n, j-2]`` = <v_n|H1-H0|v_j> and the higher-level coefficients
-    ``parts[n, j-2]`` = upper[n, j-2] / (E_n - E_j).  Raises ValueError
-    where Delta or the coupling is at or below ``resolution_floor``."""
-    pair, w, v = point.pair, point.w, point.v
-    floor = resolution_floor(pair, point.s)
-    if point.delta <= floor:
-        raise ValueError(_unresolved(point.s, point.delta))
-    coupling = point.coupling
-    if abs(coupling) <= floor:
-        raise ValueError(
-            f"no anti-crossing coupling between the two lowest levels (it reads {coupling:.3e})"
-        )
-    upper = v[:, :2].T @ _hdot_apply(pair, v[:, 2:])
-    return coupling / point.delta, upper, upper / (w[:2, None] - w[None, 2:])
-
-
 def rotation_residuals(point: AntiCrossingPoint) -> RotationResult:
     """Check d|v_0>/ds = -beta |v_1> and d|v_1>/ds = +beta |v_0> at the gap
     minimum ``point`` by first-order perturbation theory; makes no solve."""
-    beta, upper, parts = _first_order(point)
+    beta, upper, parts = point.first_order
     return RotationResult(
         residual_ground=float(np.linalg.norm(parts[0])) / abs(beta),
         residual_excited=float(np.linalg.norm(parts[1])) / abs(beta),
@@ -525,7 +531,7 @@ def solution_derivative_residuals(point: AntiCrossingPoint) -> SolutionDerivativ
     gs = point.pair.final_levels.unique_ground_index
     if gs is None:
         raise DegeneracyError("needs a unique final ground state")
-    beta, _, parts = _first_order(point)
+    beta, _, parts = point.first_order
     v = point.v
     g0_prime = float(2.0 * v[gs, 0] * (-beta * v[gs, 1] + v[gs, 2:] @ parts[0]))
     g1_prime = float(2.0 * v[gs, 1] * (beta * v[gs, 0] + v[gs, 2:] @ parts[1]))

@@ -95,26 +95,56 @@ class ProblemGraph:
         return frozenset(frozenset(e) for e in self.edges)
 
 
-@dataclass(frozen=True)
+class _HeldAsCsr:
+    """The ``h0`` field of ``HamiltonianPair``.  A matrix assigned to it,
+    dense or sparse, is held only in CSR form: its nonzero entries and its
+    whole diagonal, zero or not, bit for bit.  A read builds a dense copy."""
+
+    def __get__(self, pair, owner=None):
+        if pair is None:
+            raise AttributeError("h0")  # the field has no default
+        return vars(pair)["h0"].toarray()
+
+    def __set__(self, pair, h0):
+        m = scipy.sparse.coo_array(h0)
+        off = (m.row != m.col) & (m.data != 0)
+        i = np.arange(min(m.shape))
+        vars(pair)["h0"] = scipy.sparse.csr_array(
+            (
+                np.concatenate([m.data[off], h0.diagonal()]),
+                (np.concatenate([m.row[off], i]), np.concatenate([m.col[off], i])),
+            ),
+            shape=m.shape,
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class HamiltonianPair:
-    """Mixer ``h0`` and diagonal target ``h1_diag`` on a shared basis."""
+    """Mixer ``h0`` and diagonal target ``h1_diag`` on a shared basis.
+
+    ``h0`` is given dense or sparse and held only in CSR form
+    (``csr_terms``).  Reading ``pair.h0`` builds a dense d x d copy on each
+    access; nothing in ``mingap`` reads it, every product with H0 and every
+    dense H(s) is formed from the CSR form."""
 
     basis: BasisSet
-    h0: np.ndarray = field(repr=False)
+    h0: np.ndarray = _HeldAsCsr()
     h1_diag: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         d = self.basis.dim
-        if self.h0.shape != (d, d):
-            raise ValueError(f"h0 shape {self.h0.shape} does not match basis dim {d}")
+        h0 = vars(self)["h0"]
+        if h0.shape != (d, d):
+            raise ValueError(f"h0 shape {h0.shape} does not match basis dim {d}")
         if self.h1_diag.shape != (d,):
             raise ValueError(f"h1_diag length {self.h1_diag.shape} does not match dim {d}")
-        if not np.array_equal(self.h0, self.h0.T):
+        if (h0 != h0.T).nnz:
             raise ValueError("h0 must be exactly symmetric")
-        off = self.h0.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off > 0):
+        if np.any(scipy.sparse.triu(h0, k=1).data > 0):
             raise ValueError("h0 off-diagonal entries must be nonpositive")
+
+    def __repr__(self):
+        return f"HamiltonianPair(basis={self.basis!r})"
 
     @property
     def dim(self) -> int:
@@ -122,16 +152,12 @@ class HamiltonianPair:
 
     @cached_property
     def csr_terms(self) -> tuple[scipy.sparse.csr_array, np.ndarray]:
-        """``h0`` in CSR form with every diagonal entry stored, zero or not,
-        and ``h1_diag`` spread over the same entries, so that H(s) is one
-        linear combination of two data arrays (``interpolate_csr``).  Built
-        on first use and kept on the pair."""
-        d = self.dim
-        pattern = scipy.sparse.csr_array((self.h0 != 0) | np.eye(d, dtype=bool))
-        rows = np.repeat(np.arange(d), np.diff(pattern.indptr))
-        cols = pattern.indices
-        h0 = scipy.sparse.csr_array((self.h0[rows, cols], cols, pattern.indptr), shape=(d, d))
-        return h0, np.where(rows == cols, self.h1_diag[rows], 0.0)
+        """``h0`` in its CSR form, and ``h1_diag`` spread over the same
+        entries, so that H(s) is one linear combination of two data arrays
+        (``interpolate_csr``).  Built on first use and kept on the pair."""
+        h0 = vars(self)["h0"]
+        rows = np.repeat(np.arange(self.dim), np.diff(h0.indptr))
+        return h0, np.where(rows == h0.indices, self.h1_diag[rows], 0.0)
 
     @cached_property
     def mixer_connected(self) -> bool:
@@ -257,12 +283,17 @@ def build_diagonal_target(energies, basis: BasisSet) -> np.ndarray:
 
 def interpolate(pair: HamiltonianPair, s) -> np.ndarray:
     """H(s) = (1-s) * h0 + s * diag(h1) at a point ``s``, or the (T, d, d)
-    stack of H at every point of a 1-D array ``s``."""
+    stack of H at every point of a 1-D array ``s``: dense, formed from the
+    CSR form of h0, with the bits of ``(1-s) * h0`` plus ``s * h1`` on the
+    diagonal."""
     ss = np.asarray(s, dtype=float)
     if not np.all((0.0 <= ss) & (ss <= 1.0)):
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    h = np.multiply.outer(1.0 - ss, pair.h0)
-    h.reshape(*ss.shape, -1)[..., :: pair.dim + 1] += np.multiply.outer(ss, pair.h1_diag)
+    d = pair.dim
+    h0 = pair.csr_terms[0].tocoo()
+    h = np.zeros((*ss.shape, d, d))
+    h[..., h0.row, h0.col] = np.multiply.outer(1.0 - ss, h0.data)
+    h.reshape(*ss.shape, -1)[..., :: d + 1] += np.multiply.outer(ss, pair.h1_diag)
     return h
 
 

@@ -41,7 +41,10 @@ vectors anyway.  The route rule, which the solver docstrings point to:
   ``mingap verify``'s derivative checks.  Near the minimum E1 - E0 can be
   as small as the round-off of H(s), and the dense solve reads the gap
   whatever its size.  After a minimum below the resolution floor nothing
-  is probed: the hyperbola fit is skipped.
+  is probed: the hyperbola fit is skipped.  The dense H(s) that
+  ``interpolate`` forms for the solve is handed to LAPACK to overwrite in
+  place, as the Fortran-ordered view of its transpose, so a solve holds
+  one d x d matrix besides its eigenvectors, not that matrix and a copy.
 
 ``_eigensolve`` takes one point or a 1-D array of points: a sweep's grid,
 the s + h and s - h of a fit window's gap edge or of a central
@@ -212,14 +215,26 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+class _Scratch(np.ndarray):
+    """A dense H(s) that ``_eigensolve`` formed for one solve and reads no
+    more: ``_mrrr`` lets LAPACK overwrite it."""
+
+
 def _mrrr(h: np.ndarray, levels: int | None = None):
     """Dense MRRR (LAPACK ``syevr``), the reference route of the module
     docstring: the lowest ``levels`` eigenpairs of a real symmetric matrix
     (all of them when None), as (eigenvalues ascending, eigenvectors as
-    columns).  A LAPACK failure raises EigendecompositionError."""
+    columns).  A ``_Scratch`` H(s), exactly symmetric, is solved in place:
+    its transpose is the same matrix in Fortran order, which LAPACK
+    overwrites.  Any other ``h`` is left unchanged; SciPy solves a
+    Fortran-ordered copy of it, with the same bits.  A LAPACK failure
+    raises EigendecompositionError."""
     subset = None if levels is None else [0, levels - 1]
+    scratch = isinstance(h, _Scratch)
     try:
-        return scipy.linalg.eigh(h, driver="evr", subset_by_index=subset)
+        return scipy.linalg.eigh(
+            h.T if scratch else h, driver="evr", subset_by_index=subset, overwrite_a=scratch
+        )
     except scipy.linalg.LinAlgError as err:
         raise EigendecompositionError(f"eigensolver failed on dim {h.shape[0]}: {err}") from err
 
@@ -323,7 +338,7 @@ def _eigensolve(
                     pass
             if solve is None:
                 try:
-                    solve = _mrrr(interpolate(pair, x), levels)
+                    solve = _mrrr(interpolate(pair, x).view(_Scratch), levels)
                 except EigendecompositionError as err:
                     raise EigendecompositionError(f"at s={x}: {err}") from err
             if single:

@@ -250,6 +250,14 @@ def first_order_rotation(h0, h1_diag, s: float, solution_index: int):
     return float(beta), higher[0], higher[1]
 
 
+def higher_level_couplings(h0, h1_diag, v):
+    """<v_n|H1-H0|v_j> for n = 0, 1 and every j >= 2, as the full product
+    v[:, :2]^T ((H1 - H0) v[:, 2:]) with a dense H0, where the library reads
+    ((H1 - H0) v[:, :2])^T v[:, 2:] from two columns."""
+    hdot = np.diag(np.asarray(h1_diag, dtype=float)) - np.asarray(h0, dtype=float)
+    return v[:, :2].T @ (hdot @ v[:, 2:])
+
+
 def dense_gap(h0, h1_diag, s: float) -> float:
     """E1 - E0 of H(s) from ``numpy.linalg.eigvalsh``."""
     w = np.linalg.eigvalsh(_interpolated(h0, h1_diag, s))

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -36,7 +37,7 @@ from mingap.anticrossing import (
 )
 
 from conftest import min_gap_of
-from oracles import TwoLevelOracle, first_order_rotation, swap_window_scan
+from oracles import TwoLevelOracle, first_order_rotation, higher_level_couplings, swap_window_scan
 
 
 def point_at(pair, swp, s):
@@ -579,6 +580,73 @@ def test_rotation_matches_first_order_oracle_on_random_instances(n, data, seed, 
     assert report.rotation.beta == pytest.approx(beta, rel=1e-8)
     assert report.rotation.residual_ground == pytest.approx(ground, rel=1e-6)
     assert report.rotation.residual_excited == pytest.approx(excited, rel=1e-6)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    n=st.integers(3, 7),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+)
+def test_first_order_couplings_match_the_full_product_on_random_instances(n, data, seed, alpha, mixer):
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    _, _, point = build_report(pair, grid_points=101)
+    assume(point is not None and point.v.shape[1] > 2)
+    try:
+        _, upper, _ = point.first_order
+    except ValueError:
+        assume(False)
+    oracle = higher_level_couplings(pair.h0, pair.h1_diag, point.v)
+    # relative to ||H1 - H0||_inf, which bounds every coupling: one that a
+    # symmetry forbids reads round-off in both products
+    norm = np.max(np.abs(np.diag(pair.h1_diag) - pair.h0).sum(axis=1))
+    assert np.max(np.abs(upper - oracle)) <= 1e-13 * norm
+
+
+def test_first_order_is_computed_once_per_point(monkeypatch):
+    # rotation_residuals and solution_derivative_residuals share one
+    # two-column product with H1 - H0
+    pair = clique_pair(toy_example_1(0.5).graph)
+    shapes = []
+    hdot = anticrossing._hdot_apply
+
+    def recording(pair, v):
+        shapes.append(v.shape)
+        return hdot(pair, v)
+
+    monkeypatch.setattr(anticrossing, "_hdot_apply", recording)
+    report, _, point = build_report(pair, grid_points=201)
+    assert report.rotation is not None and report.solution_derivative is not None
+    assert shapes.count((pair.dim, 2)) == 1
+    assert report.rotation.beta == report.solution_derivative.beta == point.first_order[0]
+
+
+# The traced peak of build_report (grid 201) beyond its sweep's arrays, in
+# dense d x d float64 matrices.  At the full solve at s*, where it is
+# reached, it holds the H(s) that LAPACK overwrites, the eigenvectors and the
+# overlap series' families (T x final levels).  Measured 3.03 at d=462 and
+# 2.27 at d=1716 (C(13,6), the CI job); it read 4.98 and 4.26 while the pair
+# kept a dense H0, SciPy copied each dense H(s) and the couplings at s* took
+# d x (d-2) products.
+REPORT_PEAK_MATRICES = 3.5
+
+
+def report_peak_matrices(n: int, k: int) -> float:
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
+    tracemalloc.start()
+    try:
+        _, swp, _ = build_report(pair, grid_points=201)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - swp.energies.nbytes - swp.vectors.nbytes) / (pair.dim**2 * 8)
+
+
+def test_report_memory_at_d462():
+    assert report_peak_matrices(11, 5) <= REPORT_PEAK_MATRICES
 
 
 # ---------------------------------------------------------------------------

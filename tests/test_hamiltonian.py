@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mingap.basis import enumerate_basis
 from mingap.clique import random_instance, toy_example_1
@@ -200,6 +201,68 @@ def test_interpolate_matches_diagonal_index_formula(pair):
         h = (1.0 - s) * pair.h0
         h[np.diag_indices_from(h)] += s * pair.h1_diag
         assert np.array_equal(interpolate(pair, s), h)
+
+
+_DENSE_MIXERS = {
+    "swap_chain": lambda graph: build_swap_mixer(graph.n, graph.k),
+    "swap_cycle": lambda graph: build_swap_mixer(graph.n, graph.k, wrap=True),
+    "transverse_field": lambda graph: build_transverse_field(graph.n),
+}
+
+
+@pytest.mark.parametrize("mixer", sorted(_DENSE_MIXERS))
+def test_interpolate_from_csr_equals_the_dense_formula_bit_for_bit(mixer):
+    # the pair holds h0 as CSR only; H(s) formed from it has the bits of the
+    # dense formula on the builder's dense mixer, at a point and on a stack
+    graph = random_instance(7, 3, 0.5, 0.5, 1.5, seed=4, alpha=0.37).graph
+    pair = clique_pair(graph, mixer)
+    h0 = _DENSE_MIXERS[mixer](graph)
+    assert pair.h0.tobytes() == h0.tobytes()
+
+    def dense(s):
+        ss = np.asarray(s, dtype=float)
+        h = np.multiply.outer(1.0 - ss, h0)
+        h.reshape(*ss.shape, -1)[..., :: pair.dim + 1] += np.multiply.outer(ss, pair.h1_diag)
+        return h
+
+    for s in (0.0, 0.1, 1.0 / 3.0, 0.69211855, 1.0):
+        assert interpolate(pair, s).tobytes() == dense(s).tobytes(), s
+    grid = np.linspace(0.0, 1.0, 64)
+    assert interpolate(pair, grid).tobytes() == dense(grid).tobytes()
+
+
+@pytest.mark.parametrize("form", [scipy.sparse.csr_array, scipy.sparse.coo_array])
+def test_pair_holds_h0_only_as_csr(form):
+    graph = random_instance(7, 3, 0.5, 0.5, 1.5, seed=4, alpha=0.37).graph
+    basis = enumerate_basis(7, 3)
+    h0, h1 = build_swap_mixer(7, 3), build_clique_target(graph, basis)
+    pair = HamiltonianPair(basis=basis, h0=h0, h1_diag=h1)
+    assert not any(isinstance(x, np.ndarray) and x.ndim == 2 for x in vars(pair).values())
+    assert pair.h0.tobytes() == h0.tobytes() and pair.h0 is not pair.h0
+    # a sparse h0 makes the same pair
+    sparse = HamiltonianPair(basis=basis, h0=form(h0), h1_diag=h1)
+    assert sparse.h0.tobytes() == h0.tobytes()
+    (a, a1), (b, b1) = pair.csr_terms, sparse.csr_terms
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes() and a1.tobytes() == b1.tobytes()
+
+
+@pytest.mark.parametrize("form", [np.asarray, scipy.sparse.csr_array, scipy.sparse.coo_array])
+def test_pair_validation_of_a_dense_or_sparse_h0(form):
+    basis = enumerate_basis(2, 1)
+    good = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    spoilt = good.copy()
+    spoilt[0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^h0 must be exactly symmetric$"):
+        HamiltonianPair(basis=basis, h0=form(np.array([[0.0, -1.0], [0.0, 0.0]])),
+                        h1_diag=np.zeros(2))
+    with pytest.raises(ValueError, match=r"^h0 must be exactly symmetric$"):
+        HamiltonianPair(basis=basis, h0=form(spoilt), h1_diag=np.zeros(2))
+    with pytest.raises(ValueError, match=r"^h0 off-diagonal entries must be nonpositive$"):
+        HamiltonianPair(basis=basis, h0=form(-good), h1_diag=np.zeros(2))
+    with pytest.raises(ValueError, match=r"^h0 shape \(3, 3\) does not match basis dim 2$"):
+        HamiltonianPair(basis=basis, h0=form(np.zeros((3, 3))), h1_diag=np.zeros(2))
+    assert np.array_equal(HamiltonianPair(basis=basis, h0=form(good), h1_diag=np.zeros(2)).h0, good)
 
 
 def test_interpolate_rejects_out_of_range():

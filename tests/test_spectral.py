@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mingap import anticrossing, spectral
+from mingap import anticrossing, hamiltonian, spectral
 from mingap.anticrossing import (
     GapBounds,
     build_report,
@@ -116,6 +116,38 @@ def test_eigendecompose_against_jacobi(order):
     w, _ = _mrrr(h)
     w_j, _ = jacobi_eigh(h, sweep_order=order)
     assert np.max(np.abs(w - w_j)) <= 1e-9
+
+
+@pytest.mark.parametrize("levels", [None, 2])
+def test_dense_solves_leave_a_held_matrix_unchanged(monkeypatch, levels):
+    # only the H(s) that _eigensolve forms is handed to LAPACK to overwrite
+    # (Fortran-ordered, overwrite_a); a matrix a caller holds, in either
+    # order, is left unchanged, and every route returns the bits of SciPy's
+    # MRRR solve of a copy
+    pair = clique_pair(toy_example_1(0.5).graph)
+    h = interpolate(pair, 0.5)
+    subset = None if levels is None else [0, levels - 1]
+    w_ref, v_ref = scipy.linalg.eigh(h.copy(), driver="evr", subset_by_index=subset)
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def recording(a, **kwargs):
+        calls.append((a.flags.f_contiguous, kwargs["overwrite_a"]))
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    for held in (h, np.asfortranarray(h), h.T):
+        before = held.copy()
+        w, v = _mrrr(held, levels)
+        assert np.array_equal(held, before)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    assert [overwrite for _, overwrite in calls] == [False] * 3
+    h1, h0 = pair.h1_diag.copy(), pair.csr_terms[0].copy()
+    w, v = spectral._eigensolve(pair, 0.5, levels)
+    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    assert calls[-1] == (True, True)
+    assert np.array_equal(pair.h1_diag, h1) and np.array_equal(pair.csr_terms[0].data, h0.data)
+    assert np.array_equal(interpolate(pair, 0.5), h)
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +952,26 @@ def test_h0_products_on_csr_match_dense(name):
              spectral._slopes(spoilt, stack), spectral.resolution_floor(spoilt, 0.3))
     for x, y in zip(before, after):
         assert np.array_equal(x, y, equal_nan=True)
+
+
+def test_nothing_reads_the_dense_h0(monkeypatch, tmp_path):
+    # the pair holds H0 as CSR only: a report, a scan and a verify run
+    # build no dense copy of it
+    def unreadable(self, pair, owner=None):
+        if pair is None:
+            raise AttributeError("h0")
+        raise AssertionError("the dense h0 was read")
+
+    monkeypatch.setattr(hamiltonian._HeldAsCsr, "__get__", unreadable)
+    for pair in (clique_pair(toy_example_1(0.5).graph), _above_the_cut()):
+        with pytest.raises(AssertionError):
+            pair.h0
+        report, _, _ = build_report(pair, grid_points=101, levels=6)
+        assert report.rotation is not None
+    for args in (["scan", "--fixture", "toy1", "--grid", "101", "--out", str(tmp_path)],
+                 ["verify", "--fixture", "toy1", "--grid", "101"]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0 and result.exception is None, result.output
 
 
 @settings(max_examples=25, deadline=None, database=None)
