@@ -44,7 +44,9 @@ class StationarityError(ValueError):
 
 @dataclass(frozen=True)
 class OverlapSeries:
-    """Overlap families over the sweep grid.
+    """Overlap families over the sweep grid, a view of the sweep: each
+    family is computed from the sweep's vectors on its first read and then
+    kept, so a series nobody reads costs nothing.
 
     ``in_ground[t, k]`` is the weight of final level k inside the
     instantaneous ground vector (``in_excited`` likewise for the first
@@ -56,16 +58,33 @@ class OverlapSeries:
     squared overlaps, so they are insensitive to the sweep's sign gauge.
     """
 
-    grid: np.ndarray = field(repr=False)
-    in_ground: np.ndarray = field(repr=False)
-    in_excited: np.ndarray = field(repr=False)
-    solution: np.ndarray | None = field(repr=False)
     sweep: SpectralSweep
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The sweep's grid."""
+        return self.sweep.grid
 
     @property
     def partition(self) -> FinalLevelPartition:
         """The final levels of the sweep's pair."""
         return self.sweep.pair.final_levels
+
+    @cached_property
+    def _families(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        return _overlap_families(self.sweep.vectors, self.partition)
+
+    @property
+    def in_ground(self) -> np.ndarray:
+        return self._families[0]
+
+    @property
+    def in_excited(self) -> np.ndarray:
+        return self._families[1]
+
+    @property
+    def solution(self) -> np.ndarray | None:
+        return self._families[2]
 
     def at(self, s: float) -> AntiCrossingPoint:
         """H(s) decomposed once at s, with the local gauge fixed: the ground
@@ -107,11 +126,11 @@ def _overlap_families(vectors: np.ndarray, partition: FinalLevelPartition):
 
 
 def compute_overlaps(sweep: SpectralSweep) -> OverlapSeries:
-    """Evaluate the overlap families on the sweep grid, over the final
-    levels of its pair.  The solution series is present exactly when the
-    final ground state is unique."""
-    families = _overlap_families(sweep.vectors, sweep.pair.final_levels)
-    return OverlapSeries(sweep.grid, *families, sweep)
+    """The overlap families on the sweep grid, over the final levels of its
+    pair, as a view of ``sweep``: nothing is computed here, each family on
+    its first read.  The solution series is present exactly when the final
+    ground state is unique."""
+    return OverlapSeries(sweep)
 
 
 @dataclass(frozen=True)
@@ -200,11 +219,13 @@ class WilkinsonFit:
     valid: bool
 
 
-def _auto_fit_window(point: AntiCrossingPoint) -> tuple[float, float]:
+def _auto_fit_window(point: AntiCrossingPoint) -> tuple[tuple[float, float], np.ndarray | None]:
     """Largest symmetric window around the gap minimum ``point`` on the
     ladder of half-widths cap * 0.999 / 1.3^n, n = 0 .. 199 (cap: the
     distance from s* to the nearer end of [0, 1]), on which the gap stays
     at most 3x its value Delta at the point; rung 200 when none does.
+    Returned with the two lowest energies at the window's ends, (2, 2),
+    from the probe of its rung (None for rung 200, which is not probed).
 
     The search starts at the rung the hyperbola
     Delta(s)^2 = Delta^2 + a^2 (s - s*)^2 predicts, the first one within
@@ -224,10 +245,13 @@ def _auto_fit_window(point: AntiCrossingPoint) -> tuple[float, float]:
         rungs.append(rungs[-1] / 1.3)
     target = 3.0 * delta
 
+    edges = {}
+
     def passes(n: int) -> bool:
         if n == len(rungs) - 1:
             return True
-        w, _ = _eigensolve(pair, s_star + np.array([rungs[n], -rungs[n]]), 2, lanczos=True)
+        w, _ = _eigensolve(pair, s_star + np.array([-rungs[n], rungs[n]]), 2, lanczos=True)
+        edges[n] = w
         return float(np.max(w[:, 1] - w[:, 0])) <= target
 
     # an uncoupled pair (a = 0, straight levels) starts at the widest rung
@@ -241,7 +265,7 @@ def _auto_fit_window(point: AntiCrossingPoint) -> tuple[float, float]:
         n += 1
         while not passes(n):
             n += 1
-    return (s_star - rungs[n], s_star + rungs[n])
+    return (s_star - rungs[n], s_star + rungs[n]), edges.get(n)
 
 
 def wilkinson_fit(point: AntiCrossingPoint) -> WilkinsonFit:
@@ -251,14 +275,26 @@ def wilkinson_fit(point: AntiCrossingPoint) -> WilkinsonFit:
     resampled at 25 points so sharp anti-crossings are resolved below the
     sweep grid spacing.  Every gap the fit reads is at least Delta, so the
     window probes and the samples may take the Lanczos route of
-    ``_eigensolve``.  A Delta at or below ``resolution_floor`` raises
-    ValueError with the unresolved-gap cause: no window is sought."""
+    ``_eigensolve``.  No point is solved twice: the two end samples are
+    the window probe's solve (the same points on the same route), and a
+    centre sample that equals s* is read off the point's full solve.  A
+    Delta at or below ``resolution_floor`` raises ValueError with the
+    unresolved-gap cause: no window is sought."""
     pair, s_star, delta = point.pair, point.s, point.delta
     if delta <= resolution_floor(pair, s_star):
         raise ValueError(_unresolved(s_star, delta))
-    lo, hi = _auto_fit_window(point)
+    (lo, hi), edges = _auto_fit_window(point)
     ss = np.linspace(lo, hi, 25)
-    e0, e1 = _eigensolve(pair, ss, 2, lanczos=True)[0].T
+    energies = np.empty((len(ss), 2))
+    held = np.zeros(len(ss), dtype=bool)
+    if edges is not None:
+        energies[[0, -1]] = edges
+        held[[0, -1]] = True
+    if ss[12] == s_star:
+        energies[12] = point.w[:2]
+        held[12] = True
+    energies[~held] = _eigensolve(pair, ss[~held], 2, lanczos=True)[0]
+    e0, e1 = energies.T
 
     mid_lo = (e0[0] + e1[0]) / 2.0
     mid_hi = (e0[-1] + e1[-1]) / 2.0

@@ -510,6 +510,25 @@ def _slopes(pair: HamiltonianPair, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("tik,tik->tk", vectors, _hdot_apply(pair, vectors))
 
 
+def _grid_rows(sweep: SpectralSweep) -> np.ndarray:
+    """(E0, E1, E0') at every grid point of ``sweep``, (T, 3), as ``_probe``
+    reads them at one point: the two lowest energies by value, and the
+    Hellmann-Feynman slope of the lowest level.  The slopes are taken in
+    blocks of ``_STACK_LENGTH`` points, so no (T, d) copy of the vectors
+    is made.  A block's two lowest columns are gathered and its first one
+    read, the layout the product had over the whole grid, which fixes
+    the slopes' last bits (a contiguous column is summed in another
+    order)."""
+    by_value = sweep._by_value
+    rows = np.empty((len(sweep.grid), 3))
+    rows[:, :2] = np.take_along_axis(sweep.energies, by_value, axis=1)
+    for t in range(0, len(rows), _STACK_LENGTH):
+        part = slice(t, t + _STACK_LENGTH)
+        lowest = np.take_along_axis(sweep.vectors[part], by_value[part, None, :], axis=2)
+        rows[part, 2] = _slopes(sweep.pair, lowest[:, :, :1])[:, 0]
+    return rows
+
+
 def _probe(pair: HamiltonianPair, s: float) -> np.ndarray:
     """(E0, E1, E0') of a dense (MRRR) two-level solve at s, the one solve
     of ``min_gap``'s search; E0' = <v0|H1-H0|v0> (Hellmann-Feynman)."""
@@ -548,12 +567,13 @@ def min_gap(sweep: SpectralSweep) -> MinGapResult:
     """Locate the global gap minimum of the sweep's pair by branch-and-bound
     on a concavity bound (Horst and Tuy, Global Optimization, 1996).
 
-    The search starts from the two lowest eigenpairs on the grid of
+    The search starts from the two lowest levels on the grid of
     ``sweep``, which must run from 0 to 1.  Each point holds (E0, E1,
-    E0'), the grid's slopes from one batched product.  A
-    heap holds the cells whose lower bound (``_cell_bounds``) lies below
-    the best gap read so far less the resolution floor, the larger of
-    ``resolution_floor`` at s=0 and s=1.  The lowest cell is split, the
+    E0'); the grid's come from ``_grid_rows``, which copies no sweep
+    vectors beyond one block of points.  A heap holds the cells whose
+    lower bound (``_cell_bounds``) lies below the best gap read so far
+    less the resolution floor, the larger of ``resolution_floor`` at s=0
+    and s=1.  The lowest cell is split, the
     split point probed by a dense two-level solve (``_probe``) and both
     halves pushed back, until no cell remains.  So no cell hides a gap
     more than the floor below the result, up to the round-off of the
@@ -579,8 +599,8 @@ def min_gap(sweep: SpectralSweep) -> MinGapResult:
     ss = sweep.grid
     if ss[0] != 0.0 or ss[-1] != 1.0:
         raise ValueError(f"sweep grid must run from 0 to 1, got [{ss[0]}, {ss[-1]}]")
-    energies, vectors = sweep.lowest()
-    gaps = energies[:, 1] - energies[:, 0]
+    rows = _grid_rows(sweep)
+    gaps = rows[:, 1] - rows[:, 0]
     deg_tol = degeneracy_tolerance(
         np.concatenate([[np.max(np.abs(pair.h1_diag))], gaps])
     )
@@ -604,7 +624,7 @@ def min_gap(sweep: SpectralSweep) -> MinGapResult:
             heapq.heappush(heap, (bounds[j], float(splits[j]), cells_ss[j], cells_ss[j + 1],
                                   cells_points[j], cells_points[j + 1]))
 
-    push(ss, np.column_stack([energies, _slopes(pair, vectors[:, :, :1])]))
+    push(ss, rows)
     while heap and heap[0][0] < best - floor:
         _, m, a, b, pa, pb = heapq.heappop(heap)
         if not a < m < b:  # a cell at the spacing of float64

@@ -307,6 +307,24 @@ def fine_scan_min_gap(h0, h1_diag, points: int = 4001, cell=(0.0, 1.0)) -> tuple
     return best_s, best_g
 
 
+def lowest_rows(energies, vectors, h0, h1_diag):
+    """(E0, E1, E0') at every grid point of a sweep's ``energies`` (T, m)
+    and ``vectors`` (T, d, m), read as one pass over the whole grid: the
+    two lowest levels by value gathered for every point, (T, d, 2), and the
+    Hellmann-Feynman slope <v0|H1-H0|v0> of the first in one product over
+    the stack.  ``h0`` is the mixer as the library multiplies it (its CSR
+    form, the product of each column summed in the same order), so the
+    rows have the library's bits."""
+    order = np.argsort(energies, axis=1, kind="stable")[:, :2]
+    lowest = np.take_along_axis(vectors, order[:, None, :], axis=2)[:, :, :1]
+    t, d, m = lowest.shape
+    columns = lowest.transpose(1, 0, 2).reshape(d, t * m)
+    h0v = (h0 @ columns).reshape(d, t, m).transpose(1, 0, 2)
+    hdot = h1_diag[:, None] * lowest - h0v
+    slopes = np.einsum("tik,tik->tk", lowest, hdot)
+    return np.column_stack([np.take_along_axis(energies, order, axis=1), slopes])
+
+
 def threaded_gauge(solves):
     """The sweep's gauge threaded point by point, from the raw (w, v)
     solves of each grid point in order: the first point's columns get their

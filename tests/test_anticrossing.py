@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mingap.basis import enumerate_basis
@@ -171,6 +171,37 @@ def test_compute_overlaps_degenerate_ground_omits_the_solution():
     assert series.at(0.5).solution is None
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    nk=st.integers(3, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    levels=st.sampled_from([2, 6]),
+)
+# alpha 0 leaves only the missing edges in the energy: five 2-cliques tie
+# for the final ground level
+@example(nk=(6, 2), seed=0, alpha=0.0, mixer="swap_chain", levels=6)
+def test_overlap_series_is_the_families_of_its_sweep_on_random_instances(
+    nk, seed, alpha, mixer, levels
+):
+    n, k = nk
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    swp = spectral_sweep(pair, np.linspace(0.0, 1.0, 41), levels=levels)
+    series = compute_overlaps(swp)
+    assert "_families" not in vars(series)  # nothing computed before a read
+    in_ground, in_excited, solution = anticrossing._overlap_families(swp.vectors, pair.final_levels)
+    assert series.grid is swp.grid
+    assert np.array_equal(series.in_ground, in_ground)
+    assert np.array_equal(series.in_excited, in_excited)
+    if pair.final_levels.unique_ground_index is None:
+        assert solution is None and series.solution is None
+    else:
+        assert np.array_equal(series.solution, solution)
+    # computed once and kept
+    assert series.in_ground is series.in_ground and series.in_excited is series.in_excited
+
+
 # ---------------------------------------------------------------------------
 # hyperbola fit
 
@@ -228,13 +259,14 @@ def _linear_ladder_window(pair, s_star, delta):
 def _window_probes():
     """A scope in which the fit window's probes of H at s +- h are counted;
     yields the list of probed points.  Every solve of the fit is one
-    point-set call: a probe of the window holds s + h and s - h, the
-    samples are one call of 25 points."""
+    point-set call: a probe of the window holds s - h and s + h, the
+    samples are one call of the 23 of 25 points that no probe solved, or
+    22 where the centre sample is s* itself."""
     probes = []
     eigensolve = anticrossing._eigensolve
 
     def counting(pair, s, levels=None, lanczos=False):
-        assert len(s) in (2, 25)
+        assert len(s) in (2, 22, 23)
         if len(s) == 2:
             probes.extend(s.tolist())
         return eigensolve(pair, s, levels, lanczos)
@@ -252,7 +284,7 @@ def _assert_window_of_the_ladder(pair, swp):
     if point.delta <= resolution_floor(pair, point.s):
         return False
     with _window_probes() as probes:
-        window = anticrossing._auto_fit_window(point)
+        window, _ = anticrossing._auto_fit_window(point)
     assert window == _linear_ladder_window(pair, point.s, point.delta)
     assert len(probes) <= 8
     return True
@@ -293,6 +325,30 @@ def test_fit_window_is_the_ladder_rung_on_random_instances(n, data, seed, alpha,
     assume(point is not None and point.delta > resolution_floor(pair, point.s))
     assert report.wilkinson.window == _linear_ladder_window(pair, point.s, point.delta)
     assert len(probes) <= 8
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: toy_example_1(0.5),
+    lambda: random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3),
+], ids=["toy1", "d462"])
+def test_a_report_solves_no_point_twice_but_s_star(monkeypatch, instance):
+    # s* is solved by min_gap's dense probe and in full; the fit takes its
+    # window's ends from the last window probe, and a centre sample at s*
+    # from the full solve
+    pair = clique_pair(instance().graph)
+    points = []
+    eigensolve = spectral._eigensolve
+
+    def recording(pair, s, levels=None, lanczos=False):
+        points.extend(np.atleast_1d(s).tolist())
+        return eigensolve(pair, s, levels, lanczos)
+
+    for module in (spectral, anticrossing):
+        monkeypatch.setattr(module, "_eigensolve", recording)
+    report, _, point = build_report(pair, grid_points=201)
+    assert report.wilkinson is not None
+    assert {s for s in points if points.count(s) > 1} == {point.s}
+    assert points.count(point.s) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +682,14 @@ def test_first_order_is_computed_once_per_point(monkeypatch):
 
 # The traced peak of build_report (grid 201) beyond its sweep's arrays, in
 # dense d x d float64 matrices.  At the full solve at s*, where it is
-# reached, it holds the H(s) that LAPACK overwrites, the eigenvectors and the
-# overlap series' families (T x final levels).  Measured 3.03 at d=462 and
-# 2.27 at d=1716 (C(13,6), the CI job); it read 4.98 and 4.26 while the pair
-# kept a dense H0, SciPy copied each dense H(s) and the couplings at s* took
-# d x (d-2) products.
-REPORT_PEAK_MATRICES = 3.5
+# reached, it holds the H(s) that LAPACK overwrites, the eigenvectors and
+# LAPACK's workspace; the overlap series is computed later, on its first
+# read, and min_gap copies no sweep vectors beyond one block of points.
+# Measured 2.16 at d=462 and 2.04 at d=1716 (C(13,6), the CI job); the bound
+# leaves 0.24 above the d=462 value, less than the 0.87 that the overlap
+# series of a d=462 report (T x final levels, twice) adds if it is held
+# through that solve.
+REPORT_PEAK_MATRICES = 2.4
 
 
 def report_peak_matrices(n: int, k: int) -> float:

@@ -310,6 +310,37 @@ def test_verify_degenerate_skips_solution_checks(runner):
         "degenerate" in checks["normalization"]["detail"]
 
 
+@pytest.mark.parametrize("fixture, alpha", [("toy1", "0.66666"), ("toy2", "0.6666"),
+                                            ("toy2", "0.66666")])
+def test_verify_skips_the_gap_decomposition_at_an_unresolved_gap(runner, fixture, alpha):
+    # stationarity is rejected because the gap is below the resolution
+    # floor: the check skips with the report's cause, and verify passes
+    result = runner.invoke(
+        main, ["verify", "--fixture", fixture, "--alpha", alpha, "--grid", "201",
+               "--checks", "decomposition"]
+    )
+    assert result.exit_code == 0, result.output
+    check, = (c for c in json.loads(result.output)["runs"][0]["checks"]
+              if c["name"] == "gap_decomposition")
+    assert check["status"] == "skip"
+    assert "is not resolved in float64" in check["detail"]
+
+
+def test_verify_fails_the_gap_decomposition_at_a_resolved_gap(runner):
+    # toy1@0.6666: Delta 1.0e-12 is above the resolution floor (1.8e-13),
+    # and |dDelta/ds| at s* (3.7e-4) exceeds the stationarity bound
+    # (4.0e-5): the gap's round-off leaves s* about 6e-12 from the minimum
+    result = runner.invoke(
+        main, ["verify", "--fixture", "toy1", "--alpha", "0.6666", "--grid", "201",
+               "--checks", "decomposition"]
+    )
+    assert result.exit_code == 1, result.output
+    check, = (c for c in json.loads(result.output)["runs"][0]["checks"]
+              if c["name"] == "gap_decomposition")
+    assert check["status"] == "fail"
+    assert check["detail"] == "stationarity rejected at the refined minimum"
+
+
 # the checks each group of ``mingap verify`` emits, in its order
 GROUP_CHECKS = {
     "encoding": ["encoding"],

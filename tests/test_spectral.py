@@ -66,6 +66,7 @@ from oracles import (
     dense_gap,
     fine_scan_min_gap,
     jacobi_eigh,
+    lowest_rows,
     projection_identity_entries,
     threaded_gauge,
 )
@@ -410,11 +411,12 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     assert set(calls) == {None, 2}
     # the Lanczos route is open to the sweep points and, the gap minimum
     # being resolved, to the probes placed after it: 4 fit-window probes
-    # and 25 fit samples; min_gap's refinement probes and s* stay dense,
-    # and the rotation checks make no solve
+    # and the 22 fit samples besides the window's ends, which the last
+    # probe solved, and its centre, which is s* here; min_gap's refinement
+    # probes and s* stay dense, and the rotation checks make no solve
     assert report.delta_min > spectral.resolution_floor(pair, report.s_star)
     assert np.array_equal(lanczos_calls[:201], swp.grid)
-    assert len(lanczos_calls) == 201 + 4 + 25
+    assert len(lanczos_calls) == 201 + 4 + 22
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +595,33 @@ def test_min_gap_reads_the_sweep_in_place():
     finally:
         tracemalloc.stop()
     assert peak < swp.vectors.nbytes / 4
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    nk=st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    levels=st.sampled_from([2, 6, None]),
+    points=st.integers(51, 201),
+)
+def test_min_gap_reads_the_grid_in_blocks_as_in_one_pass_on_random_instances(
+    nk, seed, alpha, mixer, levels, points
+):
+    # the grid's rows, taken in blocks of _STACK_LENGTH points, have the
+    # bits of one pass over the whole grid; so min_gap, which reads nothing
+    # else of the sweep, gives the result it gave from that pass
+    n, k = nk
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    assume(pair.dim <= 70)
+    swp = sweep(pair, np.linspace(0.0, 1.0, points), levels=levels)
+    one_pass = lowest_rows(swp.energies, swp.vectors, pair.csr_terms[0], pair.h1_diag)
+    assert np.array_equal(spectral._grid_rows(swp), one_pass)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_grid_rows", lambda _: one_pass.copy())
+        from_one_pass = min_gap(swp)
+    assert min_gap(swp) == from_one_pass
 
 
 def test_min_gap_probes_each_point_once(monkeypatch):
@@ -1447,9 +1476,9 @@ def test_probes_after_a_resolved_gap_minimum_run_lanczos(monkeypatch):
     assert report.delta_min > spectral.resolution_floor(pair, report.s_star)
     assert report.wilkinson is not None and report.rotation is not None
     assert refinement and set(refinement) == {"_mrrr"}
-    # s* in full, then the fit window and samples
+    # s* in full, then the fit window and the samples that no probe solved
     assert after[0] == "_mrrr" and set(after[1:]) == {"_lanczos"}
-    assert len(after) >= 1 + 2 + 25
+    assert len(after) >= 1 + 2 + 22
 
 
 @pytest.mark.parametrize("name", sorted(_NARROW_MINIMA))
