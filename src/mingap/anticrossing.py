@@ -30,10 +30,12 @@ from .spectral import (
     decompose_interpolated,
     min_gap,
     sweep as spectral_sweep,
+    _couplings,
     _eigensolve,
+    _first_order,
     _hdot_apply,
     _neighbour_ratios,
-    _slopes,
+    _require_index,
     resolution_floor,
 )
 
@@ -157,11 +159,23 @@ class AntiCrossingPoint:
     def pair(self) -> HamiltonianPair:
         return self.series.sweep.pair
 
+    @cached_property
+    def _lowest_couplings(self) -> np.ndarray:
+        """The first-order kernel <v_n|H1-H0|v_j>, n = 0, 1, (2, d)."""
+        return _couplings(self.pair, self.v, [0, 1])
+
     @property
     def coupling(self) -> float:
         """<v0|H1-H0|v1> in the point's gauge; the two-level slope
         difference is twice its magnitude."""
-        return float(self.v[:, 0] @ _hdot_apply(self.pair, self.v[:, 1]))
+        return float(self._lowest_couplings[0, 1])
+
+    @cached_property
+    def unresolved(self) -> str | None:
+        """The cause when Delta is at or below ``resolution_floor``, else None."""
+        if self.delta <= resolution_floor(self.pair, self.s):
+            return f"the gap at s*={self.s} is not resolved in float64 (it reads {self.delta:.3e})"
+        return None
 
     @cached_property
     def first_order(self) -> tuple[float, np.ndarray, np.ndarray]:
@@ -171,27 +185,20 @@ class AntiCrossingPoint:
             dv_n/ds = -+beta v_(1-n) + sum_(j>=2) <v_j|H1-H0|v_n> / (E_n - E_j) v_j
 
         for n = 0, 1.  Returns beta = <v_0|H1-H0|v_1>/Delta, the couplings
-        ``upper[n, j-2]`` = <v_n|H1-H0|v_j>, read as ((H1-H0) V[:, :2])^T
-        V[:, 2:] from one two-column product, and the higher-level
-        coefficients ``parts[n, j-2]`` = upper[n, j-2] / (E_n - E_j).
-        Computed once and kept on the point, for ``rotation_residuals`` and
-        ``solution_derivative_residuals``.  Raises ValueError where Delta or
-        the coupling is at or below ``resolution_floor``."""
-        floor = resolution_floor(self.pair, self.s)
-        if self.delta <= floor:
-            raise ValueError(_unresolved(self.s, self.delta))
+        ``upper[n, j-2]`` = <v_n|H1-H0|v_j> (the point's kernel) and the
+        coefficients ``parts[n, j-2]`` = upper[n, j-2] / (E_n - E_j) (of
+        ``_first_order``), kept for ``rotation_residuals`` and
+        ``solution_derivative_residuals``.  An ``unresolved`` gap, or a
+        coupling at or below ``resolution_floor``, raises ValueError first."""
+        if self.unresolved:
+            raise ValueError(self.unresolved)
         coupling = self.coupling
-        if abs(coupling) <= floor:
+        if abs(coupling) <= resolution_floor(self.pair, self.s):
             raise ValueError(
                 f"no anti-crossing coupling between the two lowest levels (it reads {coupling:.3e})"
             )
-        w, v = self.w, self.v
-        upper = _hdot_apply(self.pair, v[:, :2]).T @ v[:, 2:]
-        return coupling / self.delta, upper, upper / (w[:2, None] - w[None, 2:])
-
-
-def _unresolved(s_star: float, delta: float) -> str:
-    return f"the gap at s*={s_star} is not resolved in float64 (it reads {delta:.3e})"
+        c = self._lowest_couplings
+        return coupling / self.delta, c[:, 2:], _first_order(c, self.w, [0, 1])[:, 2:]
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +284,12 @@ def wilkinson_fit(point: AntiCrossingPoint) -> WilkinsonFit:
     window probes and the samples may take the Lanczos route of
     ``_eigensolve``.  No point is solved twice: the two end samples are
     the window probe's solve (the same points on the same route), and a
-    centre sample that equals s* is read off the point's full solve.  A
-    Delta at or below ``resolution_floor`` raises ValueError with the
-    unresolved-gap cause: no window is sought."""
+    centre sample that equals s* is read off the point's full solve.  The
+    fit starts from the point's two-level hyperbola.  An ``unresolved`` gap
+    raises ValueError with that cause: no window is sought."""
     pair, s_star, delta = point.pair, point.s, point.delta
-    if delta <= resolution_floor(pair, s_star):
-        raise ValueError(_unresolved(s_star, delta))
+    if point.unresolved:
+        raise ValueError(point.unresolved)
     (lo, hi), edges = _auto_fit_window(point)
     ss = np.linspace(lo, hi, 25)
     energies = np.empty((len(ss), 2))
@@ -295,14 +302,8 @@ def wilkinson_fit(point: AntiCrossingPoint) -> WilkinsonFit:
         held[12] = True
     energies[~held] = _eigensolve(pair, ss[~held], 2, lanczos=True)[0]
     e0, e1 = energies.T
-
-    mid_lo = (e0[0] + e1[0]) / 2.0
-    mid_hi = (e0[-1] + e1[-1]) / 2.0
-    slope0 = (mid_hi - mid_lo) / (ss[-1] - ss[0])
-    edge_gap = max(e1[-1] - e0[-1], e1[0] - e0[0])
     half_width = max(hi - s_star, s_star - lo)
-    a0 = np.sqrt(max(edge_gap**2 - delta**2, 0.0)) / half_width
-    center0 = (np.interp(s_star, ss, e0) + np.interp(s_star, ss, e1)) / 2.0
+    c, w = point._lowest_couplings, point.w
 
     def residuals(x):
         a, b, center, gap = x
@@ -312,7 +313,7 @@ def wilkinson_fit(point: AntiCrossingPoint) -> WilkinsonFit:
 
     out = scipy.optimize.least_squares(
         residuals,
-        x0=[a0, slope0, center0, delta],
+        x0=[2.0 * abs(c[0, 1]), (c[0, 0] + c[1, 1]) / 2.0, (w[0] + w[1]) / 2.0, delta],
         bounds=([0.0, -np.inf, -np.inf, 0.0], [np.inf, np.inf, np.inf, np.inf]),
     )
     a_fit, b_fit, center_fit, gap_fit = (float(x) for x in out.x)
@@ -448,16 +449,15 @@ def gap_decomposition_residual(point: AntiCrossingPoint) -> float:
 
     at ``point``, where a_k/b_k are the final-level weights inside the two
     lowest instantaneous vectors.  Rejects a point where the gap derivative
-    (computed via Hellmann-Feynman) is too large for the identity's error
-    to stay within its contract."""
-    pair, s, delta = point.pair, point.s, point.delta
-    slope = float(np.diff(_slopes(pair, point.v[None, :, :2])[0])[0])
+    (the Hellmann-Feynman slopes of the point's kernel) is too large for
+    the identity's error to stay within its contract."""
+    s, delta, c = point.s, point.delta, point._lowest_couplings
+    slope = float(c[1, 1] - c[0, 0])
     threshold = 1e-6 * (1.0 + delta) / max(1.0 - s, 1e-12)
     if abs(slope) > threshold:
-        unresolved = delta <= resolution_floor(pair, s)
-        cause = _unresolved(s, delta) if unresolved else "refine the gap minimum first"
+        cause = f"; {point.unresolved}" if point.unresolved else " at a resolved gap"
         raise StationarityError(
-            f"|dDelta/ds| = {abs(slope):.3e} at s*={s} exceeds {threshold:.3e}; {cause}"
+            f"|dDelta/ds| = {abs(slope):.3e} at s*={s} exceeds {threshold:.3e}{cause}"
         )
     total = 0.0
     for energy, a_k, b_k in zip(point.pair.final_levels.energies, point.in_ground, point.in_excited):
@@ -480,7 +480,8 @@ def min_gap_bounds(point: AntiCrossingPoint, i: int) -> GapBounds | None:
     """Triangle-inequality bounds on Delta^2 at ``point`` built from the
     squared neighbor-to-component ratios of basis state i (None where a
     component is guarded).  The ratios do not depend on the point's sign
-    gauge."""
+    gauge.  An index i outside 0..d-1 raises ValueError."""
+    _require_index("i", i, point.pair.dim)
     r0, r1 = _neighbour_ratios(point.pair, point.v[:, :2])[i]
     if np.isnan(r0) or np.isnan(r1):
         return None

@@ -31,7 +31,6 @@ from . import __version__
 from .anticrossing import (
     AntiCrossingPoint,
     AntiCrossingReport,
-    _unresolved,
     build_report,
     min_gap_bounds,
 )
@@ -46,7 +45,6 @@ from .spectral import (
     eigenvector_derivative,
     energy_identity_residuals,
     gap_identity_residuals,
-    resolution_floor,
 )
 
 MIXERS = ("swap_chain", "swap_cycle", "transverse_field")
@@ -369,13 +367,11 @@ def _decomposition_checks(run: _Run) -> list[dict]:
     residual, tol = run.report.gap_decomposition_residual, 1e-6 * (1.0 + run.report.delta_min)
     if residual is not None:
         return [_bounded("gap_decomposition", residual, tol)]
-    point = run.point
-    if point.delta <= resolution_floor(run.pair, point.s):
-        # the report's own cause: no stationarity can be read off a gap
-        # that float64 does not resolve
-        return [_check("gap_decomposition", "skip", detail=_unresolved(point.s, point.delta))]
+    if run.point.unresolved:
+        # the report's own cause: float64 resolves no stationarity there
+        return [_check("gap_decomposition", "skip", detail=run.point.unresolved)]
     return [_check("gap_decomposition", "fail", None, tol,
-                   "stationarity rejected at the refined minimum")]
+                   "|dDelta/ds| at s* exceeds the stationarity bound at a resolved gap")]
 
 
 def _bound_checks(run: _Run) -> list[dict]:

@@ -71,7 +71,8 @@ identities, ||H0||_inf) runs on its CSR form.
 All ratio identities divide by eigenvector components that may legitimately
 vanish; components at or below ``COMPONENT_GUARD`` make the operation
 return ``None`` (a skip, not a failure), and make the array forms hold NaN
-in that entry.
+in that entry.  A level or basis-state index outside its range raises
+ValueError: NumPy would read -1 as the last entry.
 """
 
 from __future__ import annotations
@@ -684,7 +685,25 @@ def _hdot_apply(pair: HamiltonianPair, v: np.ndarray) -> np.ndarray:
     return pair.h1_diag[:, None] * v - _h0_apply(pair, v)
 
 
+def _couplings(pair: HamiltonianPair, v: np.ndarray, levels: list[int]) -> np.ndarray:
+    """<v_l|H1-H0|v_j>, l in ``levels``: ((H1 - H0) V[:, levels])^T V."""
+    return _hdot_apply(pair, v[:, levels]).T @ v
+
+
+def _first_order(couplings: np.ndarray, w: np.ndarray, levels: list[int]) -> np.ndarray:
+    """``_couplings`` over E_l - E_j, 0 at j = l; each reader checks degeneracy."""
+    spacings = w[levels, None] - w
+    spacings[np.arange(len(levels)), levels] = np.inf
+    return couplings / spacings
+
+
+def _require_index(name: str, index: int, size: int):
+    if not 0 <= index < size:
+        raise ValueError(f"{name}={index} is out of range 0..{size - 1}")
+
+
 def _require_isolated(w: np.ndarray, k: int, s: float):
+    _require_index("k", k, len(w))
     others = np.delete(w, k)
     if len(others) and np.min(np.abs(others - w[k])) <= degeneracy_tolerance(w):
         raise DegeneracyError(f"level {k} is degenerate at s={s}")
@@ -707,12 +726,7 @@ def eigenvector_derivative(
     by construction."""
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
-    coeffs = v.T @ _hdot_apply(pair, v[:, k])
-    denom = w[k] - w
-    denom[k] = 1.0
-    coeffs = coeffs / denom
-    coeffs[k] = 0.0
-    return v @ coeffs
+    return v @ _first_order(_couplings(pair, v, [k]), w, [k])[0]
 
 
 def eigenvalue_second_derivative(
@@ -721,12 +735,8 @@ def eigenvalue_second_derivative(
     """d^2 E_k/ds^2 = 2 sum_{j != k} <v_j|H1-H0|v_k>^2 / (E_k - E_j)."""
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     _require_isolated(w, k, s)
-    coeffs = v.T @ _hdot_apply(pair, v[:, k])
-    denom = w[k] - w
-    denom[k] = 1.0
-    terms = coeffs**2 / denom
-    terms[k] = 0.0
-    return float(2.0 * np.sum(terms))
+    couplings = _couplings(pair, v, [k])
+    return float(2.0 * np.sum(couplings * _first_order(couplings, w, [k])))
 
 
 def energy_identity_residual(
@@ -741,7 +751,9 @@ def energy_identity_residual(
     pair for H(s).  Entry (i, 0) of ``energy_identity_residuals`` on
     level k alone.
     """
+    _require_index("i", i, pair.dim)
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
+    _require_index("k", k, len(w))
     r = float(energy_identity_residuals(pair, s, decomposition=(w[k:k + 1], v[:, k:k + 1]))[i, 0])
     return None if np.isnan(r) else r
 
@@ -756,6 +768,7 @@ def gap_identity_residual(
     Returns None when either component is at or below the guard.  Entry i
     of ``gap_identity_residuals`` on the two lowest levels alone.
     """
+    _require_index("i", i, pair.dim)
     w, v = decomposition if decomposition is not None else decompose_interpolated(pair, s)
     r = float(gap_identity_residuals(pair, s, decomposition=(w[:2], v[:, :2]))[i])
     return None if np.isnan(r) else r

@@ -662,18 +662,62 @@ def test_first_order_couplings_match_the_full_product_on_random_instances(n, dat
     assert np.max(np.abs(upper - oracle)) <= 1e-13 * norm
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    n=st.integers(3, 7),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+)
+def test_report_derivatives_are_the_public_derivatives_on_random_instances(
+    n, data, seed, alpha, mixer
+):
+    # the report's rotation and solution-derivative checks and the public
+    # derivatives read the same first-order kernel at s*
+    k = data.draw(st.integers(1, n - 1))
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    report, _, point = build_report(pair, grid_points=101)
+    assume(point is not None and report.solution_derivative is not None)
+    dec = (point.w, point.v)
+    try:
+        dv = [spectral.eigenvector_derivative(pair, point.s, level, decomposition=dec)
+              for level in (0, 1)]
+        d2 = [spectral.eigenvalue_second_derivative(pair, point.s, level, decomposition=dec)
+              for level in (0, 1)]
+    except DegeneracyError:
+        assume(False)
+    v, beta, gs = point.v, report.rotation.beta, pair.final_levels.unique_ground_index
+    # dv_n/ds holds -+beta v_(1-n) beside its higher-level part, so the part
+    # taken from it carries round-off of eps |beta|: the residuals, relative
+    # to |beta|, agree to 1e-12 relative or 1e-13 absolute
+    assert report.rotation.residual_ground == pytest.approx(
+        np.linalg.norm(dv[0] + beta * v[:, 1]) / abs(beta), rel=1e-12, abs=1e-13)
+    assert report.rotation.residual_excited == pytest.approx(
+        np.linalg.norm(dv[1] - beta * v[:, 0]) / abs(beta), rel=1e-12, abs=1e-13)
+    sd = report.solution_derivative
+    assert sd.g0_prime == pytest.approx(2.0 * v[gs, 0] * dv[0][gs], rel=1e-12, abs=1e-13 * abs(beta))
+    assert sd.g1_prime == pytest.approx(2.0 * v[gs, 1] * dv[1][gs], rel=1e-12, abs=1e-13 * abs(beta))
+    couplings = point._lowest_couplings
+    coefficients = spectral._first_order(couplings, point.w, [0, 1])
+    for level in (0, 1):
+        assert d2[level] == pytest.approx(
+            2.0 * np.sum(couplings[level] * coefficients[level]), rel=1e-12)
+
+
 def test_first_order_is_computed_once_per_point(monkeypatch):
+    # the coupling, the fit's start, the stationarity slope,
     # rotation_residuals and solution_derivative_residuals share one
-    # two-column product with H1 - H0
+    # two-column product with H1 - H0, the point's kernel
     pair = clique_pair(toy_example_1(0.5).graph)
     shapes = []
-    hdot = anticrossing._hdot_apply
+    hdot = spectral._hdot_apply
 
     def recording(pair, v):
         shapes.append(v.shape)
         return hdot(pair, v)
 
-    monkeypatch.setattr(anticrossing, "_hdot_apply", recording)
+    monkeypatch.setattr(spectral, "_hdot_apply", recording)
     report, _, point = build_report(pair, grid_points=201)
     assert report.rotation is not None and report.solution_derivative is not None
     assert shapes.count((pair.dim, 2)) == 1
@@ -764,9 +808,9 @@ def test_report_names_an_unresolved_gap_as_the_skip_cause():
     skips = [w for w in report.warnings if "skipped" in w]
     assert len(skips) == 4  # hyperbola fit, gap decomposition, rotation, solution derivative
     # every stage quotes the one gap it read, the point's
-    cause = anticrossing._unresolved(star.s, star.delta)
+    cause = star.unresolved
     assert all(w.endswith(cause) for w in skips), skips
-    assert not any("coupling" in w or "refine the gap minimum" in w for w in skips)
+    assert not any("coupling" in w or "at a resolved gap" in w for w in skips)
 
 
 def test_fit_of_an_unresolved_gap_is_skipped_with_that_cause():
@@ -775,7 +819,7 @@ def test_fit_of_an_unresolved_gap_is_skipped_with_that_cause():
     pair = clique_pair(toy_example_2(0.6666).graph)
     report, _, star = build_report(pair)
     assert star.delta <= resolution_floor(pair, star.s)
-    cause = anticrossing._unresolved(star.s, star.delta)
+    cause = star.unresolved
     assert report.wilkinson is None
     assert f"hyperbola fit skipped: {cause}" in report.warnings
     with pytest.raises(ValueError, match="not resolved in float64"):

@@ -338,7 +338,7 @@ def test_verify_fails_the_gap_decomposition_at_a_resolved_gap(runner):
     check, = (c for c in json.loads(result.output)["runs"][0]["checks"]
               if c["name"] == "gap_decomposition")
     assert check["status"] == "fail"
-    assert check["detail"] == "stationarity rejected at the refined minimum"
+    assert check["detail"] == "|dDelta/ds| at s* exceeds the stationarity bound at a resolved gap"
 
 
 # the checks each group of ``mingap verify`` emits, in its order

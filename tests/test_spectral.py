@@ -786,6 +786,28 @@ def test_derivative_rejects_degenerate_level():
         eigenvalue_derivative(pair, 1.0, 1)
 
 
+@pytest.mark.parametrize("end", ["below", "above"])
+def test_out_of_range_indices_are_rejected(end):
+    # -1 read level d-1 (basis state d-1) as a NumPy index would; d raised
+    # a bare IndexError
+    pair = clique_pair(toy_example_1(0.5).graph)
+    index = -1 if end == "below" else pair.dim
+    dec = decompose_interpolated(pair, 0.5)
+    point = compute_overlaps(sweep(pair, np.linspace(0.0, 1.0, 11))).at(0.5)
+    calls = {
+        "k": [lambda f=f: f(pair, 0.5, index, decomposition=dec) for f in (
+            eigenvalue_derivative, eigenvector_derivative, eigenvalue_second_derivative)]
+        + [lambda: energy_identity_residual(pair, 0.5, 0, index, decomposition=dec)],
+        "i": [lambda: energy_identity_residual(pair, 0.5, index, 0, decomposition=dec),
+              lambda: gap_identity_residual(pair, 0.5, index, decomposition=dec),
+              lambda: min_gap_bounds(point, index)],
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=rf"^{name}={index} is out of range 0\.\.{pair.dim - 1}$"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # projection identities
 
