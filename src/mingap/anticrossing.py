@@ -619,31 +619,28 @@ class AntiCrossingReport:
 
 
 def build_report(
-    pair: HamiltonianPair,
-    grid_points: int = 1001,
-    precomputed_sweep: SpectralSweep | None = None,
-    levels: int = 2,
-) -> tuple[AntiCrossingReport, SpectralSweep, AntiCrossingPoint | None]:
+    pair: HamiltonianPair, grid_points: int = 1001, levels: int = 2
+) -> tuple[AntiCrossingReport, OverlapSeries, AntiCrossingPoint | None]:
     """Run the full analysis pipeline for one interpolation: a sweep of the
     lowest ``levels`` eigenpairs (at least two) on ``grid_points`` evenly
-    spaced s (unless ``precomputed_sweep`` is given), the gap minimum
-    searched from that sweep's grid (``min_gap``), and every measurement at
-    s* read from one decomposition there.
+    spaced s, the gap minimum searched from that sweep's grid
+    (``min_gap``), and every measurement at s* read from one decomposition
+    there.
 
     The report itself reads only the two lowest levels, so the default
     sweep keeps two columns; ask for more to export more levels (the
-    returned sweep then has m = min(max(levels, 2), d) columns, with an
-    arbitrary gauge inside a degenerate cluster that level m cuts).
+    sweep then has m = min(max(levels, 2), d) columns, with an arbitrary
+    gauge inside a degenerate cluster that level m cuts).
 
-    Returns the report, the sweep it was computed from and the point at
-    s* that every measurement read (``point.series`` is the overlap series
-    on the sweep).  The point is None when no anti-crossing analysis
-    applies.
+    Returns the report, the overlap series on the sweep (``series.sweep``)
+    for every outcome, and the point at s* that every measurement read
+    (``point.series is series``), None when no anti-crossing analysis
+    applies.  With a point, the report's ``delta_min`` is its gap.
     """
     grid = np.linspace(0.0, 1.0, grid_points)
-    swp = precomputed_sweep if precomputed_sweep is not None else spectral_sweep(pair, grid, levels=levels)
+    series = compute_overlaps(spectral_sweep(pair, grid, levels=levels))
     partition = pair.final_levels
-    mg: MinGapResult = min_gap(swp)
+    mg: MinGapResult = min_gap(series.sweep)
 
     warnings: list[str] = []
     ground_degenerate = partition.unique_ground_index is None
@@ -660,7 +657,7 @@ def build_report(
     elif not 0.0 < mg.s_star < 1.0:
         warnings.append(f"gap minimum at the boundary s={mg.s_star}; no anti-crossing analysis")
     else:
-        point = compute_overlaps(swp).at(mg.s_star)
+        point = series.at(mg.s_star)
         try:
             wilk = wilkinson_fit(point)
         except ValueError as err:
@@ -684,14 +681,15 @@ def build_report(
             if not ground_degenerate:
                 solution_derivative = solution_derivative_residuals(point)
 
+    delta_min = point.delta if point is not None else mg.delta_min
     report = AntiCrossingReport(
-        s_star=mg.s_star, delta_min=mg.delta_min,
+        s_star=mg.s_star, delta_min=delta_min,
         beta=rotation.beta if rotation is not None else None,
         ground_degenerate=ground_degenerate,
         degenerate_at_end=mg.degenerate_at_end, all_degenerate=mg.all_degenerate,
         wilkinson=wilk, choi=choi, solution_swap=solution_swap,
         gap_decomposition_residual=decomp_residual,
-        epsilon_bound_margin=_epsilon_margin(choi, mg.delta_min, partition),
+        epsilon_bound_margin=_epsilon_margin(choi, delta_min, partition),
         rotation=rotation, solution_derivative=solution_derivative, warnings=tuple(warnings),
     )
-    return report, swp, point
+    return report, series, point

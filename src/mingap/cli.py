@@ -13,7 +13,8 @@ Instance files are JSON documents with keys ``n``, ``k``, ``alpha``,
 
 CSV details are pinned for reproducibility: comma separator, header row,
 LF line endings, 17 significant digits.  Exit codes: 0 ok, 1 check
-failure, 2 usage or I/O error (with a JSON error object on stderr).
+failure, 2 usage or I/O error, an instance past the basis caps among them
+(with a JSON error object on stderr).
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from . import __version__
 from .anticrossing import (
     AntiCrossingPoint,
     AntiCrossingReport,
+    OverlapSeries,
     build_report,
     min_gap_bounds,
 )
+from .basis import CapacityError
 from .clique import CliqueInstance, brute_force, toy_example_1, toy_example_2
 from .hamiltonian import HamiltonianPair, ProblemGraph, clique_pair
 from .spectral import (
@@ -252,30 +255,29 @@ def identity_checks(pair: HamiltonianPair, decompositions) -> list[dict]:
 def derivative_checks(pair: HamiltonianPair, points) -> list[dict]:
     """Perturbation-theory derivatives of the ground level at every s of
     ``points`` against finite differences of one-level solves at s +- h
-    (one ``_eigensolve`` call per pair).  Each point is decomposed in full
-    once, since the perturbation sums read every level, and the second
-    differences read E0 at s from it.  First derivatives take central differences with
-    h=1e-5 (the vectors sign-aligned with the one at s).  The second
+    (one ``_eigensolve`` call for the six neighbours of a point).  Each
+    point is decomposed in full once, since the perturbation sums read
+    every level, and the second differences read E0 at s from it.  First
+    derivatives take central differences with h=1e-5 (the vectors
+    sign-aligned with the one at s).  The second
     derivative takes the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of
     second central differences D with h=1e-3, whose truncation error is
     O(h^4): near a higher anti-crossing E0'' reaches tens (-34 at one
     d=252 sample), where D(1e-4) alone is off by 1.5e-5."""
     h = 1e-5
+    offsets = np.array([h, -h, 1e-3, -1e-3, 5e-4, -5e-4])
     worst1 = worst2 = worstv = 0.0
     for s in points:
         dec = decompose_interpolated(pair, s)
-        (wp, wm), (vp, vm) = _eigensolve(pair, s + np.array([h, -h]), 1)
+        w, v = _eigensolve(pair, s + offsets, 1)
         reference = dec[1][:, :1]
-        vp, vm = _align_signs(reference, vp), _align_signs(reference, vm)
+        vp, vm = _align_signs(reference, v[0]), _align_signs(reference, v[1])
         d1 = eigenvalue_derivative(pair, s, 0, decomposition=dec)
-        worst1 = max(worst1, abs(d1 - (wp[0] - wm[0]) / (2 * h)))
+        worst1 = max(worst1, abs(d1 - (w[0, 0] - w[1, 0]) / (2 * h)))
         dv = eigenvector_derivative(pair, s, 0, decomposition=dec)
         worstv = max(worstv, float(np.linalg.norm(dv - (vp[:, 0] - vm[:, 0]) / (2 * h))))
         e0 = float(dec[0][0])
-        wide, narrow = (
-            (float(np.sum(_eigensolve(pair, s + np.array([k, -k]), 1)[0])) - 2 * e0) / k**2
-            for k in (1e-3, 5e-4)
-        )
+        wide, narrow = ((float(np.sum(w[j:j + 2])) - 2 * e0) / offsets[j] ** 2 for j in (2, 4))
         d2 = eigenvalue_second_derivative(pair, s, 0, decomposition=dec)
         worst2 = max(worst2, abs(d2 - (4 * narrow - wide) / 3))
     return [
@@ -294,6 +296,7 @@ class _Run:
     graph: ProblemGraph
     pair: HamiltonianPair
     report: AntiCrossingReport
+    series: OverlapSeries
     point: AntiCrossingPoint | None
     checks: tuple[str, ...]
 
@@ -305,7 +308,7 @@ class _Run:
         without one).  Each point is decomposed in full once and dropped
         before the next is solved, so one d x d decomposition is held at a
         time rather than 21."""
-        gs = None if self.point is None else self.pair.final_levels.unique_ground_index
+        gs = self.pair.final_levels.unique_ground_index
         deviation = 0.0
 
         def points():
@@ -336,9 +339,7 @@ def _encoding_checks(run: _Run) -> list[dict]:
 
 
 def _normalization_checks(run: _Run) -> list[dict]:
-    if run.point is None:
-        return [_check("normalization", "skip", detail="; ".join(run.report.warnings))]
-    series = run.point.series
+    series = run.series
     dev = max(
         float(np.max(np.abs(series.in_ground.sum(axis=1) - 1.0))),
         float(np.max(np.abs(series.in_excited.sum(axis=1) - 1.0))),
@@ -425,8 +426,8 @@ CHECK_NAMES = tuple(CHECKS)
 
 def _verify_one(graph: ProblemGraph, mixer: str, cfg: RunConfig) -> list[dict]:
     pair = clique_pair(graph, mixer)
-    report, _, point = build_report(pair, grid_points=cfg.grid_points)
-    run = _Run(graph, pair, report, point, cfg.checks)
+    report, series, point = build_report(pair, grid_points=cfg.grid_points)
+    run = _Run(graph, pair, report, series, point, cfg.checks)
     results = [c for name, group in CHECKS.items() if name in cfg.checks for c in group(run)]
     # the two swap measurements follow whatever groups ran
     for name, swap in (("choi_measurement", report.choi),
@@ -507,19 +508,17 @@ def scan(instance, fixture, alpha_text, grid_points, levels, out_dir):
         base.mkdir(parents=True, exist_ok=True)
         for token, alpha in cfg.alphas:
             pair = clique_pair(_with_alpha(graph, alpha), mixer)
-            report, swp, point = build_report(pair, grid_points=cfg.grid_points, levels=cfg.levels)
+            report, series, _ = build_report(pair, grid_points=cfg.grid_points, levels=cfg.levels)
             adir = base / f"alpha_{token}"
             adir.mkdir(parents=True, exist_ok=True)
-            m = min(cfg.levels, pair.dim)
+            swp, m = series.sweep, min(cfg.levels, pair.dim)
             _write_levels(adir / "energies.csv", "E", swp.grid, swp.energies, m)
             _write_csv(adir / "gap.csv", ["s", "delta"], [swp.grid, swp.gaps()])
-            if point is not None:
-                series = point.series
-                la = min(cfg.levels, pair.final_levels.level_count)
-                _write_levels(adir / "overlaps_a.csv", "a", series.grid, series.in_ground, la)
-                _write_levels(adir / "overlaps_b.csv", "b", series.grid, series.in_excited, la)
-                if series.solution is not None:
-                    _write_levels(adir / "overlaps_g.csv", "g", series.grid, series.solution, m)
+            la = min(cfg.levels, pair.final_levels.level_count)
+            _write_levels(adir / "overlaps_a.csv", "a", swp.grid, series.in_ground, la)
+            _write_levels(adir / "overlaps_b.csv", "b", swp.grid, series.in_excited, la)
+            if series.solution is not None:
+                _write_levels(adir / "overlaps_g.csv", "g", swp.grid, series.solution, m)
             payload = {
                 "version": __version__,
                 "config": {**cfg.to_dict(), "alpha": token},
@@ -532,6 +531,8 @@ def scan(instance, fixture, alpha_text, grid_points, levels, out_dir):
                 click.echo(str(adir / name))
     except AppError as err:
         raise _fail(err) from err
+    except CapacityError as err:  # from the first alpha's pair, before its directory is made
+        raise _fail(AppError(f"instance past the basis caps: {err}", kind="io")) from err
     except OSError as err:  # the instance file maps its own; what is left is the output
         raise _fail(AppError(f"cannot write output to {out_dir}: {err}", kind="io")) from err
 
@@ -558,6 +559,8 @@ def verify(instance, fixture, alpha_text, grid_points, checks_text):
         raise SystemExit(1 if failed else 0)
     except AppError as err:
         raise _fail(err) from err
+    except CapacityError as err:
+        raise _fail(AppError(f"instance past the basis caps: {err}", kind="io")) from err
 
 
 @main.command()

@@ -358,7 +358,7 @@ class SpectralSweep:
     ordering inside near-degenerate clusters are fixed by maximal overlap
     with the previous grid point, so overlap curves are continuous; the
     energies ascend from cluster to cluster but not inside a degenerate
-    cluster, where they follow the gauge (``lowest`` orders them by
+    cluster, where they follow the gauge (``gaps`` reads them by
     value).  Inside a degenerate cluster that level m cuts, the gauge is
     arbitrary.  It is threaded in one pass over the stacked solves
     (``_thread_gauge``).
@@ -375,14 +375,6 @@ class SpectralSweep:
         point, (T, 2).  A stable sort, so the gauge order stands where it
         is already ascending."""
         return np.argsort(self.energies, axis=1, kind="stable")[:, :2]
-
-    def lowest(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two lowest levels by value at every grid point: energies
-        (T, 2), ascending, and the matching vectors (T, d, 2)."""
-        return (
-            np.take_along_axis(self.energies, self._by_value, axis=1),
-            np.take_along_axis(self.vectors, self._by_value[:, None, :], axis=2),
-        )
 
     def gaps(self) -> np.ndarray:
         """E_1(s) - E_0(s) on the grid, of the two lowest levels by value."""

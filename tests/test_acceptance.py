@@ -239,7 +239,7 @@ def test_criterion_6_epsilon_bound_margins(bundles):
     failures = []
 
     b = bundles("toy1", 0.0)
-    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    report, _, _ = build_report(b.pair)
     if not (report.choi.satisfied and report.epsilon_bound_margin >= 0):
         failures.append(("toy1", 0.0, report.epsilon_bound_margin))
 

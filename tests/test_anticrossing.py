@@ -202,6 +202,79 @@ def test_overlap_series_is_the_families_of_its_sweep_on_random_instances(
     assert series.in_ground is series.in_ground and series.in_excited is series.in_excited
 
 
+def assert_report_series_is_its_sweeps(pair, grid_points=51):
+    """``build_report`` hands out the overlap series of the sweep it
+    searched, for every outcome, and the point at s* on that series."""
+    searched = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anticrossing, "min_gap", lambda swp: searched.append(swp) or min_gap(swp))
+        report, series, point = build_report(pair, grid_points=grid_points)
+    assert series.sweep is searched[0]
+    assert np.array_equal(series.grid, np.linspace(0.0, 1.0, grid_points))
+    interior = not (report.all_degenerate or report.degenerate_at_end) and 0 < report.s_star < 1
+    assert (point is not None) == interior
+    if point is not None:
+        assert point.series is series and point.s == report.s_star
+        assert report.delta_min == point.delta
+    in_ground, in_excited, solution = anticrossing._overlap_families(
+        series.sweep.vectors, pair.final_levels
+    )
+    assert np.array_equal(series.in_ground, in_ground)
+    assert np.array_equal(series.in_excited, in_excited)
+    if solution is None:
+        assert series.solution is None
+    else:
+        assert np.array_equal(series.solution, solution)
+    return report
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    nk=st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    seed=st.integers(0, 2**32 - 1),
+    # alpha 0 and 1e-10 draw degenerate final ground levels, and with them
+    # gap minima at s=1
+    alpha=st.sampled_from([0.0, 1e-10, 0.3, 0.6666666666666666]),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+)
+@example(nk=(6, 2), seed=0, alpha=0.0, mixer="swap_chain")
+def test_report_series_is_its_sweeps_on_random_instances(nk, seed, alpha, mixer):
+    n, k = nk
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    assert_report_series_is_its_sweeps(pair)
+
+
+def _gap_smallest_at_zero():
+    """A two-level pair whose gap grows from s=0 on:
+    Delta(s)^2 = (2 + 8 s)^2 + 4 (1 - s)^2."""
+    basis = enumerate_basis(1)
+    h0 = np.array([[-1.0, -1.0], [-1.0, 1.0]])
+    return HamiltonianPair(basis=basis, h0=h0, h1_diag=build_diagonal_target([0.0, 10.0], basis))
+
+
+def _two_uncoupled_copies():
+    """Two copies of one chain with one target, unlinked: every level is
+    doubly degenerate at every s."""
+    basis = enumerate_basis(4, 2)
+    h0 = np.kron(np.eye(2), -(np.eye(3, k=1) + np.eye(3, k=-1)))
+    return HamiltonianPair(
+        basis=basis, h0=h0, h1_diag=build_diagonal_target([0.0, 1.0, 2.0] * 2, basis)
+    )
+
+
+@pytest.mark.parametrize("build, outcome", [
+    (lambda: clique_pair(toy_example_1(0.5).graph), "interior"),
+    (_gap_smallest_at_zero, "boundary"),
+    (lambda: clique_pair(toy_example_1(Fraction(2, 3)).graph), "degenerate_at_end"),
+    (_two_uncoupled_copies, "all_degenerate"),
+], ids=["interior", "boundary", "degenerate_at_end", "all_degenerate"])
+def test_report_series_is_its_sweeps_for_every_outcome(build, outcome):
+    report = assert_report_series_is_its_sweeps(build())
+    assert report.all_degenerate == (outcome == "all_degenerate")
+    assert report.degenerate_at_end == (outcome == "degenerate_at_end")
+    assert any("at the boundary" in w for w in report.warnings) == (outcome == "boundary")
+
+
 # ---------------------------------------------------------------------------
 # hyperbola fit
 
@@ -551,7 +624,7 @@ def test_gap_decomposition_two_level():
 
 def test_epsilon_bound_margin_on_fixture(bundles):
     b = bundles("toy1", 0.0)
-    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    report, _, _ = build_report(b.pair)
     assert report.choi.satisfied
     margin = report.epsilon_bound_margin
     assert margin is not None and margin >= 0
@@ -561,7 +634,7 @@ def test_epsilon_bound_margin_on_fixture(bundles):
 
 def test_epsilon_bound_not_applicable(bundles):
     b = bundles("toy1", 0.5)
-    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    report, _, _ = build_report(b.pair)
     assert not report.choi.satisfied
     assert report.epsilon_bound_margin is None
 
@@ -740,7 +813,7 @@ def report_peak_matrices(n: int, k: int) -> float:
     pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)
     tracemalloc.start()
     try:
-        _, swp, _ = build_report(pair, grid_points=201)
+        swp = build_report(pair, grid_points=201)[1].sweep
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -841,7 +914,7 @@ def test_report_names_a_coupling_at_round_off_as_the_skip_cause():
 
 def test_report_json_round_trip(bundles):
     b = bundles("toy1", 0.5)
-    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    report, _, _ = build_report(b.pair)
     payload = json.dumps(report.to_dict(), sort_keys=True)
     parsed = json.loads(payload)
     assert parsed["s_star"] == report.s_star
@@ -851,16 +924,22 @@ def test_report_json_round_trip(bundles):
 
 
 def test_report_decomposes_s_star_once(bundles, monkeypatch):
-    b = bundles("toy1", 0.0)  # the sweep is built before the solvers are recorded
+    b = bundles("toy1", 0.0)
     solves = []
-    eigh = scipy.linalg.eigh
+    eigh, sweep = scipy.linalg.eigh, anticrossing.spectral_sweep
 
     def recording(a, *args, **kwargs):
         solves.append((np.array(a, copy=True), kwargs.get("subset_by_index")))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recording)
-    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    def sweep_then_record(*args, **kwargs):
+        # the solvers are recorded from the end of the report's sweep on
+        swp = sweep(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        return swp
+
+    monkeypatch.setattr(anticrossing, "spectral_sweep", sweep_then_record)
+    report, _, _ = build_report(b.pair)
     h_star = interpolate(b.pair, report.s_star)
     # one full decomposition, at s*; every other solve is of two levels
     full = [h for h, subset in solves if subset is None]
@@ -893,7 +972,7 @@ def test_a_point_is_solved_once(bundles, monkeypatch):
     assert len(calls) == 1
     assert sd.beta == rot.beta
     # the point a report hands out sits at its s*
-    report, _, returned = build_report(b.pair, precomputed_sweep=b.sweep)
+    report, _, returned = build_report(b.pair)
     assert isinstance(returned, AntiCrossingPoint) and returned.s == report.s_star
     del calls[:]
     assert rotation_residuals(returned) == report.rotation
@@ -912,11 +991,24 @@ def test_report_brackets_the_gap_minimum_on_its_sweep(bundles, monkeypatch):
 
     original = spectral._probe
     monkeypatch.setattr(spectral, "_probe", counting)
-    report, _, _ = build_report(b.pair, precomputed_sweep=b.sweep)
+    report, _, _ = build_report(b.pair)
     # the branch-and-bound from the sweep's grid and its closing vertex
     # probe; no scan (a golden section over the grid's cells made 38)
     assert 0 < len(calls) <= 15
     assert report.s_star == pytest.approx(b.mg.s_star, abs=1e-7)
+
+
+@pytest.mark.parametrize("pairs, grid_points", [
+    # the alpha ladder of the benchmark's toy workload: at 0.6666 toy1's
+    # search reads 1.006750e-12 and the full solve at s* 1.006972e-12
+    (lambda: [clique_pair(builder(alpha).graph) for builder in (toy_example_1, toy_example_2)
+              for alpha in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.63, 0.66, 0.6666, 0.66666)], 1001),
+    (lambda: [clique_pair(random_instance(11, 5, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph)], 201),
+], ids=["toy-ladder", "d462"])
+def test_report_states_the_gap_its_point_read(pairs, grid_points):
+    for pair in pairs():
+        report, _, point = build_report(pair, grid_points=grid_points)
+        assert report.delta_min == point.delta
 
 
 @pytest.mark.parametrize("grid_points", [51, 201])
@@ -924,8 +1016,8 @@ def test_report_finds_a_minimum_narrower_than_its_grid(grid_points):
     # the smallest grid gap sits at s=1; the anti-crossing is far narrower
     # than the grid spacing, and only the gap slope changes sign around it
     pair = clique_pair(toy_example_2(0.66666).graph)
-    report, swp, _ = build_report(pair, grid_points=grid_points)
-    assert np.argmin(swp.gaps()) == grid_points - 1
+    report, series, _ = build_report(pair, grid_points=grid_points)
+    assert np.argmin(series.sweep.gaps()) == grid_points - 1
     assert report.s_star == pytest.approx(min_gap_of(pair).s_star, abs=1e-6)
 
 
@@ -943,7 +1035,7 @@ def test_report_refines_a_minimum_inside_the_last_cell(seed, alpha):
 @pytest.mark.parametrize("name, alpha", [("toy1", 0.0), ("toy1", 0.5), ("toy2", 0.2)])
 def test_report_matches_standalone_measurements(bundles, name, alpha):
     b = bundles(name, alpha)
-    report, _, returned = build_report(b.pair, precomputed_sweep=b.sweep)
+    report, _, returned = build_report(b.pair)
     point = returned.series.at(report.s_star)  # solved afresh, not the report's cached point
     assert report.wilkinson == wilkinson_fit(point)
     assert report.choi == measure_choi(point)

@@ -122,7 +122,10 @@ def test_scan_multiple_alphas(runner, tmp_path):
     assert (out / "alpha_0").is_dir() and (out / "alpha_0.5").is_dir()
 
 
-def test_scan_degenerate_alpha_omits_overlaps(runner, tmp_path):
+def test_scan_degenerate_alpha_writes_overlaps_but_no_solution_series(runner, tmp_path):
+    # the final ground level is doubly degenerate: the gap minimum sits at
+    # s=1, where no anti-crossing is measured, but the grid's overlap
+    # series is there all the same
     out = tmp_path / "degen"
     result = runner.invoke(
         main,
@@ -132,10 +135,17 @@ def test_scan_degenerate_alpha_omits_overlaps(runner, tmp_path):
     assert result.exit_code == 0
     adir = out / "alpha_0.6666666666666666"
     names = {p.name for p in adir.iterdir()}
-    assert names == {"energies.csv", "gap.csv", "report.json"}
+    assert names == {"energies.csv", "gap.csv", "overlaps_a.csv", "overlaps_b.csv", "report.json"}
     report = json.loads((adir / "report.json").read_text())
     assert report["report"]["ground_degenerate"] is True
     assert report["report"]["degenerate_at_end"] is True
+    pair = clique_pair(toy_example_1(0.6666666666666666).graph)
+    _, series, point = anticrossing.build_report(pair, grid_points=101, levels=6)
+    assert point is None
+    for name, family in (("overlaps_a.csv", series.in_ground), ("overlaps_b.csv", series.in_excited)):
+        table = np.loadtxt(adir / name, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], series.grid)
+        assert np.array_equal(table[:, 1:], family)
 
 
 def test_verify_passes_on_fixture(runner):
@@ -304,10 +314,14 @@ def test_verify_degenerate_skips_solution_checks(runner):
     assert result.exit_code == 0, result.output
     summary = json.loads(result.output)
     checks = {c["name"]: c for c in summary["runs"][0]["checks"]}
-    assert checks["normalization"]["status"] == "skip"
+    # the series of the grid is normalized whatever the minimum; only the
+    # solution state's weights are missing
+    assert checks["normalization"]["status"] == "pass"
+    assert checks["normalization"]["value"] <= 1e-10
+    assert checks["consistency"]["status"] == "skip"
+    assert "degenerate final ground state" in checks["consistency"]["detail"]
     assert checks["solution_derivative"]["status"] == "skip"
-    assert "degenerate" in checks["solution_derivative"]["detail"] or \
-        "degenerate" in checks["normalization"]["detail"]
+    assert "degenerate" in checks["solution_derivative"]["detail"]
 
 
 @pytest.mark.parametrize("fixture, alpha", [("toy1", "0.66666"), ("toy2", "0.6666"),
@@ -395,6 +409,20 @@ def test_scan_into_an_existing_file_is_an_io_error(runner, tmp_path):
     error = json.loads(result.stderr)
     assert error["kind"] == "io" and str(taken) in error["error"]
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["scan", "verify"])
+def test_instance_past_the_basis_caps_is_an_io_error(runner, tmp_path, command):
+    # C(21, 10) states under a swap mixer: the weight mode caps n at 20
+    doc = {"n": 21, "k": 10, "alpha": 0.5, "weights": [1.0] * 21, "edges": [[1, 2]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "out")] if command == "scan" else []
+    result = runner.invoke(main, [command, "--instance", str(path), *out])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)
+    assert error["kind"] == "io" and "capped at n=20" in error["error"]
+    assert not list(tmp_path.glob("out/alpha_*"))
 
 
 def test_instance_file_errors(runner, tmp_path):

@@ -201,14 +201,11 @@ def test_sweep_gap_positive_before_end(bundles):
 
 def test_sweep_lowest_levels_and_gaps_go_by_value():
     # the gauge may order the levels of a degenerate cluster against their
-    # values; lowest() and gaps() read them in value order
+    # values; gaps() reads them in value order
     pair = clique_pair(toy_example_1(0.5).graph)
     swp = sweep(pair, np.linspace(0.0, 1.0, 3), levels=3)
     swap = [1, 0, 2]
     swapped = replace(swp, energies=swp.energies[:, swap], vectors=swp.vectors[:, :, swap])
-    energies, vectors = swapped.lowest()
-    assert np.array_equal(energies, swp.energies[:, :2])
-    assert np.array_equal(vectors, swp.vectors[:, :, :2])
     assert np.array_equal(swapped.gaps(), swp.gaps())
     assert np.all(swp.gaps() >= 0)
 
@@ -402,7 +399,8 @@ def test_default_report_sweeps_two_levels_and_decomposes_fully_once(monkeypatch)
     for module in (spectral, anticrossing):
         monkeypatch.setattr(module, "_eigensolve", counting)
     pair = clique_pair(toy_example_1(0.5).graph)
-    report, swp, point = build_report(pair, grid_points=201)
+    report, series, point = build_report(pair, grid_points=201)
+    swp = series.sweep
     assert report.rotation is not None and report.solution_derivative is not None
     assert swp.vectors.shape == (201, pair.dim, 2)
     assert point.series.solution.shape == (201, 2)
@@ -1156,8 +1154,8 @@ def test_every_spectrum_comes_from_one_function(monkeypatch):
 
         monkeypatch.setattr(module, name, recording)
     for pair, grid in ((clique_pair(toy_example_1(0.5).graph), 1001), (_above_the_cut(), 101)):
-        _, swp, point = build_report(pair, grid_points=grid)
-        min_gap(swp)
+        _, series, point = build_report(pair, grid_points=grid)
+        min_gap(series.sweep)
         wilkinson_fit(point)
     min_gap_of(clique_pair(toy_example_1(0.5).graph))
     build_report(clique_pair(toy_example_2(0.2).graph), grid_points=201, levels=6)
