@@ -40,6 +40,10 @@ from .spectral import (
 )
 
 
+# Final levels of one member per gather of ``_overlap_families``.
+_GATHER_LEVELS = 64
+
+
 class StationarityError(ValueError):
     """The supplied point is not a stationary point of the gap."""
 
@@ -117,12 +121,22 @@ def _overlap_families(vectors: np.ndarray, partition: FinalLevelPartition):
     """(in_ground, in_excited, solution) of the eigenvectors ``vectors`` at
     one point (d, m) or on a grid (T, d, m): the weight of each final level
     of ``partition`` in columns 0 and 1, and that of the solution state in
-    every column (None when the final ground level is degenerate)."""
+    every column (None when the final ground level is degenerate).  The
+    levels of one member are gathered ``_GATHER_LEVELS`` at a time (the sum
+    of one weight is that weight), so the gathered copy stays small beside
+    the families; each larger level takes its own sum."""
     in_ground, in_excited = np.empty((2, *vectors.shape[:-2], partition.level_count))
+    single = [l for l, members in enumerate(partition.members) if len(members) == 1]
+    for b in range(0, len(single), _GATHER_LEVELS):
+        levels = single[b : b + _GATHER_LEVELS]
+        states = [partition.members[l][0] for l in levels]
+        in_ground[..., levels] = vectors[..., states, 0] ** 2
+        in_excited[..., levels] = vectors[..., states, 1] ** 2
     for l, members in enumerate(partition.members):
-        sel = list(members)
-        in_ground[..., l] = np.sum(vectors[..., sel, 0] ** 2, axis=-1)
-        in_excited[..., l] = np.sum(vectors[..., sel, 1] ** 2, axis=-1)
+        if len(members) > 1:
+            sel = list(members)
+            in_ground[..., l] = np.sum(vectors[..., sel, 0] ** 2, axis=-1)
+            in_excited[..., l] = np.sum(vectors[..., sel, 1] ** 2, axis=-1)
     gs = partition.unique_ground_index
     return in_ground, in_excited, vectors[..., gs, :] ** 2 if gs is not None else None
 

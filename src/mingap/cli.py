@@ -505,9 +505,10 @@ def scan(instance, fixture, alpha_text, grid_points, levels, out_dir):
             instance, fixture, alpha_text, grid_points, levels=levels, out_dir=str(out_dir),
         )
         base = Path(cfg.out_dir)
-        base.mkdir(parents=True, exist_ok=True)
         for token, alpha in cfg.alphas:
             pair = clique_pair(_with_alpha(graph, alpha), mixer)
+            # made once the pair is past the basis caps, before its report
+            base.mkdir(parents=True, exist_ok=True)
             report, series, _ = build_report(pair, grid_points=cfg.grid_points, levels=cfg.levels)
             adir = base / f"alpha_{token}"
             adir.mkdir(parents=True, exist_ok=True)
@@ -531,7 +532,7 @@ def scan(instance, fixture, alpha_text, grid_points, levels, out_dir):
                 click.echo(str(adir / name))
     except AppError as err:
         raise _fail(err) from err
-    except CapacityError as err:  # from the first alpha's pair, before its directory is made
+    except CapacityError as err:  # from the first alpha's pair, before any directory is made
         raise _fail(AppError(f"instance past the basis caps: {err}", kind="io")) from err
     except OSError as err:  # the instance file maps its own; what is left is the output
         raise _fail(AppError(f"cannot write output to {out_dir}: {err}", kind="io")) from err

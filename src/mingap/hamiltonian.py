@@ -90,8 +90,9 @@ class ProblemGraph:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "alpha", alpha)
 
-    @property
+    @cached_property
     def edge_set(self) -> frozenset[frozenset[int]]:
+        """The edges as a set of node pairs, built on first use and kept."""
         return frozenset(frozenset(e) for e in self.edges)
 
 
@@ -155,9 +156,14 @@ class HamiltonianPair:
         """``h0`` in its CSR form, and ``h1_diag`` spread over the same
         entries, so that H(s) is one linear combination of two data arrays
         (``interpolate_csr``).  Built on first use and kept on the pair."""
-        h0 = vars(self)["h0"]
-        rows = np.repeat(np.arange(self.dim), np.diff(h0.indptr))
+        h0, rows = vars(self)["h0"], self._csr_rows
         return h0, np.where(rows == h0.indices, self.h1_diag[rows], 0.0)
+
+    @cached_property
+    def _csr_rows(self) -> np.ndarray:
+        """The row of every stored entry of ``csr_terms[0]``, in its order:
+        with its ``indices``, the COO coordinates of the entries."""
+        return np.repeat(np.arange(self.dim), np.diff(vars(self)["h0"].indptr))
 
     @cached_property
     def mixer_connected(self) -> bool:
@@ -199,15 +205,22 @@ class FinalLevelPartition:
 def partition_final_levels(pair: HamiltonianPair) -> FinalLevelPartition:
     """Single-linkage clustering of the target energies: a new level starts
     wherever consecutive sorted energies are more than
-    ``degeneracy_tolerance`` apart."""
+    ``degeneracy_tolerance`` apart.  A level's energy is the mean of its
+    members' energies.  The levels of one member are read in one gather
+    (the mean of one energy is that energy); each larger level takes its
+    own mean."""
     values = pair.h1_diag
     tol = degeneracy_tolerance(values)
     order = np.argsort(values, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(values[order]) > tol) + 1)
-    return FinalLevelPartition(
-        energies=tuple(float(np.mean(values[g])) for g in groups),
-        members=tuple(tuple(np.sort(g).tolist()) for g in groups),
-    )
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(values[order]) > tol) + 1])
+    first = order[starts]
+    energies, members = values[first].tolist(), [(i,) for i in first.tolist()]
+    bounds = np.append(starts, len(order))
+    for l in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        group = order[bounds[l] : bounds[l + 1]]
+        energies[l] = float(np.mean(values[group]))
+        members[l] = tuple(np.sort(group).tolist())
+    return FinalLevelPartition(energies=tuple(energies), members=tuple(members))
 
 
 def build_transverse_field(n: int) -> np.ndarray:
@@ -290,9 +303,9 @@ def interpolate(pair: HamiltonianPair, s) -> np.ndarray:
     if not np.all((0.0 <= ss) & (ss <= 1.0)):
         raise ValueError(f"s must lie in [0, 1], got {s}")
     d = pair.dim
-    h0 = pair.csr_terms[0].tocoo()
+    h0 = pair.csr_terms[0]
     h = np.zeros((*ss.shape, d, d))
-    h[..., h0.row, h0.col] = np.multiply.outer(1.0 - ss, h0.data)
+    h[..., pair._csr_rows, h0.indices] = np.multiply.outer(1.0 - ss, h0.data)
     h.reshape(*ss.shape, -1)[..., :: d + 1] += np.multiply.outer(ss, pair.h1_diag)
     return h
 

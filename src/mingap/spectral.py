@@ -7,7 +7,8 @@ or without vectors, so they are the same bits, and ARPACK computes the
 vectors anyway.  The route rule, which the solver docstrings point to:
 
 * Lanczos (ARPACK ``eigsh`` from a fixed seeded start vector, to machine
-  precision) on the CSR form of H(s), for the lowest one or two levels
+  precision) on the CSR form of H(s), each of its steps a call of SciPy's
+  CSR kernel (``_csr_operator``), for the lowest one or two levels
   where the caller has no reason to expect E1 - E0 at the round-off of
   H(s): at a point of a sweep's grid, laid out before any gap was read,
   and at a point placed after a gap minimum above ``resolution_floor``
@@ -89,22 +90,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from .hamiltonian import (
-    DEGENERACY_RTOL,
-    HamiltonianPair,
-    degeneracy_tolerance,
-    interpolate,
-    interpolate_csr,
-)
+from .hamiltonian import DEGENERACY_RTOL, HamiltonianPair, degeneracy_tolerance, interpolate
 
 # Ratio identities skip components with magnitude at or below this.
 COMPONENT_GUARD = 1e-12
 # Dimension from which a one- or two-level solve of H(s) runs Lanczos.  The
-# measured crossover lies between d=252 (dense MRRR 2.4 ms per solve, ARPACK
-# 2.6-4.2 ms) and d=330 (4.4-5.2 ms against 2.6-4.6 ms); at d=462 it is
-# 9.9-12 ms against 2.6-4.4 ms (one OpenBLAS thread, 2 cores, OpenBLAS
-# 0.3.31).
+# measured crossover lies between d=252 (two-level dense MRRR 1.53-1.60 ms
+# per solve, ARPACK 1.57-1.69 ms) and d=330 (2.67-2.79 ms against
+# 1.60-1.70 ms); at d=462 it is 5.3-6.1 ms against 1.5-1.8 ms (mean over
+# a 200-point grid, range of three passes in each of three processes at
+# d=462; one OpenBLAS thread, 2 cores, OpenBLAS 0.3.31).
 LANCZOS_MIN_DIM = 300
 # Seed of the Lanczos start vector.  Fixed, so that a solve is a pure
 # function of H(s) and repeated runs are byte-identical.
@@ -115,15 +112,15 @@ _LANCZOS_SEED = 0
 # few dense ones.
 _LANCZOS_MAXITER = 100
 # Dimension from which a solve of H(s) keeps the caller's OpenBLAS thread
-# count; below it every solve of the pair runs on one thread.  A second
-# thread shortens no ARPACK solve (d=462: 4.6 ms of wall time and 9.2 ms of
-# CPU on two threads, 2.6 ms of both on one) and no dense one below a
-# crossover between d=462 and d=495.  A two-level MRRR solve takes, on two
-# threads against one, 10.1 against 9.9 ms at d=462, 12.0 against 12.0 ms
-# at d=495, 23.9 against 28.2 ms at d=715 and 39.9 against 69.5 ms at d=924;
-# a full one 37.5 against 38.1 ms at d=462 (each setting in its own
-# process, 2 cores, OpenBLAS 0.3.31).  On one thread a solve's bits no
-# longer depend on the caller's thread count either.
+# count; below it every solve of the pair runs on one thread.  There a
+# second thread doubles a solve's CPU time and saves little wall time: at
+# d=462 a two-level ARPACK solve takes 1.4-1.6 ms of wall time and
+# 2.9-3.2 ms of CPU on two threads, 1.5-1.8 ms of both on one, and a
+# two-level dense MRRR solve 4.5-5.1 ms and 8.9-10.2 ms against 5.3-6.1 ms.
+# Above the cut the dense solves gain more: 16.0-19.0 against 22.4-28.1 ms
+# of wall time at d=715 and 30.7-35.7 against 54.8-59.4 ms at d=924 (each
+# setting in its own process, 2 cores, OpenBLAS 0.3.31).  On one thread a
+# solve's bits no longer depend on the caller's thread count either.
 _BLAS_THREADS_MIN_DIM = 470
 # Dimension below which a solve of more than two but fewer than all levels
 # is NumPy's eigh of every level.  Per grid point on one
@@ -273,19 +270,47 @@ def _syevd(pair: HamiltonianPair, s, levels: int):
     return w[..., :levels], v[..., :levels]
 
 
+@functools.cache
+def _lanczos_start(d: int) -> np.ndarray:
+    """The seeded start vector of every Lanczos solve at dimension ``d``,
+    drawn once and read-only (ARPACK copies it into its workspace)."""
+    start = np.random.default_rng(_LANCZOS_SEED).uniform(-1.0, 1.0, d)
+    start.flags.writeable = False
+    return start
+
+
+def _csr_operator(pair: HamiltonianPair, s: float) -> scipy.sparse.linalg.LinearOperator:
+    """H(s) as the operator ARPACK steps through: its ``matvec`` is SciPy's
+    CSR kernel, the one ``interpolate_csr(pair, s) @ x`` ends in, on the
+    index arrays of ``pair.csr_terms`` and the data array that
+    ``interpolate_csr`` forms, with the same bits.  No ``csr_array`` is
+    built and no step goes through the sparse dispatch."""
+    h0, h1 = pair.csr_terms
+    d, indptr, indices = pair.dim, h0.indptr, h0.indices
+    data = (1.0 - s) * h0.data + s * h1
+
+    def product(x):
+        y = np.zeros(d)
+        _csr_matvec(d, d, indptr, indices, data, x, y)
+        return y
+
+    op = scipy.sparse.linalg.LinearOperator((d, d), matvec=product, dtype=np.float64)
+    # ARPACK passes a contiguous length-d float64 slice of its workspace, so
+    # the shape check of LinearOperator.matvec is vacuous and is skipped
+    op.matvec = product
+    return op
+
+
 def _lanczos(pair: HamiltonianPair, s: float, levels: int):
     """The lowest ``levels`` eigenpairs of H(s) by implicitly restarted
-    Lanczos (ARPACK) on its CSR form, the sparse route of the module
-    docstring, converged to machine precision from a fixed start vector;
-    returned as by ``_mrrr``.  Raises ``scipy.sparse.linalg.ArpackError``
-    (no convergence within ``_LANCZOS_MAXITER`` restarts among them)."""
-    start = np.random.default_rng(_LANCZOS_SEED).uniform(-1.0, 1.0, pair.dim)
-    h = interpolate_csr(pair, s)
-    # ARPACK reads H only through products with one vector; a bare matvec
-    # skips the column-matrix product a wrapped sparse matrix goes through
-    op = scipy.sparse.linalg.LinearOperator(h.shape, matvec=h.__matmul__, dtype=h.dtype)
+    Lanczos (ARPACK) on its CSR form (``_csr_operator``), the sparse route
+    of the module docstring, converged to machine precision from a fixed
+    start vector; returned as by ``_mrrr``.  Raises
+    ``scipy.sparse.linalg.ArpackError`` (no convergence within
+    ``_LANCZOS_MAXITER`` restarts among them)."""
     w, v = scipy.sparse.linalg.eigsh(
-        op, k=levels, which="SA", tol=0, v0=start, maxiter=_LANCZOS_MAXITER
+        _csr_operator(pair, s), k=levels, which="SA", tol=0, v0=_lanczos_start(pair.dim),
+        maxiter=_LANCZOS_MAXITER,
     )
     order = np.argsort(w)
     return w[order], v[:, order]

@@ -171,6 +171,24 @@ def test_compute_overlaps_degenerate_ground_omits_the_solution():
     assert series.at(0.5).solution is None
 
 
+@pytest.mark.parametrize("graph", [
+    toy_example_1(0.0).graph,  # degenerate levels
+    toy_example_1(Fraction(2, 3)).graph,  # degenerate final ground level
+    random_instance(9, 4, 0.5, 0.5, 1.5, seed=1, alpha=0.3).graph,  # 126 levels of one member
+])
+def test_overlap_families_match_a_per_level_loop(graph):
+    # the weights of a level, one sum of squares per level, bit for bit, on
+    # a grid and at one point
+    pair = clique_pair(graph)
+    vectors = spectral_sweep(pair, np.linspace(0.0, 1.0, 11), levels=2).vectors
+    for v in (vectors, vectors[4]):
+        in_ground, in_excited, _ = anticrossing._overlap_families(v, pair.final_levels)
+        for l, members in enumerate(pair.final_levels.members):
+            sel = list(members)
+            assert np.array_equal(in_ground[..., l], np.sum(v[..., sel, 0] ** 2, axis=-1))
+            assert np.array_equal(in_excited[..., l], np.sum(v[..., sel, 1] ** 2, axis=-1))
+
+
 @settings(max_examples=20, deadline=None, database=None)
 @given(
     nk=st.integers(3, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),

@@ -401,7 +401,10 @@ def test_verify_unknown_check(runner, checks, message):
     assert message in json.loads(result.stderr)["error"]
 
 
-def test_scan_into_an_existing_file_is_an_io_error(runner, tmp_path):
+def test_scan_into_an_existing_file_is_an_io_error(runner, tmp_path, monkeypatch):
+    # refused before any report is computed
+    reports = []
+    monkeypatch.setattr(cli, "build_report", lambda *args, **kwargs: reports.append(args))
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     result = runner.invoke(main, ["scan", "--fixture", "toy1", "--grid", "51", "--out", str(taken)])
@@ -409,6 +412,7 @@ def test_scan_into_an_existing_file_is_an_io_error(runner, tmp_path):
     error = json.loads(result.stderr)
     assert error["kind"] == "io" and str(taken) in error["error"]
     assert taken.read_text() == "not a directory\n"
+    assert reports == []
 
 
 @pytest.mark.parametrize("command", ["scan", "verify"])
@@ -423,6 +427,17 @@ def test_instance_past_the_basis_caps_is_an_io_error(runner, tmp_path, command):
     error = json.loads(result.stderr)
     assert error["kind"] == "io" and "capped at n=20" in error["error"]
     assert not list(tmp_path.glob("out/alpha_*"))
+
+
+def test_scan_past_the_basis_caps_makes_no_output_directory(runner, tmp_path):
+    doc = {"n": 21, "k": 10, "alpha": 0.5, "weights": [1.0] * 21, "edges": [[1, 2]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out" / "nested"
+    result = runner.invoke(main, ["scan", "--instance", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["kind"] == "io"
+    assert not (tmp_path / "out").exists()
 
 
 def test_instance_file_errors(runner, tmp_path):

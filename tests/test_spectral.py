@@ -1365,6 +1365,26 @@ def test_lanczos_is_arpack_on_the_csr_matrix():
         assert np.array_equal(w, w_ref[order]) and np.array_equal(v, v_ref[:, order]), s
 
 
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    nk=st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0),
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    s=st.floats(0.0, 1.0),
+    x_seed=st.integers(0, 2**32 - 1),
+)
+# the pair of _above_the_cut(), which the Lanczos route solves
+@example(nk=(11, 4), seed=3, alpha=0.3, mixer="swap_chain", s=0.5, x_seed=0)
+def test_lanczos_operator_is_the_csr_product_on_random_instances(nk, seed, alpha, mixer, s, x_seed):
+    # the product ARPACK steps with is the CSR matrix's, bit for bit
+    n, k = nk
+    pair = clique_pair(random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=alpha).graph, mixer)
+    x = np.random.default_rng(x_seed).standard_normal(pair.dim)
+    got = spectral._csr_operator(pair, s).matvec(x)
+    assert got.tobytes() == (interpolate_csr(pair, s) @ x).tobytes()
+
+
 def test_sparse_form_lives_and_dies_with_its_pair():
     # H0's CSR form is kept on the pair, in no cache and no reference
     # cycle: dropping the pair frees it without a garbage collection
