@@ -20,6 +20,8 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 FULL_MODE_MAX_QUBITS = 14
 WEIGHT_MODE_MAX_QUBITS = 20
 WEIGHT_MODE_MAX_DIM = 5000
@@ -41,6 +43,15 @@ class BasisSet:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """The (dim, n) read-only boolean array of ``states``: row a, column
+        i is whether state a selects node i + 1."""
+        chars = np.frombuffer("".join(self.states).encode(), dtype=np.uint8)
+        bits = chars.reshape(self.dim, self.n) == ord("1")
+        bits.flags.writeable = False
+        return bits
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -150,7 +150,7 @@ def brute_force(instance: CliqueInstance) -> BruteForceResult:
             f"C({n},{k})={comb(n, k)} subsets exceed the solver cap of "
             f"{BRUTE_FORCE_MAX_SUBSETS}"
         )
-    edge_set = graph.edge_set
+    edge_set = {frozenset(e) for e in graph.edges}
     alpha_exact = _exact_alpha(graph.alpha)
     alpha_float = float(graph.alpha)
     w_exact = [Fraction(w) for w in graph.weights]

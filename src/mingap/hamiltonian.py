@@ -11,7 +11,12 @@ target encodes maximum-weight k-clique as
 Clique energies are evaluated as ``missing - alpha * (w_a + w_b + ...)``
 with the weight sum accumulated in ascending node order in float64.
 The brute-force solver pins the same evaluation order, so the two
-independently computed tables match bit for bit.
+independently computed tables match bit for bit.  The target evaluates
+all states at once on the columns of ``BasisSet.bits``: ``missing`` is
+C(|x|, 2) less the edges inside the selection, in integers, and the sum
+adds, from +0.0 and node by node in ascending order, a node's weight
+where it is selected and +0.0 where not.  Adding +0.0 to a nonnegative
+sum keeps its bits, so each sum is the one over the selected nodes.
 """
 
 from __future__ import annotations
@@ -89,11 +94,6 @@ class ProblemGraph:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "alpha", alpha)
-
-    @cached_property
-    def edge_set(self) -> frozenset[frozenset[int]]:
-        """The edges as a set of node pairs, built on first use and kept."""
-        return frozenset(frozenset(e) for e in self.edges)
 
 
 class _HeldAsCsr:
@@ -223,22 +223,32 @@ def partition_final_levels(pair: HamiltonianPair) -> FinalLevelPartition:
     return FinalLevelPartition(energies=tuple(energies), members=tuple(members))
 
 
-def build_transverse_field(n: int) -> np.ndarray:
+def _hopping(basis: BasisSet, flips: np.ndarray) -> scipy.sparse.csr_array:
+    """-1.0 between each state of ``basis`` and each state of ``basis`` that
+    flipping the nodes of one row of the boolean (terms, n) ``flips`` makes
+    of it: states and rows are packed into integer masks alike and XORed."""
+    d, place = basis.dim, 1 << np.arange(basis.n)
+    masks, flip_masks = basis.bits @ place, flips @ place
+    order = np.argsort(masks)
+    targets = masks[:, None] ^ flip_masks
+    cols = order[np.minimum(np.searchsorted(masks[order], targets), d - 1)]
+    kept = masks[cols] == targets
+    rows = kept.nonzero()[0]
+    return scipy.sparse.csr_array((np.full(rows.size, -1.0), (rows, cols[kept])), shape=(d, d))
+
+
+def build_transverse_field(n: int) -> scipy.sparse.csr_array:
     """Mixer ``-sum_i sigma_x^(i)`` on the full basis: -1 between
     bitstrings at Hamming distance one, zero elsewhere."""
-    basis = enumerate_basis(n)
-    d = basis.dim
-    h0 = np.zeros((d, d))
-    for a in range(d):
-        for pos in range(n):
-            h0[a, a ^ (1 << (n - 1 - pos))] = -1.0
-    return h0
+    return _hopping(enumerate_basis(n), np.eye(n, dtype=bool))
 
 
-def build_swap_mixer(n: int, k: int, wrap: bool = False) -> np.ndarray:
+def build_swap_mixer(n: int, k: int, wrap: bool = False) -> scipy.sparse.csr_array:
     """Mixer ``-sum_i S(i, i+1)`` on the weight-k basis, where S exchanges
     the two qubits when their bits differ and annihilates the state when
-    they are equal (the XY form: S = (XX + YY)/2 on the pair).
+    they are equal (the XY form: S = (XX + YY)/2 on the pair).  Flipping
+    both bits keeps the weight exactly when they differ, which is the
+    exchange, so a flip that leaves the basis is a term that annihilates.
 
     ``wrap=False`` sums the chain pairs (1,2)..(n-1,n); ``wrap=True`` adds
     the (n,1) term and requires n >= 3.
@@ -246,44 +256,25 @@ def build_swap_mixer(n: int, k: int, wrap: bool = False) -> np.ndarray:
     basis = enumerate_basis(n, k)
     if wrap and n < 3:
         raise ValueError("cyclic swap mixer needs n >= 3")
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    if wrap:
-        pairs.append((n - 1, 0))
-    d = basis.dim
-    h0 = np.zeros((d, d))
-    for a, bits in enumerate(basis.states):
-        for i, j in pairs:
-            if bits[i] != bits[j]:
-                swapped = list(bits)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                b = basis.index_of("".join(swapped))
-                h0[a, b] -= 1.0
-    return h0
-
-
-def clique_state_energy(graph: ProblemGraph, bits: str) -> float:
-    """Target energy of one basis state under the clique encoding."""
-    selected = [i + 1 for i, c in enumerate(bits) if c == "1"]
-    edge_set = graph.edge_set
-    missing = 0
-    for a in range(len(selected)):
-        for b in range(a + 1, len(selected)):
-            if frozenset((selected[a], selected[b])) not in edge_set:
-                missing += 1
-    wsum = 0.0
-    for i in selected:
-        wsum += graph.weights[i - 1]
-    return missing - float(graph.alpha) * wsum
+    one = np.eye(n, dtype=bool)
+    pairs = one | np.roll(one, 1, axis=1)  # row i flips nodes i+1 and i+2 (mod n)
+    return _hopping(basis, pairs if wrap else pairs[:-1])
 
 
 def build_clique_target(graph: ProblemGraph, basis: BasisSet | None = None) -> np.ndarray:
     """Diagonal clique target over ``basis`` (default: the weight-k
-    subspace of the instance)."""
+    subspace of the instance), in the evaluation order the module pins."""
     if basis is None:
         basis = enumerate_basis(graph.n, graph.k)
     if basis.n != graph.n:
         raise ValueError(f"basis is over {basis.n} qubits, graph has {graph.n} nodes")
-    return np.array([clique_state_energy(graph, bits) for bits in basis.states])
+    bits, wsum = basis.bits, np.zeros(basis.dim)
+    size = bits.sum(axis=1)
+    i, j = (np.array(graph.edges, dtype=int).reshape(-1, 2) - 1).T
+    missing = size * (size - 1) // 2 - (bits[:, i] & bits[:, j]).sum(axis=1)
+    for w, selected in zip(graph.weights, bits.T):
+        wsum += selected * w
+    return missing - float(graph.alpha) * wsum
 
 
 def build_diagonal_target(energies, basis: BasisSet) -> np.ndarray:
@@ -326,15 +317,11 @@ def clique_pair(graph: ProblemGraph, mixer: str = "swap_chain") -> HamiltonianPa
     or ``transverse_field`` (full space, clique energies evaluated on every
     bitstring).
     """
-    if mixer == "swap_chain":
+    if mixer in ("swap_chain", "swap_cycle"):
         basis = enumerate_basis(graph.n, graph.k)
-        h0 = build_swap_mixer(graph.n, graph.k, wrap=False)
-    elif mixer == "swap_cycle":
-        basis = enumerate_basis(graph.n, graph.k)
-        h0 = build_swap_mixer(graph.n, graph.k, wrap=True)
+        h0 = build_swap_mixer(graph.n, graph.k, wrap=mixer == "swap_cycle")
     elif mixer == "transverse_field":
-        basis = enumerate_basis(graph.n)
-        h0 = build_transverse_field(graph.n)
+        basis, h0 = enumerate_basis(graph.n), build_transverse_field(graph.n)
     else:
         raise ValueError(f"unknown mixer {mixer!r}")
     return HamiltonianPair(basis=basis, h0=h0, h1_diag=build_clique_target(graph, basis))

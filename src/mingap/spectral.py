@@ -26,8 +26,9 @@ vectors anyway.  The route rule, which the solver docstrings point to:
   pairs, disconnected mixers and s = 1 (H diagonal) stay dense.  What
   remains is a grid point within about eps ||H|| / |dDelta/ds| of a
   narrow anti-crossing, or a hand-built mixer of weakly linked parts
-  whose ground states stay degenerate over a range of s.  When ARPACK does not converge within ``_LANCZOS_MAXITER``
-  restarts the point is solved densely.
+  whose ground states stay degenerate over a range of s.  When ARPACK
+  does not converge within ``_LANCZOS_MAXITER`` restarts the point is
+  solved densely.
 * NumPy's ``eigh`` (LAPACK ``syevd``) of every level, sliced to the
   lowest few, for a solve of more than two but fewer than all levels at
   d < ``_SYEVD_MAX_DIM``: the multi-level sweep of ``mingap scan`` on

@@ -25,6 +25,14 @@ def test_weight_three_count_and_extremes():
     assert basis.states[-1] == "000111"
 
 
+@pytest.mark.parametrize("n, k", [(1, None), (3, None), (6, 3), (5, 1), (5, 4)])
+def test_bits_are_the_states(n, k):
+    basis = enumerate_basis(n, k)
+    assert basis.bits.shape == (basis.dim, n) and basis.bits.dtype == bool
+    assert basis.bits.tolist() == [[c == "1" for c in bits] for bits in basis.states]
+    assert basis.bits is basis.bits and not basis.bits.flags.writeable
+
+
 def test_full_ordering():
     basis = enumerate_basis(3)
     assert basis.dim == 8
@@ -86,7 +94,7 @@ def test_enumerate_validation():
 
 def test_transverse_field_graph_is_hypercube():
     basis = enumerate_basis(3)
-    adj = adjacency(build_transverse_field(3))
+    adj = adjacency(build_transverse_field(3).toarray())
     assert len(adj) == 8
     assert all(len(nbrs) == 3 for nbrs in adj)
     assert sum(len(nbrs) for nbrs in adj) // 2 == 12
@@ -99,16 +107,16 @@ def test_transverse_field_graph_is_hypercube():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_transverse_field_graph_regularity(n):
-    adj = adjacency(build_transverse_field(n))
+    adj = adjacency(build_transverse_field(n).toarray())
     assert all(len(nbrs) == n for nbrs in adj)
     assert sum(len(nbrs) for nbrs in adj) // 2 == n * 2 ** (n - 1)
 
 
 def test_swap_chain_graph_is_path():
-    adj = adjacency(build_swap_mixer(3, 1))  # states 100, 010, 001
+    adj = adjacency(build_swap_mixer(3, 1).toarray())  # states 100, 010, 001
     assert adj == [[1], [0, 2], [1]]
 
 
 def test_single_qubit_graph_is_one_edge():
-    adj = adjacency(build_transverse_field(1))
+    adj = adjacency(build_transverse_field(1).toarray())
     assert adj == [[1], [0]]

@@ -1,17 +1,20 @@
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import add
 
 import numpy as np
 import pytest
 
 from mingap.basis import CapacityError, enumerate_basis
 from mingap.clique import (
+    CliqueInstance,
     brute_force,
     random_instance,
     toy_example_1,
     toy_example_2,
 )
-from mingap.hamiltonian import build_clique_target
+from mingap.hamiltonian import ProblemGraph, build_clique_target, clique_pair
 
 
 def test_toy1_triangle_wins_below_threshold():
@@ -121,6 +124,24 @@ def test_oracle_matches_target_diagonal():
             bits = "".join("1" if i + 1 in subset else "0" for i in range(n))
             assert h1[basis.index_of(bits)] == energy
         assert result.best_energy == min(result.table, key=lambda r: r[1])[1]
+
+
+@pytest.mark.parametrize("n, seed", [(4, 0), (6, 1), (7, 2), (8, 3)])
+def test_oracle_matches_the_full_basis_target_at_every_weight(n, seed):
+    # the transverse-field pair evaluates the target on every bitstring: at
+    # each weight k it is the oracle's table, bit for bit
+    graph = random_instance(n, 2, 0.5, 0.5, 2.0, seed=seed, alpha=0.37).graph
+    basis, h1 = enumerate_basis(n), clique_pair(graph, "transverse_field").h1_diag
+    for k in range(1, n):
+        weighted = ProblemGraph(n, graph.edges, graph.weights, k, graph.alpha)
+        table = brute_force(CliqueInstance(graph=weighted, description="")).table
+        assert len(table) == comb(n, k)
+        for subset, energy in table:
+            bits = "".join("1" if i + 1 in subset else "0" for i in range(n))
+            assert h1[basis.index_of(bits)].tobytes() == np.float64(energy).tobytes()
+    assert h1[0].tobytes() == np.float64(0.0).tobytes()
+    all_ones = comb(n, 2) - len(graph.edges) - 0.37 * reduce(add, graph.weights, 0.0)
+    assert h1[-1].tobytes() == np.float64(all_ones).tobytes()
 
 
 def test_brute_force_capacity():

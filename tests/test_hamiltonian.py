@@ -1,9 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mingap.basis import enumerate_basis
 from mingap.clique import random_instance, toy_example_1
@@ -47,31 +51,53 @@ def _pauli_swap_mixer(n, pairs):
     return h
 
 
+def _pauli_transverse_field(n):
+    """Independent route: -sum X_i via explicit tensor products."""
+    return -sum(_kron_chain([PAULI_X if j == i else np.eye(2) for j in range(n)])
+                for i in range(n))
+
+
+def _pauli_mixer(n, k, mixer):
+    """The Pauli form of ``clique_pair``'s mixer on its basis."""
+    if mixer == "transverse_field":
+        return _pauli_transverse_field(n)
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if mixer == "swap_cycle":
+        pairs.append((n - 1, 0))
+    idx = [int(bits, 2) for bits in enumerate_basis(n, k).states]
+    return _pauli_swap_mixer(n, pairs)[np.ix_(idx, idx)]
+
+
 # ---------------------------------------------------------------------------
 # transverse field
 
 
 def test_transverse_field_single_qubit():
-    h0 = build_transverse_field(1)
+    h0 = build_transverse_field(1).toarray()
     assert np.array_equal(h0, np.array([[0.0, -1.0], [-1.0, 0.0]]))
     w = np.linalg.eigvalsh(h0)
     assert np.allclose(w, [-1.0, 1.0])
 
 
 def test_transverse_field_two_entries_per_row():
-    h0 = build_transverse_field(2)
+    h0 = build_transverse_field(2).toarray()
     assert np.all(np.diag(h0) == 0)
     assert np.all(np.sum(h0 == -1.0, axis=1) == 2)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_transverse_field_ground_level(n):
-    w, v = np.linalg.eigh(build_transverse_field(n))
+    w, v = np.linalg.eigh(build_transverse_field(n).toarray())
     assert w[0] == pytest.approx(-n, abs=1e-12)
     if n >= 2:
         assert w[1] - w[0] > 1e-9
     uniform = np.full(2**n, 1.0 / np.sqrt(2**n))
     assert abs(abs(uniform @ v[:, 0]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transverse_field_matches_pauli_form(n):
+    assert np.array_equal(build_transverse_field(n).toarray(), _pauli_transverse_field(n))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +106,7 @@ def test_transverse_field_ground_level(n):
 
 def test_swap_chain_explicit_entries():
     basis = enumerate_basis(3, 1)
-    h0 = build_swap_mixer(3, 1)
+    h0 = build_swap_mixer(3, 1).toarray()
     i100, i010, i001 = (basis.index_of(b) for b in ("100", "010", "001"))
     assert h0[i100, i010] == -1.0
     assert h0[i100, i001] == 0.0
@@ -88,28 +114,39 @@ def test_swap_chain_explicit_entries():
 
 
 def test_swap_chain_two_sites():
-    h0 = build_swap_mixer(2, 1)
+    h0 = build_swap_mixer(2, 1).toarray()
     assert np.array_equal(h0, np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert np.allclose(np.linalg.eigvalsh(h0), [-1.0, 1.0])
 
 
 @pytest.mark.parametrize("n,k,wrap", [(3, 1, False), (4, 2, False), (6, 3, False),
-                                      (4, 2, True), (5, 2, True)])
+                                      (7, 3, False), (8, 4, False), (8, 1, False),
+                                      (3, 1, True), (3, 2, True), (4, 2, True), (5, 2, True),
+                                      (6, 5, True), (7, 3, True), (8, 4, True)])
 def test_swap_mixer_matches_pauli_form(n, k, wrap):
-    basis = enumerate_basis(n, k)
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    if wrap:
-        pairs.append((n - 1, 0))
-    full = _pauli_swap_mixer(n, pairs)
-    idx = [int(bits, 2) for bits in basis.states]
-    restricted = full[np.ix_(idx, idx)]
-    assert np.array_equal(build_swap_mixer(n, k, wrap=wrap), restricted)
+    restricted = _pauli_mixer(n, k, "swap_cycle" if wrap else "swap_chain")
+    assert np.array_equal(build_swap_mixer(n, k, wrap=wrap).toarray(), restricted)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    mixer=st.sampled_from(["swap_chain", "swap_cycle", "transverse_field"]),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+)
+def test_mixers_match_the_pauli_form_on_random_instances(mixer, data, seed):
+    # through the pair: the mixer the reports solve with is, entry for
+    # entry, the Pauli form on its basis, at every weight and either wrap
+    n = data.draw(st.integers(3 if mixer == "swap_cycle" else 2, 7), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    graph = random_instance(n, k, 0.5, 0.5, 1.5, seed=seed, alpha=0.3).graph
+    assert np.array_equal(clique_pair(graph, mixer).h0, _pauli_mixer(n, k, mixer))
 
 
 def test_swap_mixer_subspace_connected():
     from scipy.sparse.csgraph import connected_components
 
-    count, _ = connected_components(build_swap_mixer(6, 3) < 0, directed=False)
+    count, _ = connected_components(build_swap_mixer(6, 3).toarray() < 0, directed=False)
     assert count == 1
 
 
@@ -204,9 +241,9 @@ def test_interpolate_matches_diagonal_index_formula(pair):
 
 
 _DENSE_MIXERS = {
-    "swap_chain": lambda graph: build_swap_mixer(graph.n, graph.k),
-    "swap_cycle": lambda graph: build_swap_mixer(graph.n, graph.k, wrap=True),
-    "transverse_field": lambda graph: build_transverse_field(graph.n),
+    "swap_chain": lambda graph: build_swap_mixer(graph.n, graph.k).toarray(),
+    "swap_cycle": lambda graph: build_swap_mixer(graph.n, graph.k, wrap=True).toarray(),
+    "transverse_field": lambda graph: build_transverse_field(graph.n).toarray(),
 }
 
 
@@ -235,7 +272,7 @@ def test_interpolate_from_csr_equals_the_dense_formula_bit_for_bit(mixer):
 def test_pair_holds_h0_only_as_csr(form):
     graph = random_instance(7, 3, 0.5, 0.5, 1.5, seed=4, alpha=0.37).graph
     basis = enumerate_basis(7, 3)
-    h0, h1 = build_swap_mixer(7, 3), build_clique_target(graph, basis)
+    h0, h1 = build_swap_mixer(7, 3).toarray(), build_clique_target(graph, basis)
     pair = HamiltonianPair(basis=basis, h0=h0, h1_diag=h1)
     assert not any(isinstance(x, np.ndarray) and x.ndim == 2 for x in vars(pair).values())
     assert pair.h0.tobytes() == h0.tobytes() and pair.h0 is not pair.h0
@@ -368,6 +405,21 @@ def test_pair_validation():
         HamiltonianPair(basis=basis, h0=-good, h1_diag=np.zeros(2))
     with pytest.raises(ValueError, match="length"):
         HamiltonianPair(basis=basis, h0=good, h1_diag=np.zeros(3))
+
+
+@pytest.mark.parametrize("n, k, mixer", [(13, 6, "transverse_field"), (14, 7, "swap_chain")])
+def test_clique_pair_holds_no_dense_array(n, k, mixer):
+    # a pair is built in memory linear in its dimension (d = 8192 and 3432;
+    # a d x d float64 array alone is 537 and 94 MB there)
+    graph = random_instance(n, k, 0.5, 0.5, 1.5, seed=3, alpha=0.3).graph
+    tracemalloc.start()
+    try:
+        pair = clique_pair(graph, mixer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.dim == (2**n if mixer == "transverse_field" else comb(n, k))
+    assert peak < 2048 * pair.dim
 
 
 def test_clique_pair_mixers():
